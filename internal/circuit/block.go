@@ -32,8 +32,10 @@ type Block[B any] interface {
 	IsZero() bool
 
 	// EvalPins evaluates a gate of type t over its gathered fanin
-	// values in pin order. t must be combinational (not PI); in must
-	// hold at least one pin. Semantics match EvalWord lane-wise.
+	// values in pin order, one two-valued result bit per pattern. t
+	// must be combinational (not PI); in must hold at least one pin.
+	// Every word-level gate evaluation of the simulators goes through
+	// it.
 	EvalPins(t GateType, in []B) B
 }
 

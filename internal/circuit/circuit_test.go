@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -141,30 +142,68 @@ func TestFreezeRejectsNoInputsOrOutputs(t *testing.T) {
 	}
 }
 
-func TestEvalWordAllTypes(t *testing.T) {
-	a, b := uint64(0b1100), uint64(0b1010)
-	cases := []struct {
-		t    GateType
-		in   []uint64
-		want uint64
-	}{
-		{Buf, []uint64{a}, a},
-		{Not, []uint64{a}, ^a},
-		{And, []uint64{a, b}, a & b},
-		{Nand, []uint64{a, b}, ^(a & b)},
-		{Or, []uint64{a, b}, a | b},
-		{Nor, []uint64{a, b}, ^(a | b)},
-		{Xor, []uint64{a, b}, a ^ b},
-		{Xnor, []uint64{a, b}, ^(a ^ b)},
-		{And, []uint64{a, b, 0b1111}, a & b},
-		{Or, []uint64{a, b, 0}, a | b},
-		{Xor, []uint64{a, b, a}, b},
+// evalPinsCases gives every gate type at one pin (Buf, Not) or at two
+// and three pins, with its function on 64-pattern words.
+var evalPinsCases = []struct {
+	t    GateType
+	want func(in []uint64) uint64
+	pins []int
+}{
+	{Buf, func(in []uint64) uint64 { return in[0] }, []int{1}},
+	{Not, func(in []uint64) uint64 { return ^in[0] }, []int{1}},
+	{And, func(in []uint64) uint64 { return fold(in, func(a, b uint64) uint64 { return a & b }) }, []int{2, 3}},
+	{Nand, func(in []uint64) uint64 { return ^fold(in, func(a, b uint64) uint64 { return a & b }) }, []int{2, 3}},
+	{Or, func(in []uint64) uint64 { return fold(in, func(a, b uint64) uint64 { return a | b }) }, []int{2, 3}},
+	{Nor, func(in []uint64) uint64 { return ^fold(in, func(a, b uint64) uint64 { return a | b }) }, []int{2, 3}},
+	{Xor, func(in []uint64) uint64 { return fold(in, func(a, b uint64) uint64 { return a ^ b }) }, []int{2, 3}},
+	{Xnor, func(in []uint64) uint64 { return ^fold(in, func(a, b uint64) uint64 { return a ^ b }) }, []int{2, 3}},
+}
+
+func fold(in []uint64, op func(a, b uint64) uint64) uint64 {
+	v := in[0]
+	for _, w := range in[1:] {
+		v = op(v, w)
 	}
-	for _, c := range cases {
-		if got := EvalWord(c.t, c.in); got != c.want {
-			t.Errorf("EvalWord(%v) = %x, want %x", c.t, got, c.want)
+	return v
+}
+
+// truthWords enumerate all eight values of three pins in every byte.
+var truthWords = []uint64{0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0}
+
+// checkEvalPins evaluates every case at width B with lane l holding
+// the truth words rotated by l bits, so each lane sees the full truth
+// table in a different bit order and a lane mix-up changes the result.
+func checkEvalPins[B Block[B]](t *testing.T) {
+	t.Helper()
+	var zero B
+	lanes := zero.Lanes()
+	for _, c := range evalPinsCases {
+		for _, pins := range c.pins {
+			in := make([]B, pins)
+			for p := range in {
+				for l := 0; l < lanes; l++ {
+					in[p] = in[p].SetLane(l, bits.RotateLeft64(truthWords[p], l))
+				}
+			}
+			got := in[0].EvalPins(c.t, in)
+			lane := make([]uint64, pins)
+			for l := 0; l < lanes; l++ {
+				for p := range in {
+					lane[p] = in[p].Lane(l)
+				}
+				if g, w := got.Lane(l), c.want(lane); g != w {
+					t.Errorf("%d-lane %v with %d pins, lane %d: got %016x, want %016x",
+						lanes, c.t, pins, l, g, w)
+				}
+			}
 		}
 	}
+}
+
+func TestEvalPinsAllTypes(t *testing.T) {
+	checkEvalPins[W1](t)
+	checkEvalPins[W4](t)
+	checkEvalPins[W8](t)
 }
 
 func TestEvalV3MatchesEvalWordOnBinary(t *testing.T) {
@@ -175,17 +214,17 @@ func TestEvalV3MatchesEvalWordOnBinary(t *testing.T) {
 			nin = 1
 		}
 		for mask := 0; mask < 1<<uint(nin); mask++ {
-			words := make([]uint64, nin)
+			words := make([]W1, nin)
 			v3s := make([]logic.V3, nin)
 			for i := 0; i < nin; i++ {
-				bit := uint64(mask >> uint(i) & 1)
-				words[i] = bit
+				bit := mask >> uint(i) & 1
+				words[i] = W1(bit)
 				v3s[i] = logic.FromBit(uint8(bit))
 			}
-			wordOut := EvalWord(ty, words) & 1
+			wordOut := words[0].EvalPins(ty, words) & 1
 			v3Out := EvalV3(ty, v3s)
-			if !v3Out.IsBinary() || uint64(v3Out.Bit()) != wordOut {
-				t.Errorf("%v inputs %b: EvalV3=%v EvalWord=%d", ty, mask, v3Out, wordOut)
+			if !v3Out.IsBinary() || W1(v3Out.Bit()) != wordOut {
+				t.Errorf("%v inputs %b: EvalV3=%v EvalPins=%d", ty, mask, v3Out, wordOut)
 			}
 		}
 	}

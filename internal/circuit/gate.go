@@ -137,46 +137,6 @@ type Gate struct {
 	Fanin []int
 }
 
-// EvalWord evaluates the gate function over bit-parallel two-valued
-// words, one bit per test pattern. in must contain one word per fanin
-// pin.
-func EvalWord(t GateType, in []uint64) uint64 {
-	switch t {
-	case Buf:
-		return in[0]
-	case Not:
-		return ^in[0]
-	case And, Nand:
-		v := in[0]
-		for _, w := range in[1:] {
-			v &= w
-		}
-		if t == Nand {
-			v = ^v
-		}
-		return v
-	case Or, Nor:
-		v := in[0]
-		for _, w := range in[1:] {
-			v |= w
-		}
-		if t == Nor {
-			v = ^v
-		}
-		return v
-	case Xor, Xnor:
-		v := in[0]
-		for _, w := range in[1:] {
-			v ^= w
-		}
-		if t == Xnor {
-			v = ^v
-		}
-		return v
-	}
-	panic(fmt.Sprintf("circuit: EvalWord on %v", t))
-}
-
 // EvalV3 evaluates the gate function over three-valued inputs. It
 // implements the optimistic (ternary) semantics used by PODEM:
 // a controlling binary input decides the output even when other

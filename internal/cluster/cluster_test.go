@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"strconv"
 	"strings"
 	"sync"
@@ -466,10 +467,71 @@ func TestClusterBackendDrainRetries(t *testing.T) {
 	}
 }
 
-// TestClusterCancel fans a cancel out to every sub-job and the merged
-// stream ends with the cancelled status.
+// backendLog wraps a backend handler: it signals once the backend has
+// served its first sub-job submit and records every sub-job id a
+// DELETE arrived for, so a test can wait on both events.
+type backendLog struct {
+	submitted chan struct{} // closed after the first POST /v1/jobs
+	once      sync.Once
+
+	mu      sync.Mutex
+	deletes map[string]chan struct{} // closed once a DELETE for the id arrived
+}
+
+func newBackendLog() *backendLog {
+	return &backendLog{submitted: make(chan struct{}), deletes: map[string]chan struct{}{}}
+}
+
+func (l *backendLog) deleted(id string) chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ch, ok := l.deletes[id]
+	if !ok {
+		ch = make(chan struct{})
+		l.deletes[id] = ch
+	}
+	return ch
+}
+
+func (l *backendLog) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete {
+			ch := l.deleted(path.Base(r.URL.Path))
+			l.mu.Lock()
+			select {
+			case <-ch:
+			default:
+				close(ch)
+			}
+			l.mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			l.once.Do(func() { close(l.submitted) })
+		}
+	})
+}
+
+// TestClusterCancel cancels a cluster job once every backend holds a
+// sub-job: each sub-job still live when Cancel returns must receive a
+// DELETE, every sub-job must end done or cancelled, and the merged
+// stream must end with the cancelled status. A sub-job may finish
+// before its cancel lands, so no backend is required to count one.
 func TestClusterCancel(t *testing.T) {
-	urls, svcs := newBackends(t, 3)
+	const n = 3
+	urls := make([]string, n)
+	svcs := make([]*service.Service, n)
+	logs := make([]*backendLog, n)
+	for i := range urls {
+		svc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
+		logs[i] = newBackendLog()
+		srv := httptest.NewServer(logs[i].wrap(svc.Handler()))
+		t.Cleanup(func() {
+			srv.Close()
+			svc.Close()
+		})
+		urls[i], svcs[i] = srv.URL, svc
+	}
 	co, err := New(urls, Options{Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
@@ -477,6 +539,8 @@ func TestClusterCancel(t *testing.T) {
 	defer co.Close()
 
 	ctx := context.Background()
+	wctx, stop := context.WithTimeout(ctx, 30*time.Second)
+	defer stop()
 	id, err := co.Submit(ctx, service.JobSpec{
 		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
 		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1 << 16, Seed: 1}},
@@ -484,15 +548,31 @@ func TestClusterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancelled := false
-	st, err := co.Stream(ctx, id, func(ev service.ProgressEvent) {
-		if !cancelled {
-			cancelled = true
-			if _, err := co.Cancel(ctx, id); err != nil {
-				t.Errorf("cancel: %v", err)
+	for i, l := range logs {
+		select {
+		case <-l.submitted:
+		case <-wctx.Done():
+			t.Fatalf("backend %d never received a sub-job", i)
+		}
+	}
+	if _, err := co.Cancel(ctx, id); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	live := make([][]string, n) // per backend: sub-jobs not terminal once Cancel returned
+	nlive := 0
+	for i, svc := range svcs {
+		for _, js := range svc.Jobs() {
+			if !terminalState(js.State) {
+				live[i] = append(live[i], js.ID)
+				nlive++
 			}
 		}
-	})
+	}
+	if nlive == 0 {
+		t.Fatal("no sub-job was live at Cancel: nothing exercised the fan-out")
+	}
+
+	st, err := co.Stream(ctx, id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,17 +587,30 @@ func TestClusterCancel(t *testing.T) {
 	if st, err := co.Cancel(ctx, id); err != nil || st.State != service.StateCancelled {
 		t.Fatalf("second cancel: %+v, %v", st, err)
 	}
-	// Every backend saw its sub-job cancelled.
-	deadline := time.Now().Add(5 * time.Second)
-	for _, svc := range svcs {
-		for {
-			if svc.Stats().JobsCancelled >= 1 {
-				break
+
+	for i, ids := range live {
+		for _, rid := range ids {
+			select {
+			case <-logs[i].deleted(rid):
+			case <-wctx.Done():
+				t.Fatalf("backend %d never received the cancel for live sub-job %s", i, rid)
 			}
-			if time.Now().After(deadline) {
-				t.Fatal("backend never observed the fanned-out cancel")
+		}
+	}
+	for i, svc := range svcs {
+		for _, js := range svc.Jobs() {
+			ch, unsubscribe, _ := svc.Subscribe(js.ID)
+			for open := true; open; {
+				select {
+				case _, open = <-ch:
+				case <-wctx.Done():
+					t.Fatalf("backend %d sub-job %s never ended", i, js.ID)
+				}
 			}
-			time.Sleep(5 * time.Millisecond)
+			unsubscribe()
+			if st, _ := svc.Status(js.ID); st.State != service.StateDone && st.State != service.StateCancelled {
+				t.Fatalf("backend %d sub-job %s ended %s, want done or cancelled", i, js.ID, st.State)
+			}
 		}
 	}
 }

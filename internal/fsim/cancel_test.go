@@ -12,22 +12,6 @@ import (
 	"github.com/eda-go/adifo/internal/prng"
 )
 
-// countingCtx reports cancellation after Err has been polled limit
-// times, letting the sequential tests cancel deterministically mid-run
-// without goroutines or timing.
-type countingCtx struct {
-	context.Context
-	calls, limit int
-}
-
-func (c *countingCtx) Err() error {
-	c.calls++
-	if c.calls > c.limit {
-		return context.Canceled
-	}
-	return nil
-}
-
 func c17Setup(t *testing.T, vectors int) (*fault.List, *logic.PatternSet) {
 	t.Helper()
 	c, err := benchdata.Load("c17")
@@ -35,52 +19,6 @@ func c17Setup(t *testing.T, vectors int) (*fault.List, *logic.PatternSet) {
 		t.Fatal(err)
 	}
 	return fault.CollapsedUniverse(c), logic.RandomPatterns(c.NumInputs(), vectors, prng.New(11))
-}
-
-func TestRunContextPreCancelled(t *testing.T) {
-	fl, ps := c17Setup(t, 640)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r, err := RunContext(ctx, fl, ps, Options{Mode: NoDrop})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if r.VectorsUsed != 0 || len(r.Ndet) != 0 {
-		t.Fatalf("pre-cancelled run simulated %d vectors", r.VectorsUsed)
-	}
-}
-
-// TestRunContextCancelMidRun cancels a sequential run after the k-th
-// block poll and checks it stops there, with a partial result whose
-// counters cover exactly the simulated prefix.
-func TestRunContextCancelMidRun(t *testing.T) {
-	fl, ps := c17Setup(t, 640) // 10 blocks
-	const after = 3
-	ctx := &countingCtx{Context: context.Background(), limit: after}
-	r, err := RunContext(ctx, fl, ps, Options{Mode: NoDrop})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if r.VectorsUsed != after*logic.WordBits {
-		t.Fatalf("VectorsUsed = %d, want %d (stop within one block of the cancel)",
-			r.VectorsUsed, after*logic.WordBits)
-	}
-	if len(r.Ndet) != r.VectorsUsed {
-		t.Fatalf("Ndet length %d, VectorsUsed %d", len(r.Ndet), r.VectorsUsed)
-	}
-	// The partial prefix must agree with an uncancelled run truncated
-	// to the same vectors.
-	full := Run(fl, ps, Options{Mode: NoDrop})
-	for u := 0; u < r.VectorsUsed; u++ {
-		if r.Ndet[u] != full.Ndet[u] {
-			t.Fatalf("partial ndet(%d) = %d, full run has %d", u, r.Ndet[u], full.Ndet[u])
-		}
-	}
-	for fi := range fl.Faults {
-		if fd := r.FirstDet[fi]; fd >= 0 && fd != full.FirstDet[fi] {
-			t.Fatalf("partial FirstDet[%d] = %d, full run has %d", fi, fd, full.FirstDet[fi])
-		}
-	}
 }
 
 // TestRunParallelCtxCancelMidRun cancels a sharded run from the

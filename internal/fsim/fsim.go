@@ -1,11 +1,12 @@
-// Package fsim implements stuck-at fault simulation using PPSFP
-// (parallel-pattern single-fault propagation): good-machine values are
-// computed once per pattern block, then each fault is injected in turn
-// and only its fanout cone is re-evaluated, level by level. The cone
-// walk runs on the compiled circuit form (circuit.Compile) and is
-// width-generic over the block types in internal/circuit: the
-// sequential reference uses scalar 64-pattern blocks, the parallel
-// runner picks 64-, 256- or 512-pattern blocks.
+// Package fsim implements good-machine and stuck-at fault simulation
+// using PPSFP (parallel-pattern single-fault propagation): good-machine
+// values are computed once per pattern block, then each fault is
+// injected in turn and only its fanout cone is re-evaluated, level by
+// level. One kernel (kernel.go) does all of it on the compiled circuit
+// form (circuit.Compile), width-generic over the block types in
+// internal/circuit: the sequential reference Run, the Incremental
+// simulator and the cached Good values use scalar 64-pattern blocks,
+// the parallel runner picks 64-, 256- or 512-pattern blocks.
 //
 // Three modes cover everything the paper needs:
 //
@@ -22,7 +23,6 @@
 package fsim
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/eda-go/adifo/internal/circuit"
@@ -142,25 +142,13 @@ func (r *Result) Coverage() float64 {
 }
 
 // Run simulates every fault of fl against the vectors of ps under the
-// given options and returns the collected statistics. It is
-// RunContext without cancellation.
-func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
-	r, _ := RunContext(context.Background(), fl, ps, opts)
-	return r
-}
-
-// RunContext is Run with cooperative cancellation: ctx is polled at
-// every 64-pattern block boundary, so a cancelled run stops within one
-// block of work. On cancellation it returns the partial result
-// accumulated so far (vectors simulated before the cancelled block are
-// fully accounted) together with ctx.Err(); the error is nil on a
-// completed run.
+// given options and returns the collected statistics.
 //
 // Run is the bit-identity reference for the whole simulator core: it
 // always executes the scalar 64-pattern kernel in fault-index order,
 // and every parallel/wide configuration must reproduce its result
 // exactly.
-func RunContext(ctx context.Context, fl *fault.List, ps *logic.PatternSet, opts Options) (*Result, error) {
+func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
 	c := fl.Circuit
 	if ps.Inputs() != c.NumInputs() {
 		panic(fmt.Sprintf("fsim: pattern set has %d inputs, circuit has %d", ps.Inputs(), c.NumInputs()))
@@ -197,10 +185,6 @@ func RunContext(ctx context.Context, fl *fault.List, ps *logic.PatternSet, opts 
 	}
 
 	for block := 0; block < ps.Blocks(); block++ {
-		if err := ctx.Err(); err != nil {
-			r.Ndet = r.Ndet[:r.VectorsUsed]
-			return r, err
-		}
 		for i := range pi {
 			pi[i] = circuit.W1(ps.Word(i, block))
 		}
@@ -253,7 +237,7 @@ func RunContext(ctx context.Context, fl *fault.List, ps *logic.PatternSet, opts 
 		}
 	}
 	r.Ndet = r.Ndet[:r.VectorsUsed]
-	return r, nil
+	return r
 }
 
 // Incremental is the stateful fault simulator used inside the test
@@ -269,15 +253,10 @@ type Incremental struct {
 }
 
 // NewIncremental returns an Incremental simulator over the faults of
-// fl, compiling the circuit first. All faults start alive.
-func NewIncremental(fl *fault.List) *Incremental {
-	return NewIncrementalCompiled(fl, circuit.Compile(fl.Circuit))
-}
-
-// NewIncrementalCompiled is NewIncremental over an existing compiled
-// form of fl's circuit (or a structurally identical one).
-func NewIncrementalCompiled(fl *fault.List, cc *circuit.Compiled) *Incremental {
-	if cc.Circuit != fl.Circuit && cc.Fingerprint != fl.Circuit.Fingerprint() {
+// fl, executing cc, a compiled form of fl's circuit (or of a
+// structurally identical one). All faults start alive.
+func NewIncremental(fl *fault.List, cc *circuit.Compiled) *Incremental {
+	if !compiledFrom(cc, fl.Circuit) {
 		panic("fsim: compiled form does not match the fault list's circuit")
 	}
 	inc := &Incremental{
@@ -337,6 +316,14 @@ func (inc *Incremental) SimulateVector(v logic.Vector) []int {
 		}
 	}
 	return detected
+}
+
+// compiledFrom reports whether cc was compiled from c or from a
+// structurally identical circuit. The service registry shares one
+// compiled form, and the good values computed from it, among every
+// circuit with the same fingerprint, so pointer equality is too strict.
+func compiledFrom(cc *circuit.Compiled, c *circuit.Circuit) bool {
+	return cc.Circuit == c || cc.Fingerprint == c.Fingerprint()
 }
 
 func lowestBit(w uint64) int {

@@ -36,7 +36,8 @@ func parse(t testing.TB, name, src string) *circuit.Circuit {
 
 // naiveDetects is an independent reference: evaluate the good and the
 // faulty circuit gate by gate, pattern by pattern, with the fault
-// modelled by brute force.
+// modelled by brute force. Gates are evaluated by circuit.EvalV3 on
+// binary values, which shares no code with the word kernels.
 func naiveDetects(c *circuit.Circuit, f fault.Fault, v logic.Vector) bool {
 	good := naiveValues(c, f, v, false)
 	bad := naiveValues(c, f, v, true)
@@ -56,14 +57,14 @@ func naiveValues(c *circuit.Circuit, f fault.Fault, v logic.Vector, inject bool)
 		if g.Type == circuit.PI {
 			out = v[c.InputIndex[gi]] & 1
 		} else {
-			in := make([]uint64, len(g.Fanin))
+			in := make([]logic.V3, len(g.Fanin))
 			for k, fi := range g.Fanin {
-				in[k] = uint64(val[fi])
+				in[k] = logic.FromBit(val[fi])
 			}
 			if inject && f.Pin != fault.StemPin && f.Gate == gi {
-				in[f.Pin] = uint64(f.SA)
+				in[f.Pin] = logic.FromBit(f.SA)
 			}
-			out = uint8(circuit.EvalWord(g.Type, in) & 1)
+			out = circuit.EvalV3(g.Type, in).Bit()
 		}
 		if inject && f.Pin == fault.StemPin && f.Gate == gi {
 			out = f.SA
@@ -71,6 +72,15 @@ func naiveValues(c *circuit.Circuit, f fault.Fault, v logic.Vector, inject bool)
 		val[gi] = out
 	}
 	return val
+}
+
+// detects reports whether v detects f, by a one-fault, one-vector
+// Run.
+func detects(c *circuit.Circuit, f fault.Fault, v logic.Vector) bool {
+	ps := logic.NewPatternSet(c.NumInputs())
+	ps.Append(v)
+	fl := &fault.List{Circuit: c, Faults: []fault.Fault{f}}
+	return Run(fl, ps, Options{Mode: NoDrop}).Detected(0)
 }
 
 func TestEngineMatchesNaiveC17Exhaustive(t *testing.T) {
@@ -246,7 +256,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	fl := fault.Universe(c)
 	ps := logic.RandomPatterns(c.NumInputs(), 40, prng.New(9))
 
-	inc := NewIncremental(fl)
+	inc := NewIncremental(fl, circuit.Compile(c))
 	var order []int
 	for u := 0; u < ps.Len(); u++ {
 		order = append(order, inc.SimulateVector(ps.Get(u))...)
@@ -272,7 +282,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 func TestIncrementalDrop(t *testing.T) {
 	c := parse(t, "c17", c17Bench)
 	fl := fault.Universe(c)
-	inc := NewIncremental(fl)
+	inc := NewIncremental(fl, circuit.Compile(c))
 	n := inc.Remaining()
 	inc.Drop(0)
 	if inc.Remaining() != n-1 || inc.Alive(0) {
@@ -291,8 +301,8 @@ func TestDetectsAgainstNaive(t *testing.T) {
 	for _, f := range fl.Faults {
 		for u := 0; u < ps.Len(); u++ {
 			v := ps.Get(u)
-			if Detects(c, f, v) != naiveDetects(c, f, v) {
-				t.Fatalf("Detects disagrees with naive for %v vector %d", f.Name(c), u)
+			if detects(c, f, v) != naiveDetects(c, f, v) {
+				t.Fatalf("one-vector Run disagrees with naive for %v vector %d", f.Name(c), u)
 			}
 		}
 	}
@@ -317,7 +327,7 @@ y2 = AND(a, b)
 
 	stem := fault.Fault{Gate: a, Pin: fault.StemPin, SA: 0}
 	branch := fault.Fault{Gate: y1, Pin: 0, SA: 0}
-	if !Detects(c, stem, v) || !Detects(c, branch, v) {
+	if !detects(c, stem, v) || !detects(c, branch, v) {
 		t.Fatal("both faults must be detected by 11")
 	}
 	// Check the branch fault leaves y2 untouched: compare against a

@@ -9,7 +9,6 @@ import (
 	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/logic"
-	"github.com/eda-go/adifo/internal/sim"
 )
 
 // Good holds precomputed good-machine value words for every 64-pattern
@@ -20,46 +19,29 @@ import (
 // eviction. The storage stays 64-pattern-wide regardless of the kernel
 // block width: wide runs gather lanes from it per superblock.
 type Good struct {
-	c      *circuit.Circuit
+	cc     *circuit.Compiled
 	ps     *logic.PatternSet
-	blocks [][]uint64
+	blocks [][]circuit.W1
 }
 
-// ComputeGood simulates the fault-free circuit against every block of
-// ps and stores the per-gate value words. It compiles c first; use
-// ComputeGoodCompiled when a compiled form is already at hand.
-func ComputeGood(c *circuit.Circuit, ps *logic.PatternSet) *Good {
-	return ComputeGoodCompiled(circuit.Compile(c), ps)
-}
-
-// ComputeGoodCompiled is ComputeGood over an existing compiled form.
+// ComputeGoodCompiled simulates the fault-free circuit cc against
+// every block of ps and stores the per-gate value words.
 func ComputeGoodCompiled(cc *circuit.Compiled, ps *logic.PatternSet) *Good {
 	if ps.Inputs() != cc.NumInputs() {
 		panic(fmt.Sprintf("fsim: pattern set has %d inputs, circuit has %d", ps.Inputs(), cc.NumInputs()))
 	}
-	gs := sim.NewCompiled(cc)
-	g := &Good{c: cc.Circuit, ps: ps, blocks: make([][]uint64, ps.Blocks())}
+	g := &Good{cc: cc, ps: ps, blocks: make([][]circuit.W1, ps.Blocks())}
+	pi := make([]circuit.W1, ps.Inputs())
+	scratch := make([]circuit.W1, cc.MaxFanin)
 	for b := range g.blocks {
-		gs.SimulateBlock(ps, b)
-		g.blocks[b] = append([]uint64(nil), gs.Values()...)
+		for i := range pi {
+			pi[i] = circuit.W1(ps.Word(i, b))
+		}
+		g.blocks[b] = make([]circuit.W1, cc.NumGates())
+		simGoodInto(cc, pi, g.blocks[b], scratch)
 	}
 	return g
 }
-
-// Circuit returns the circuit the values were computed on.
-func (g *Good) Circuit() *circuit.Circuit { return g.c }
-
-// Patterns returns the pattern set the values were computed against.
-func (g *Good) Patterns() *logic.PatternSet { return g.ps }
-
-// Block returns the per-gate good value words of block b. Callers must
-// treat the slice as read-only.
-func (g *Good) Block(b int) []uint64 { return g.blocks[b] }
-
-// Bytes returns the approximate memory footprint of the stored
-// values, for capacity planning and diagnostics (the registry's LRU
-// bounds entry count, not bytes; size a cache with Bytes in mind).
-func (g *Good) Bytes() int { return len(g.blocks) * g.c.NumGates() * 8 }
 
 // Progress is a per-block snapshot of a running batch simulation,
 // delivered at each block barrier.
@@ -95,8 +77,9 @@ type ParallelOptions struct {
 	Compiled *circuit.Compiled
 
 	// Good, when non-nil, supplies precomputed good-machine values for
-	// (fl.Circuit, ps); it must have been computed on exactly that
-	// pair. When nil the good machine is simulated on the fly.
+	// (fl.Circuit, ps); it must have been computed on ps from a
+	// compiled form that Compiled would accept. When nil the good
+	// machine is simulated on the fly.
 	Good *Good
 
 	// Progress, when non-nil, is called after every block barrier with
@@ -105,13 +88,6 @@ type ParallelOptions struct {
 	// blocks per barrier; their per-block events are delivered
 	// back-to-back at the barrier, in block order.
 	Progress func(Progress)
-}
-
-// RunParallel is Run in NoDrop mode with the per-fault cone
-// re-simulation spread across worker goroutines. Kept as the
-// historical entry point; it is RunParallelWith with default options.
-func RunParallel(fl *fault.List, ps *logic.PatternSet, workers int) *Result {
-	return RunParallelWith(fl, ps, ParallelOptions{Workers: workers})
 }
 
 // RunParallelWith simulates every fault of fl against ps under the
@@ -128,7 +104,7 @@ func RunParallel(fl *fault.List, ps *logic.PatternSet, workers int) *Result {
 // happens.
 //
 // fl is never mutated and may be shared (cached) across concurrent
-// runs; each run carries its drop state in a private fault.ActiveSet.
+// runs; each run carries its drop state in a private active list.
 //
 // It is RunParallelCtx without cancellation.
 func RunParallelWith(fl *fault.List, ps *logic.PatternSet, po ParallelOptions) *Result {
@@ -154,17 +130,14 @@ func RunParallelCtx(ctx context.Context, fl *fault.List, ps *logic.PatternSet, p
 	// The Good cache is keyed by deterministic (circuit, pattern spec)
 	// keys, so content equality of the pattern sets is the caller's
 	// contract; only the cheap structural mismatches are caught here.
-	if po.Good != nil && (po.Good.c != c ||
+	if po.Good != nil && (!compiledFrom(po.Good.cc, c) ||
 		po.Good.ps.Len() != ps.Len() || po.Good.ps.Inputs() != ps.Inputs()) {
 		panic("fsim: ParallelOptions.Good computed on a different circuit or pattern set")
 	}
 	cc := po.Compiled
 	if cc == nil {
 		cc = circuit.Compile(c)
-	} else if cc.Circuit != c && cc.Fingerprint != c.Fingerprint() {
-		// The compiled-form cache is shared per netlist fingerprint, so
-		// a structurally identical circuit under a different pointer is
-		// fine; anything else is a caller bug.
+	} else if !compiledFrom(cc, c) {
 		panic("fsim: ParallelOptions.Compiled compiled from a different circuit")
 	}
 	switch pickLanes(po, ps) {
@@ -312,7 +285,9 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 		dropLane[w] = make([]int, lanes)
 	}
 
-	active := fault.NewActiveSetOrdered(nf, levelOrder(fl, cc))
+	// active holds the not-yet-dropped fault indices in level order;
+	// the barrier compacts it in place.
+	active := levelOrder(fl, cc)
 	keep := make([]bool, nf) // keep[p] decided by position in the active list
 	detected := 0
 
@@ -332,14 +307,14 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 		// cache, or simulate the whole superblock in one wide pass.
 		if po.Good != nil {
 			for l := 0; l < nLanes; l++ {
-				blk := po.Good.Block(firstBlock + l)
+				blk := po.Good.blocks[firstBlock+l]
 				if l == 0 {
 					for gi, w := range blk {
-						goodVals[gi] = zb.SetLane(0, w)
+						goodVals[gi] = zb.SetLane(0, uint64(w))
 					}
 				} else {
 					for gi, w := range blk {
-						goodVals[gi] = goodVals[gi].SetLane(l, w)
+						goodVals[gi] = goodVals[gi].SetLane(l, uint64(w))
 					}
 				}
 			}
@@ -354,8 +329,7 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 			simGoodInto(cc, pi, goodVals, scratch)
 		}
 
-		act := active.Indices()
-		n := len(act)
+		n := len(active)
 		chunk := (n + workers - 1) / workers
 		for w := 0; w < workers; w++ {
 			lo, hi := w*chunk, (w+1)*chunk
@@ -373,7 +347,7 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 				ndl := newDetLane[w]
 				dl := dropLane[w]
 				for p := lo; p < hi; p++ {
-					fi := act[p]
+					fi := active[p]
 					det := k.propagate(fl.Faults[fi])
 					kp := true
 					for l := 0; l < nLanes; l++ {
@@ -440,14 +414,21 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 			}
 		}
 		if po.Mode != NoDrop {
-			active.Compact(keep[:n])
+			w := 0
+			for p, fi := range active {
+				if keep[p] {
+					active[w] = fi
+					w++
+				}
+			}
+			active = active[:w]
 		}
 
 		// On an emptying batch the run used exactly the vectors up to
 		// the last dropping block, as the sequential reference would
 		// have stopped there; no fault contributes anything past its
 		// own drop lane, so later lanes of this superblock are unused.
-		emptied := po.Mode != NoDrop && active.Len() == 0
+		emptied := po.Mode != NoDrop && len(active) == 0
 		lastLane := nLanes - 1
 		if emptied {
 			m := 0

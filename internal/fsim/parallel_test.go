@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/gen"
 	"github.com/eda-go/adifo/internal/logic"
@@ -122,12 +123,108 @@ func TestRunParallelWithGood(t *testing.T) {
 	c := gen.Generate(gen.Config{Name: "pg", Inputs: 10, Gates: 120, Seed: 9})
 	fl := fault.CollapsedUniverse(c)
 	ps := logic.RandomPatterns(c.NumInputs(), 200, prng.New(9))
-	good := ComputeGood(c, ps)
+	good := ComputeGoodCompiled(circuit.Compile(c), ps)
 	for _, opts := range []Options{{Mode: NoDrop}, {Mode: Drop}, {Mode: NDetect, N: 2}} {
 		seq := Run(fl, ps, opts)
 		par := RunParallelWith(fl, ps, ParallelOptions{Options: opts, Workers: 4, Good: good})
 		requireEqualResults(t, opts.Mode.String()+"/good-cache", seq, par)
 	}
+}
+
+const muxBench = `
+INPUT(a)
+INPUT(b)
+INPUT(s)
+OUTPUT(y)
+ns = NOT(s)
+t0 = AND(a, ns)
+t1 = AND(b, s)
+y = OR(t0, t1)
+`
+
+const parityBench = `
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+OUTPUT(x4)
+x1 = XOR(a, b)
+x2 = XOR(x1, c)
+x3 = XOR(x2, d)
+x4 = XOR(x3, e)
+`
+
+// goodBit returns gate g's good value under pattern u.
+func goodBit(good *Good, g, u int) uint8 {
+	return uint8(good.blocks[u/logic.WordBits][g]>>uint(u%logic.WordBits)) & 1
+}
+
+// TestComputeGoodMatchesNaive checks every gate's value in every
+// stored block, the partial tail block included, against the naive
+// per-vector evaluator.
+func TestComputeGoodMatchesNaive(t *testing.T) {
+	for _, c := range []*circuit.Circuit{
+		parse(t, "mux", muxBench),
+		parse(t, "parity", parityBench),
+		gen.Generate(gen.Config{Name: "cg", Inputs: 10, Gates: 150, Seed: 6}),
+	} {
+		ps := logic.RandomPatterns(c.NumInputs(), 200, prng.New(11)) // 3 blocks + an 8-pattern tail
+		good := ComputeGoodCompiled(circuit.Compile(c), ps)
+		for u := 0; u < ps.Len(); u++ {
+			for gi, want := range naiveValues(c, fault.Fault{}, ps.Get(u), false) {
+				if got := goodBit(good, gi, u); got != want {
+					t.Fatalf("%s vector %d gate %s: got %d, want %d", c.Name, u, c.Gates[gi].Name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestComputeGoodMuxTruthTable checks the mux output over all eight
+// input combinations.
+func TestComputeGoodMuxTruthTable(t *testing.T) {
+	c := parse(t, "mux", muxBench)
+	ps := logic.ExhaustivePatterns(3)
+	good := ComputeGoodCompiled(circuit.Compile(c), ps)
+	for u := 0; u < ps.Len(); u++ {
+		v := ps.Get(u)
+		want := v[0] // s ? b : a
+		if v[2] == 1 {
+			want = v[1]
+		}
+		if got := goodBit(good, c.Outputs[0], u); got != want {
+			t.Fatalf("mux(%d,%d,%d) = %d, want %d", v[0], v[1], v[2], got, want)
+		}
+	}
+}
+
+// TestComputeGoodXorTreeParity checks the XOR tree computes the parity
+// of all 32 five-bit inputs.
+func TestComputeGoodXorTreeParity(t *testing.T) {
+	c := parse(t, "parity", parityBench)
+	ps := logic.ExhaustivePatterns(5)
+	good := ComputeGoodCompiled(circuit.Compile(c), ps)
+	for u := 0; u < ps.Len(); u++ {
+		v := ps.Get(u)
+		parity := uint8(0)
+		for _, bit := range v {
+			parity ^= bit
+		}
+		if got := goodBit(good, c.Outputs[0], u); got != parity {
+			t.Fatalf("parity(%v) = %d, want %d", v, got, parity)
+		}
+	}
+}
+
+func TestComputeGoodPanicsOnWidthMismatch(t *testing.T) {
+	cc := circuit.Compile(gen.Generate(gen.Config{Name: "p", Inputs: 4, Gates: 10, Seed: 1}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	ComputeGoodCompiled(cc, logic.NewPatternSet(2))
 }
 
 // TestRunParallelProgress checks the per-block progress stream: one
@@ -169,7 +266,7 @@ func TestRunParallelPanicsOnWidthMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RunParallel(fl, logic.NewPatternSet(2), 2)
+	RunParallelWith(fl, logic.NewPatternSet(2), ParallelOptions{Workers: 2})
 }
 
 func TestRunParallelPanicsOnForeignGood(t *testing.T) {
@@ -177,7 +274,7 @@ func TestRunParallelPanicsOnForeignGood(t *testing.T) {
 	fl := fault.CollapsedUniverse(c)
 	ps := logic.RandomPatterns(4, 64, prng.New(1))
 	other := logic.RandomPatterns(4, 128, prng.New(2))
-	good := ComputeGood(c, other)
+	good := ComputeGoodCompiled(circuit.Compile(c), other)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -197,19 +294,17 @@ func BenchmarkRunParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			RunParallel(fl, ps, 0)
+			RunParallelWith(fl, ps, ParallelOptions{})
 		}
 	})
-	good := ComputeGood(c, ps)
+	good := ComputeGoodCompiled(circuit.Compile(c), ps)
 	b.Run("parallel-cached-good", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			RunParallelWith(fl, ps, ParallelOptions{Good: good})
 		}
 	})
 
-	// The largest bundled suite circuits at a fixed 8 workers: the
-	// numbers the simulator-core perf trajectory (BENCH_sim.json) is
-	// gated on.
+	// The largest bundled suite circuits at a fixed 8 workers.
 	for _, name := range []string{"irs5378", "irs13207"} {
 		sc, ok := gen.SuiteByName(name)
 		if !ok {

@@ -72,7 +72,7 @@ func TestRunParallelWideWithGood(t *testing.T) {
 	c := gen.Generate(gen.Config{Name: "wg", Inputs: 10, Gates: 120, Seed: 9})
 	fl := fault.CollapsedUniverse(c)
 	ps := logic.RandomPatterns(c.NumInputs(), 600, prng.New(9))
-	good := ComputeGood(c, ps)
+	good := ComputeGoodCompiled(circuit.Compile(c), ps)
 	for _, opts := range []Options{{Mode: NoDrop}, {Mode: Drop}} {
 		seq := Run(fl, ps, opts)
 		for _, width := range []int{256, 512} {
@@ -87,9 +87,10 @@ func TestRunParallelWideWithGood(t *testing.T) {
 
 // TestRunParallelCompiledOption checks that supplying a pre-compiled
 // circuit changes nothing, and that a compiled form of a structurally
-// identical circuit under a different pointer is accepted (the
-// fingerprint-keyed registry cache shares compiled forms that way)
-// while a genuinely different circuit panics.
+// identical circuit under a different pointer is accepted, together
+// with good values computed from it (the fingerprint-keyed registry
+// cache shares compiled forms that way), while a genuinely different
+// circuit panics.
 func TestRunParallelCompiledOption(t *testing.T) {
 	cfg := gen.Config{Name: "wc", Inputs: 10, Gates: 120, Seed: 4}
 	c := gen.Generate(cfg)
@@ -102,8 +103,11 @@ func TestRunParallelCompiledOption(t *testing.T) {
 	requireEqualResults(t, "compiled/same-pointer", seq, par)
 
 	twin := gen.Generate(cfg) // same structure, different pointer
-	par = RunParallelWith(fl, ps, ParallelOptions{Workers: 3, Compiled: circuit.Compile(twin)})
+	twinCC := circuit.Compile(twin)
+	par = RunParallelWith(fl, ps, ParallelOptions{Workers: 3, Compiled: twinCC})
 	requireEqualResults(t, "compiled/structural-twin", seq, par)
+	par = RunParallelWith(fl, ps, ParallelOptions{Workers: 3, Compiled: twinCC, Good: ComputeGoodCompiled(twinCC, ps)})
+	requireEqualResults(t, "good/structural-twin", seq, par)
 
 	other := gen.Generate(gen.Config{Name: "other", Inputs: 10, Gates: 120, Seed: 5})
 	defer func() {

@@ -8,8 +8,30 @@ import (
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/gen"
 	"github.com/eda-go/adifo/internal/logic"
-	"github.com/eda-go/adifo/internal/sim"
 )
+
+// outputs evaluates c under v gate by gate with circuit.EvalV3 and
+// returns the output bits in c.Outputs order.
+func outputs(c *circuit.Circuit, v logic.Vector) []uint8 {
+	val := make([]logic.V3, c.NumGates())
+	for _, gi := range c.Topo {
+		g := c.Gates[gi]
+		if g.Type == circuit.PI {
+			val[gi] = logic.FromBit(v[c.InputIndex[gi]])
+			continue
+		}
+		in := make([]logic.V3, len(g.Fanin))
+		for k, fi := range g.Fanin {
+			in[k] = val[fi]
+		}
+		val[gi] = circuit.EvalV3(g.Type, in)
+	}
+	out := make([]uint8, len(c.Outputs))
+	for i, og := range c.Outputs {
+		out[i] = val[og].Bit()
+	}
+	return out
+}
 
 func parse(t testing.TB, name, src string) *circuit.Circuit {
 	t.Helper()
@@ -87,13 +109,12 @@ z = AND(y, b)
 	assertIrredundant(t, out)
 	// The output must now follow b directly (z = b for both b values,
 	// regardless of a if a survived).
-	s := sim.New(out)
 	for bv := uint8(0); bv <= 1; bv++ {
 		v := make(logic.Vector, out.NumInputs())
 		for i := range v {
 			v[i] = bv
 		}
-		got := s.SimulateVector(v)
+		got := outputs(out, v)
 		if got[0] != bv {
 			t.Fatalf("simplified circuit: z(%d...) = %d, want %d", bv, got[0], bv)
 		}
@@ -122,13 +143,12 @@ y = XNOR(x, b)
 		t.Fatalf("not clean: %+v", st)
 	}
 	assertIrredundant(t, out)
-	s := sim.New(out)
 	for bv := uint8(0); bv <= 1; bv++ {
 		v := make(logic.Vector, out.NumInputs())
 		for i := range v {
 			v[i] = bv
 		}
-		if got := s.SimulateVector(v)[0]; got != 1-bv {
+		if got := outputs(out, v)[0]; got != 1-bv {
 			t.Fatalf("y(%d) = %d, want %d", bv, got, 1-bv)
 		}
 	}

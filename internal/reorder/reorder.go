@@ -22,6 +22,7 @@ package reorder
 import (
 	"fmt"
 
+	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
 	"github.com/eda-go/adifo/internal/logic"
@@ -131,7 +132,7 @@ func Apply(ps *logic.PatternSet, perm []int) *logic.PatternSet {
 // tend to be essential, while early vectors are often covered by the
 // rest of the set.
 func ReverseCompact(fl *fault.List, ps *logic.PatternSet) []int {
-	inc := fsim.NewIncremental(fl)
+	inc := fsim.NewIncremental(fl, circuit.Compile(fl.Circuit))
 	var keep []int
 	for u := ps.Len() - 1; u >= 0; u-- {
 		if len(inc.SimulateVector(ps.Get(u))) > 0 {

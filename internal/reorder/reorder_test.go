@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
 	"github.com/eda-go/adifo/internal/gen"
@@ -90,7 +91,7 @@ func TestGreedyNeverFlattensCurve(t *testing.T) {
 
 // coverageCurve computes n(i) for the identity order.
 func coverageCurve(fl *fault.List, ps *logic.PatternSet) []int {
-	inc := fsim.NewIncremental(fl)
+	inc := fsim.NewIncremental(fl, circuit.Compile(fl.Circuit))
 	var curve []int
 	det := 0
 	for u := 0; u < ps.Len(); u++ {

@@ -15,10 +15,10 @@
 // cancellation, progress streaming and LRU registry machinery; each
 // kind supplies validate/run/result hooks.
 //
-// Everything a job shares is read-only: circuits and fault lists are
-// immutable after construction, good values are written once under the
-// registry lock, and per-job drop state lives in a private
-// fault.ActiveSet inside the simulator. Results are therefore
+// Everything a job shares is read-only: circuits, fault lists and
+// compiled forms are immutable after construction, good values are
+// written once under the registry lock, and per-job drop state lives in
+// a private active list inside the simulator. Results are therefore
 // bit-identical to a direct library run with equal inputs.
 package service
 
@@ -1142,10 +1142,10 @@ func (s *Service) run(j *job) {
 // finish performs a job's terminal transition — the single path every
 // outcome (done, failed, cancelled-queued, cancelled-running,
 // drain-dropped, panic recovery) goes through: state + timing + result
-// publication under the job lock, subscriber close, metric settlement,
-// the journal's finished record, and the service counters. At most one
-// caller wins; later calls are no-ops, so racing finishers (a Cancel
-// against the run goroutine, say) are safe.
+// publication under the job lock, the service counters, subscriber
+// close, metric settlement and the journal's finished record. At most
+// one caller wins; later calls are no-ops, so racing finishers (a
+// Cancel against the run goroutine, say) are safe.
 func (s *Service) finish(j *job, state string, result any, cause error) {
 	j.mu.Lock()
 	if terminal(j.status.State) {
@@ -1172,6 +1172,18 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 		tctx = context.Background()
 	}
 
+	// Count before closing the streams: a client that reads Stats once
+	// its stream ends must see this job counted.
+	s.mu.Lock()
+	switch state {
+	case StateDone:
+		s.done++
+	case StateFailed:
+		s.failed++
+	case StateCancelled:
+		s.cancelled++
+	}
+	s.mu.Unlock()
 	for _, ch := range subs {
 		close(ch)
 	}
@@ -1184,16 +1196,6 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	}
 	s.journalFinished(j, st, res)
 	j.endSpan(state, cause)
-	s.mu.Lock()
-	switch state {
-	case StateDone:
-		s.done++
-	case StateFailed:
-		s.failed++
-	case StateCancelled:
-		s.cancelled++
-	}
-	s.mu.Unlock()
 }
 
 // endSpan closes the job's root span — the last act of the terminal

@@ -2,6 +2,7 @@ package service
 
 import (
 	"github.com/eda-go/adifo/internal/obs"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,6 +136,49 @@ func TestRepeatSubmissionHitsCaches(t *testing.T) {
 	}
 	if st.JobsDone != 3 || st.JobsFailed != 0 {
 		t.Fatalf("job counters: %+v", st)
+	}
+}
+
+// TestSharedCompiledFormAcrossCircuitKeys grades one netlist under
+// three circuit keys: by name, as inline text and as that text with a
+// trailing comment. The registry shares one compiled form among them
+// by fingerprint, so the good values of the second and third job are
+// computed from the first job's compiled form; each job must still
+// finish with the library's result.
+func TestSharedCompiledFormAcrossCircuitKeys(t *testing.T) {
+	s := New(Config{Logger: obs.Nop()})
+	defer s.Close()
+	pats := PatternSpec{Random: &RandomSpec{N: 200, Seed: 7}}
+	fl, want := directRun(t, "c17", 200, 7, fsim.Options{Mode: fsim.NoDrop})
+	for i, spec := range []JobSpec{
+		{Circuit: "c17", Patterns: pats, Mode: "nodrop"},
+		{Bench: benchdata.C17, Name: "c17", Patterns: pats, Mode: "nodrop"},
+		{Bench: benchdata.C17 + "# trailing comment\n", Name: "c17", Patterns: pats, Mode: "nodrop"},
+	} {
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, s, id); st.State != StateDone {
+			t.Fatalf("job %d failed: %s", i+1, st.Error)
+		}
+		res, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Detected != want.DetectedCount() || !slices.Equal(res.Ndet, want.Ndet) {
+			t.Fatalf("job %d: detected %d, ndet %v; want %d, %v",
+				i+1, res.Detected, res.Ndet, want.DetectedCount(), want.Ndet)
+		}
+		for fi := range fl.Faults {
+			if fr := res.PerFault[fi]; fr.DetCount != want.DetCount[fi] || fr.FirstDet != want.FirstDet[fi] {
+				t.Fatalf("job %d fault %d: got (%d,%d), want (%d,%d)", i+1, fi,
+					fr.DetCount, fr.FirstDet, want.DetCount[fi], want.FirstDet[fi])
+			}
+		}
+	}
+	if st := s.Stats().Registry; st.CompiledMisses != 1 || st.GoodMisses != 3 {
+		t.Fatalf("registry: %+v, want 1 compiled miss and 3 good misses", st)
 	}
 }
 

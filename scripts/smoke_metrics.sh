@@ -6,14 +6,10 @@
 # that the metrics surface a dashboard would scrape actually exists on
 # a released binary, not just in unit tests.
 #
-# Usage: scripts/smoke_metrics.sh [metrics-snapshot-file]
-#   If a snapshot file is given, the final /metrics body is written
-#   there (bench_service.sh uses this to archive a snapshot next to
-#   its benchmark artifact).
+# Usage: scripts/smoke_metrics.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-snapshot="${1:-}"
 addr=127.0.0.1:8471
 debug=127.0.0.1:8472
 base="http://$addr"
@@ -136,8 +132,4 @@ curl -fsS "http://$debug/metrics" > "$dbg"
 grep -qF 'adifo_build_info{' "$dbg"
 curl -fsS "http://$debug/debug/pprof/cmdline" >/dev/null
 
-if [ -n "$snapshot" ]; then
-  cp "$metrics" "$snapshot"
-  echo "metrics snapshot written to $snapshot"
-fi
 echo "observability smoke: OK ($(grep -cv '^#' "$metrics") series)"
