@@ -38,6 +38,7 @@ package adi
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/eda-go/adifo/internal/fault"
@@ -65,9 +66,11 @@ type Index struct {
 }
 
 // Compute fault-simulates fl under U without dropping and derives the
-// accidental detection indices.
+// accidental detection indices. The simulation runs on the parallel
+// engine at the automatic block width, which is bit-identical to the
+// sequential reference fsim.Run.
 func Compute(fl *fault.List, u *logic.PatternSet) *Index {
-	res := fsim.Run(fl, u, fsim.Options{Mode: fsim.NoDrop})
+	res := fsim.RunParallelWith(fl, u, fsim.ParallelOptions{Options: fsim.Options{Mode: fsim.NoDrop}})
 	return FromResult(res, u)
 }
 
@@ -80,7 +83,7 @@ func Compute(fl *fault.List, u *logic.PatternSet) *Index {
 // resulting indices are an under-estimate whose ordering quality is
 // evaluated by the ablation benchmarks.
 func ComputeNDetect(fl *fault.List, u *logic.PatternSet, n int) *Index {
-	res := fsim.Run(fl, u, fsim.Options{Mode: fsim.NDetect, N: n})
+	res := fsim.RunParallelWith(fl, u, fsim.ParallelOptions{Options: fsim.Options{Mode: fsim.NDetect, N: n}})
 	return FromResult(res, u)
 }
 
@@ -246,92 +249,70 @@ func (ix *Index) split() (nonzero, zero []int) {
 
 // dynamicOrder implements the paper's dynamic ordering process over
 // the given faults (all detected by U): repeatedly place the fault
-// with the highest current ADI, then decrement ndet(u) for every
-// u ∈ D(f) of the placed fault and recompute the affected indices.
+// with the highest current ADI, the lowest fault index among equals,
+// then decrement ndet(u) for every u ∈ D(f) of the placed fault and
+// update the affected indices.
 //
-// The implementation is a lazy max-heap: cached keys are upper bounds
-// because ndet values only decrease. A popped entry is re-keyed and
-// reinserted when stale; it is accepted when its recomputed value
-// still matches the cached maximum, which preserves the (ADI
-// decreasing, fault index increasing) placement rule exactly while
-// costing O((Σ|D(f)| + n) log n) overall.
+// The current indices are kept exact, bucketed by value: byKey[k] is
+// the set of unplaced faults whose index is k. ADI(g) ≤ ndet(u) for
+// every u ∈ D(g), and ndet only ever falls by one, so when ndet(u)
+// drops from k to k−1 the indices that change are exactly those of
+// the unplaced faults g with u ∈ D(g) and ADI(g) = k, and each becomes
+// k−1: a word-wise intersection of byVec[u], the faults u detects,
+// with byKey[k]. No index ever rises, so the highest non-empty bucket
+// only moves down, and while it stays put its lowest fault only moves
+// up.
 func (ix *Index) dynamicOrder(faults []int) []int {
-	ndet := append([]int(nil), ix.Ndet...)
-	h := newMaxHeap(len(faults))
+	stride := (len(ix.ADI) + logic.WordBits - 1) / logic.WordBits
+	top := 0
 	for _, fi := range faults {
-		h.push(entry{key: ix.ADI[fi], fault: fi})
+		top = max(top, ix.ADI[fi])
 	}
+	byKey := make([]uint64, (top+1)*stride) // row k: words [k*stride, (k+1)*stride)
+	for _, fi := range faults {
+		byKey[ix.ADI[fi]*stride+fi/logic.WordBits] |= 1 << uint(fi%logic.WordBits)
+	}
+	byVec := logic.Transpose(ix.Det, len(ix.Ndet))
+	ndet := append([]int(nil), ix.Ndet...)
+
 	out := make([]int, 0, len(faults))
-	for h.len() > 0 {
-		e := h.pop()
-		cur := minNdet(ix.Det[e.fault], ndet)
-		if cur != e.key {
-			h.push(entry{key: cur, fault: e.fault})
+	cur := 0 // words of row top before cur are empty
+	for len(out) < len(faults) {
+		row := byKey[top*stride : (top+1)*stride]
+		for cur < stride && row[cur] == 0 {
+			cur++
+		}
+		if cur == stride {
+			top--
+			cur = 0
 			continue
 		}
-		out = append(out, e.fault)
-		ix.Det[e.fault].ForEach(func(u int) { ndet[u]-- })
+		f := cur*logic.WordBits + bits.TrailingZeros64(row[cur])
+		row[cur] &= row[cur] - 1
+		out = append(out, f)
+
+		det := ix.Det[f]
+		for w := range (det.Len() + logic.WordBits - 1) / logic.WordBits {
+			for d := det.WordAt(w); d != 0; d &= d - 1 {
+				u := w*logic.WordBits + bits.TrailingZeros64(d)
+				k := ndet[u]
+				ndet[u] = k - 1
+				// No unplaced fault has an index above top, and with
+				// k <= 1 the placed fault was u's last detection.
+				if k > top || k <= 1 {
+					continue
+				}
+				vec := byVec[u]
+				from := byKey[k*stride : (k+1)*stride]
+				to := byKey[(k-1)*stride : k*stride]
+				for i := range from {
+					if m := from[i] & vec.WordAt(i); m != 0 {
+						from[i] &^= m
+						to[i] |= m
+					}
+				}
+			}
+		}
 	}
 	return out
-}
-
-// entry is a heap element: a fault with its cached ADI.
-type entry struct {
-	key   int
-	fault int
-}
-
-// maxHeap orders entries by (key desc, fault asc).
-type maxHeap struct {
-	es []entry
-}
-
-func newMaxHeap(capHint int) *maxHeap {
-	return &maxHeap{es: make([]entry, 0, capHint)}
-}
-
-func (h *maxHeap) len() int { return len(h.es) }
-
-func (h *maxHeap) less(a, b entry) bool {
-	if a.key != b.key {
-		return a.key > b.key
-	}
-	return a.fault < b.fault
-}
-
-func (h *maxHeap) push(e entry) {
-	h.es = append(h.es, e)
-	i := len(h.es) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.es[i], h.es[p]) {
-			break
-		}
-		h.es[i], h.es[p] = h.es[p], h.es[i]
-		i = p
-	}
-}
-
-func (h *maxHeap) pop() entry {
-	top := h.es[0]
-	last := len(h.es) - 1
-	h.es[0] = h.es[last]
-	h.es = h.es[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < last && h.less(h.es[l], h.es[best]) {
-			best = l
-		}
-		if r < last && h.less(h.es[r], h.es[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		h.es[i], h.es[best] = h.es[best], h.es[i]
-		i = best
-	}
-	return top
 }

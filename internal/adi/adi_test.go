@@ -1,11 +1,15 @@
 package adi
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/eda-go/adifo/internal/benchdata"
 	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
+	"github.com/eda-go/adifo/internal/gen"
+	"github.com/eda-go/adifo/internal/irr"
 	"github.com/eda-go/adifo/internal/logic"
 	"github.com/eda-go/adifo/internal/prng"
 )
@@ -233,18 +237,83 @@ func naiveDynamicOrder(ix *Index, faults []int) []int {
 	return out
 }
 
-func TestDynamicOrderMatchesNaive(t *testing.T) {
-	ix := c17Index(t)
-	nz, _ := ix.split()
-	want := naiveDynamicOrder(ix, nz)
-	got := ix.dynamicOrder(nz)
-	if len(got) != len(want) {
-		t.Fatalf("length mismatch: %d vs %d", len(got), len(want))
+// diffNaive fails t unless dynamicOrder places faults exactly as the
+// naive reference does.
+func diffNaive(t *testing.T, ix *Index, faults []int) {
+	t.Helper()
+	want := naiveDynamicOrder(ix, faults)
+	got := ix.dynamicOrder(faults)
+	if !slices.Equal(got, want) {
+		t.Fatalf("dynamic order of %d faults differs from the naive reference\n got: %v\nwant: %v", len(faults), got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dynamic order differs at %d: heap %v, naive %v", i, got[i], want[i])
+}
+
+// suiteFaults returns the collapsed faults of the irredundant version
+// of a paper-suite member.
+func suiteFaults(tb testing.TB, name string) *fault.List {
+	tb.Helper()
+	sc, ok := gen.SuiteByName(name)
+	if !ok {
+		tb.Fatalf("no suite member %s", name)
+	}
+	c, _, err := irr.Make(sc.Build(), irr.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fault.CollapsedUniverse(c)
+}
+
+// suiteIndex prepares a paper-suite member the way the experiments
+// do, with U cut from 10,000 random vectors where drop-mode simulation
+// reaches 90 % coverage.
+func suiteIndex(tb testing.TB, name string) *Index {
+	tb.Helper()
+	fl := suiteFaults(tb, name)
+	cand := logic.RandomPatterns(fl.Circuit.NumInputs(), 10000, prng.New(0xADF0))
+	sizing := fsim.Run(fl, cand, fsim.Options{Mode: fsim.Drop, StopAtCoverage: 0.90})
+	return Compute(fl, cand.Slice(sizing.VectorsUsed))
+}
+
+type namedIndex struct {
+	name      string
+	ix        *Index
+	multiWord bool // more than 128 detected faults and more than 64 vectors
+}
+
+// referenceIndices are the indices the dynamic order is diffed against
+// the naive reference on: tie-heavy exhaustive sets on c17 and lion,
+// and sets spanning several words on both the fault and the vector
+// axis.
+func referenceIndices(t *testing.T) []namedIndex {
+	t.Helper()
+	lion := benchdata.MustLoad("lion")
+	g := fault.CollapsedUniverse(gen.Generate(gen.Config{Name: "w", Inputs: 20, Gates: 250, Seed: 3}))
+	irs := suiteFaults(t, "irs208")
+	cases := []namedIndex{
+		{name: "c17/exhaustive", ix: c17Index(t)},
+		{name: "lion/exhaustive", ix: Compute(fault.CollapsedUniverse(lion), logic.ExhaustivePatterns(lion.NumInputs()))},
+		{name: "gen250/200", ix: Compute(g, logic.RandomPatterns(g.Circuit.NumInputs(), 200, prng.New(4))), multiWord: true},
+		{name: "irs208/300", ix: Compute(irs, logic.RandomPatterns(irs.Circuit.NumInputs(), 300, prng.New(5))), multiWord: true},
+	}
+	for _, tc := range cases {
+		if tc.multiWord && (tc.ix.NumDetected() <= 2*logic.WordBits || tc.ix.U.Len() <= logic.WordBits) {
+			t.Fatalf("%s: %d detected faults, %d vectors: not multi-word on both axes",
+				tc.name, tc.ix.NumDetected(), tc.ix.U.Len())
 		}
+	}
+	return cases
+}
+
+func TestDynamicOrderMatchesNaive(t *testing.T) {
+	for _, tc := range referenceIndices(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			nz, z := tc.ix.split()
+			diffNaive(t, tc.ix, nz)
+			// F_0dynm runs the same dynamic process after the zero block.
+			if dyn, dyn0 := tc.ix.Order(Dynm), tc.ix.Order(Dynm0); !slices.Equal(dyn[:len(nz)], dyn0[len(z):]) {
+				t.Fatalf("head of dynm differs from the tail of 0dynm")
+			}
+		})
 	}
 }
 
@@ -258,13 +327,20 @@ func TestDynamicOrderMatchesNaiveRandomSubsets(t *testing.T) {
 		u := logic.RandomPatterns(c.NumInputs(), 8, prng.New(seed))
 		ix := Compute(fl, u)
 		nz, _ := ix.split()
-		want := naiveDynamicOrder(ix, nz)
-		got := ix.dynamicOrder(nz)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: dynamic order differs at %d", seed, i)
+		diffNaive(t, ix, nz)
+	}
+	// Strict subsets of the detected faults (the first one is always
+	// left out): ndet still counts the faults left out.
+	src := prng.New(9)
+	for _, tc := range referenceIndices(t) {
+		nz, _ := tc.ix.split()
+		var sub []int
+		for _, fi := range nz[1:] {
+			if src.Bool(0.6) {
+				sub = append(sub, fi)
 			}
 		}
+		t.Run(tc.name, func(t *testing.T) { diffNaive(t, tc.ix, sub) })
 	}
 }
 
@@ -319,29 +395,21 @@ func TestNumDetected(t *testing.T) {
 	}
 }
 
-func TestMaxHeapOrdering(t *testing.T) {
-	h := newMaxHeap(0)
-	h.push(entry{key: 3, fault: 5})
-	h.push(entry{key: 7, fault: 9})
-	h.push(entry{key: 7, fault: 2})
-	h.push(entry{key: 1, fault: 0})
-	want := []entry{{7, 2}, {7, 9}, {3, 5}, {1, 0}}
-	for i, w := range want {
-		got := h.pop()
-		if got != w {
-			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
-		}
-	}
-	if h.len() != 0 {
-		t.Fatal("heap not empty")
-	}
-}
-
 func BenchmarkDynamicOrderC17(b *testing.B) {
 	ix := c17Index(b)
 	nz, _ := ix.split()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ix.dynamicOrder(nz)
+	}
+}
+
+// BenchmarkDynamicOrder orders the largest suite member the paper
+// tables run, irs641, with U sized as the experiments size it.
+func BenchmarkDynamicOrder(b *testing.B) {
+	ix := suiteIndex(b, "irs641")
+	nz, _ := ix.split()
+	for b.Loop() {
 		ix.dynamicOrder(nz)
 	}
 }

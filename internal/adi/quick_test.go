@@ -1,7 +1,6 @@
 package adi
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,35 +9,6 @@ import (
 	"github.com/eda-go/adifo/internal/logic"
 	"github.com/eda-go/adifo/internal/prng"
 )
-
-// Property: the heap pops entries in (key desc, fault asc) order for
-// arbitrary inputs.
-func TestQuickMaxHeapOrder(t *testing.T) {
-	f := func(keysRaw []uint8) bool {
-		h := newMaxHeap(len(keysRaw))
-		var want []entry
-		for i, k := range keysRaw {
-			e := entry{key: int(k), fault: i}
-			h.push(e)
-			want = append(want, e)
-		}
-		sort.Slice(want, func(a, b int) bool {
-			if want[a].key != want[b].key {
-				return want[a].key > want[b].key
-			}
-			return want[a].fault < want[b].fault
-		})
-		for _, w := range want {
-			if h.pop() != w {
-				return false
-			}
-		}
-		return h.len() == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // Property: on arbitrary generated circuits and vector budgets, the
 // core ADI invariants hold and every order is a permutation with the
@@ -102,7 +72,7 @@ func TestQuickADIInvariantsOnGeneratedCircuits(t *testing.T) {
 	}
 }
 
-// Property: the lazy-heap dynamic order equals the naive quadratic
+// Property: the bucketed dynamic order equals the naive quadratic
 // reference on arbitrary generated circuits.
 func TestQuickDynamicOrderMatchesNaiveOnGeneratedCircuits(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -1118,6 +1118,9 @@ func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 		var err error
 		rid, err = b.cl.Submit(ctx, sub)
 		if err != nil {
+			if att.superseded.Load() || j.aborted.Load() {
+				go co.reclaim(context.WithoutCancel(ctx), j, b, sub)
+			}
 			span.SetStatus(trace.StatusError, err.Error())
 			co.attemptLost(ctx, j, b, sh, att, err, true)
 			return
@@ -1129,11 +1132,12 @@ func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 	}
 	span.SetAttr("remote_id", rid)
 
-	if j.aborted.Load() {
-		// An abort that raced this placement may have missed the
-		// sub-job (the fan-out snapshots live attempts); cancel it here
-		// so the backend stops and the stream below terminates.
-		co.cancelRemote(ctx, j, b, rid, "abort-race")
+	if j.aborted.Load() || att.superseded.Load() {
+		// An abort or supersede that raced this placement may have
+		// missed the sub-job (both snapshot remote ids under sh.mu);
+		// cancel it here so the backend stops and the stream below
+		// terminates.
+		co.cancelRemote(ctx, j, b, rid, "placement-race")
 	}
 	st, err := b.cl.Stream(ctx, rid, func(ev service.ProgressEvent) {
 		att.progress.Add(1)
@@ -1219,7 +1223,8 @@ func (co *Coordinator) attemptLost(lctx context.Context, j *cjob, b *backend, sh
 	}
 	var apiErr *service.APIError
 	isAPI := errors.As(err, &apiErr)
-	if !isAPI {
+	if !isAPI && att.ctx.Err() == nil {
+		// A call the abort cut off says nothing about the backend.
 		b.markFailure()
 	}
 	if isAPI && !submitting && !errors.Is(err, service.ErrNotFound) {
@@ -1378,11 +1383,14 @@ func (co *Coordinator) abortJob(j *cjob) {
 		rid string
 	}
 	var rcs []rc
+	var submitting []*attempt
 	for _, sh := range j.shards {
 		sh.mu.Lock()
 		for _, a := range sh.attempts {
 			if a.remoteID != "" {
 				rcs = append(rcs, rc{b: a.backend, rid: a.remoteID})
+			} else {
+				submitting = append(submitting, a)
 			}
 		}
 		sh.mu.Unlock()
@@ -1390,7 +1398,32 @@ func (co *Coordinator) abortJob(j *cjob) {
 	for _, r := range rcs {
 		go co.cancelRemote(j.tctx, j, r.b, r.rid, "abort")
 	}
+	// A submit still in flight is cut off rather than waited for;
+	// runAttempt reclaims whatever sub-job the backend may have
+	// accepted.
+	for _, a := range submitting {
+		a.cancel()
+	}
 	j.cond.Broadcast()
+}
+
+// reclaim cancels the sub-job a cut-off submit may have left running.
+// A submit that fails once its attempt is superseded or its job
+// aborted may still have been accepted, and then nothing would read
+// or cancel the sub-job. Re-sending the same idempotency key returns
+// that sub-job's id, or creates one that is cancelled at once. ctx
+// carries the attempt's trace but not its cancellation; ProbeTimeout
+// bounds the re-send.
+func (co *Coordinator) reclaim(ctx context.Context, j *cjob, b *backend, sub service.JobSpec) {
+	ctx, cancel := context.WithTimeout(ctx, co.opts.ProbeTimeout)
+	defer cancel()
+	rid, err := b.cl.Submit(ctx, sub)
+	if err != nil {
+		co.logger.WarnContext(ctx, "reclaiming a cut-off sub-job failed", "backend", b.url,
+			"job", j.id, "shard", sub.FaultShard.Index, "err", err)
+		return
+	}
+	co.cancelRemote(ctx, j, b, rid, "reclaim")
 }
 
 // cancelRemote cancels one sub-job, logging failures with the job's

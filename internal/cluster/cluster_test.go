@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"path"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -612,6 +614,114 @@ func TestClusterCancel(t *testing.T) {
 				t.Fatalf("backend %d sub-job %s ended %s, want done or cancelled", i, js.ID, st.State)
 			}
 		}
+	}
+}
+
+// heldSubmit wraps a backend so that its n-th POST /v1/jobs creates the
+// sub-job but holds the response until the client gives up on it — a
+// response lost in flight, as the coordinator sees it — or until
+// release closes, which delivers it.
+type heldSubmit struct {
+	h       http.Handler
+	n       int32
+	posts   atomic.Int32
+	held    chan string // receives the held sub-job's id
+	release chan struct{}
+}
+
+func (hs *heldSubmit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/jobs" || hs.posts.Add(1) != hs.n {
+		hs.h.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	hs.h.ServeHTTP(rec, r)
+	var resp struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		panic(http.ErrAbortHandler)
+	}
+	hs.held <- resp.ID
+	select {
+	case <-r.Context().Done():
+	case <-hs.release:
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}
+}
+
+// TestClusterCancelReclaimsCutOffSubmit cancels a cluster job while the
+// backend has accepted a sub-job but the response to its submit is
+// still in flight. The coordinator never learned that sub-job's id, yet
+// it must not leave it running: the backend must receive a DELETE for
+// it and the sub-job must end cancelled.
+func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
+	// One job slot: the held sub-job queues behind the canary's and
+	// cannot finish before its cancel arrives.
+	svc := service.New(service.Config{MaxConcurrentJobs: 1, Logger: quiet})
+	hold := &heldSubmit{h: svc.Handler(), n: 2, held: make(chan string, 1), release: make(chan struct{})}
+	log := newBackendLog()
+	srv := httptest.NewServer(log.wrap(hold))
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Close()
+	})
+	// Two shards on one backend: POST 1 is the canary, POST 2 shard 1.
+	co, err := New([]string{srv.URL}, Options{Logger: quiet, ShardsPerBackend: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	defer close(hold.release) // before Close: frees a submit nothing cut off
+
+	ctx := context.Background()
+	wctx, stop := context.WithTimeout(ctx, 10*time.Second)
+	defer stop()
+	id, err := co.Submit(ctx, service.JobSpec{
+		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1 << 16, Seed: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rid string
+	select {
+	case rid = <-hold.held:
+	case <-wctx.Done():
+		t.Fatal("shard 1 was never submitted")
+	}
+	if _, err := co.Cancel(ctx, id); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	select {
+	case <-log.deleted(rid):
+	case <-wctx.Done():
+		t.Fatalf("sub-job %s, whose submit response was cut off, never received a cancel", rid)
+	}
+	ch, unsubscribe, ok := svc.Subscribe(rid)
+	if !ok {
+		t.Fatalf("backend lost sub-job %s", rid)
+	}
+	defer unsubscribe()
+	for open := true; open; {
+		select {
+		case _, open = <-ch:
+		case <-wctx.Done():
+			t.Fatalf("sub-job %s never ended", rid)
+		}
+	}
+	if st, _ := svc.Status(rid); st.State != service.StateCancelled {
+		t.Fatalf("sub-job %s ended %s, want cancelled", rid, st.State)
+	}
+	if st, err := co.Stream(wctx, id, nil); err != nil || st.State != service.StateCancelled {
+		t.Fatalf("cluster job: %+v, %v; want cancelled", st, err)
+	}
+	// Cutting the submit off was the coordinator's own doing, not a
+	// failure of the backend.
+	if co.backends[0].flapping(1) {
+		t.Fatal("the cut-off submit counted as a backend failure")
 	}
 }
 

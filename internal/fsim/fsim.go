@@ -24,6 +24,7 @@ package fsim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
@@ -202,15 +203,15 @@ func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
 				det = keepLowestBits(det, opts.N-r.DetCount[fi])
 			}
 			if det != 0 {
-				r.DetCount[fi] += logic.Popcount(det)
+				r.DetCount[fi] += bits.OnesCount64(det)
 				if r.FirstDet[fi] < 0 {
-					r.FirstDet[fi] = base + lowestBit(det)
+					r.FirstDet[fi] = base + bits.TrailingZeros64(det)
 				}
 				if r.Det != nil {
 					r.Det[fi].OrWord(block, det)
 				}
 				for d := det; d != 0; d &= d - 1 {
-					r.Ndet[base+lowestBit(d)]++
+					r.Ndet[base+bits.TrailingZeros64(d)]++
 				}
 			}
 			keep := true
@@ -326,33 +327,13 @@ func compiledFrom(cc *circuit.Compiled, c *circuit.Circuit) bool {
 	return cc.Circuit == c || cc.Fingerprint == c.Fingerprint()
 }
 
-func lowestBit(w uint64) int {
-	return logic.Popcount(w&-w - 1)
-}
-
 // keepLowestBits returns w with all but its k lowest set bits cleared.
 func keepLowestBits(w uint64, k int) uint64 {
-	if k <= 0 {
-		return 0
+	rest := w
+	for ; k > 0 && rest != 0; k-- {
+		rest &= rest - 1
 	}
-	out := w
-	for logic.Popcount(out) > k {
-		out &^= 1 << uint(highestBit(out))
-	}
-	return out
-}
-
-// highestBit returns the index of the highest set bit of w; w must be
-// non-zero.
-func highestBit(w uint64) int {
-	n := 0
-	for shift := 32; shift > 0; shift >>= 1 {
-		if w>>uint(shift) != 0 {
-			w >>= uint(shift)
-			n += shift
-		}
-	}
-	return n
+	return w &^ rest
 }
 
 func min(a, b int) int {

@@ -3,6 +3,7 @@ package fsim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -361,9 +362,9 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 							d = keepLowestBits(d, po.N-r.DetCount[fi])
 						}
 						if d != 0 {
-							r.DetCount[fi] += logic.Popcount(d)
+							r.DetCount[fi] += bits.OnesCount64(d)
 							if r.FirstDet[fi] < 0 {
-								r.FirstDet[fi] = block*logic.WordBits + lowestBit(d)
+								r.FirstDet[fi] = block*logic.WordBits + bits.TrailingZeros64(d)
 								ndl[l]++
 							}
 							if r.Det != nil {
@@ -371,7 +372,7 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 							}
 							lb := l * logic.WordBits
 							for dd := d; dd != 0; dd &= dd - 1 {
-								local[lb+lowestBit(dd)]++
+								local[lb+bits.TrailingZeros64(dd)]++
 							}
 						}
 						dropped := false

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"github.com/eda-go/adifo/internal/prng"
@@ -251,7 +252,7 @@ func (b *Bitset) WordAt(block int) uint64 { return b.words[block] }
 func (b *Bitset) Count() int {
 	c := 0
 	for _, w := range b.words {
-		c += popcount(w)
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -270,8 +271,7 @@ func (b *Bitset) Any() bool {
 func (b *Bitset) ForEach(fn func(i int)) {
 	for wi, w := range b.words {
 		for w != 0 {
-			bit := trailingZeros(w)
-			fn(wi*WordBits + bit)
+			fn(wi*WordBits + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
 	}
@@ -289,21 +289,24 @@ func (b *Bitset) Clone() *Bitset {
 	return &Bitset{n: b.n, words: append([]uint64(nil), b.words...)}
 }
 
-// popcount returns the number of set bits in w. Hand-rolled SWAR so
-// the package has no dependency on math/bits being inlined the same
-// way across toolchains (and it benchmarks identically).
-func popcount(w uint64) int {
-	w -= (w >> 1) & 0x5555555555555555
-	w = w&0x3333333333333333 + w>>2&0x3333333333333333
-	w = (w + w>>4) & 0x0f0f0f0f0f0f0f0f
-	return int(w * 0x0101010101010101 >> 56)
+// Transpose returns the transpose of a bit matrix given by its rows:
+// bit r of column c is set iff bit c of rows[r] is. Every set bit of a
+// row must lie below cols. The columns hold len(rows) bits each and
+// share one backing array.
+func Transpose(rows []*Bitset, cols int) []*Bitset {
+	stride := (len(rows) + WordBits - 1) / WordBits
+	words := make([]uint64, cols*stride)
+	out := make([]*Bitset, cols)
+	for c := range out {
+		out[c] = &Bitset{n: len(rows), words: words[c*stride : (c+1)*stride : (c+1)*stride]}
+	}
+	for r, row := range rows {
+		bit := uint64(1) << uint(r%WordBits)
+		for w, x := range row.words {
+			for ; x != 0; x &= x - 1 {
+				out[w*WordBits+bits.TrailingZeros64(x)].words[r/WordBits] |= bit
+			}
+		}
+	}
+	return out
 }
-
-// trailingZeros returns the index of the lowest set bit of w; w must
-// be non-zero.
-func trailingZeros(w uint64) int {
-	return popcount(w&-w - 1)
-}
-
-// Popcount exposes the word population count to sibling packages.
-func Popcount(w uint64) int { return popcount(w) }

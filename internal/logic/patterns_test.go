@@ -1,9 +1,7 @@
 package logic
 
 import (
-	"math/bits"
 	"testing"
-	"testing/quick"
 
 	"github.com/eda-go/adifo/internal/prng"
 )
@@ -199,25 +197,6 @@ func TestBitsetOrWord(t *testing.T) {
 	}
 	if b.WordAt(1) != 0b101 {
 		t.Fatalf("WordAt = %x", b.WordAt(1))
-	}
-}
-
-func TestPopcountAgainstStdlib(t *testing.T) {
-	if err := quick.Check(func(w uint64) bool {
-		return popcount(w) == bits.OnesCount64(w)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTrailingZerosAgainstStdlib(t *testing.T) {
-	if err := quick.Check(func(w uint64) bool {
-		if w == 0 {
-			return true
-		}
-		return trailingZeros(w) == bits.TrailingZeros64(w)
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -94,6 +94,42 @@ func TestQuickBitsetMatchesMap(t *testing.T) {
 	}
 }
 
+// Property: Transpose swaps the axes of a bit matrix of any shape,
+// including multi-word rows and columns.
+func TestQuickTranspose(t *testing.T) {
+	f := func(seed uint64, rRaw, cRaw uint8) bool {
+		rows, cols := int(rRaw%150), int(cRaw%150)
+		src := prng.New(seed)
+		m := make([]*Bitset, rows)
+		for r := range m {
+			m[r] = NewBitset(cols)
+			for c := 0; c < cols; c++ {
+				if src.Bool(0.3) {
+					m[r].Set(c)
+				}
+			}
+		}
+		tr := Transpose(m, cols)
+		if len(tr) != cols {
+			return false
+		}
+		for c, col := range tr {
+			if col.Len() != rows {
+				return false
+			}
+			for r := 0; r < rows; r++ {
+				if col.Test(r) != m[r].Test(c) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: Decimal/VectorFromDecimal are inverse bijections for any
 // width up to 16.
 func TestQuickVectorDecimalBijection(t *testing.T) {

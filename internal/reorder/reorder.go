@@ -21,6 +21,7 @@ package reorder
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
@@ -52,13 +53,7 @@ func Greedy(fl *fault.List, ps *logic.PatternSet) *Result {
 	res := fsim.Run(fl, ps, fsim.Options{Mode: fsim.NoDrop})
 
 	// detBy[u] = set of faults vector u detects.
-	detBy := make([]*logic.Bitset, k)
-	for u := 0; u < k; u++ {
-		detBy[u] = logic.NewBitset(fl.Len())
-	}
-	for fi := range fl.Faults {
-		res.Det[fi].ForEach(func(u int) { detBy[u].Set(fi) })
-	}
+	detBy := logic.Transpose(res.Det, k)
 
 	remaining := logic.NewBitset(fl.Len())
 	for fi := range fl.Faults {
@@ -107,7 +102,7 @@ func countAnd(a, b *logic.Bitset) int {
 	n := 0
 	words := (a.Len() + logic.WordBits - 1) / logic.WordBits
 	for w := 0; w < words; w++ {
-		n += logic.Popcount(a.WordAt(w) & b.WordAt(w))
+		n += bits.OnesCount64(a.WordAt(w) & b.WordAt(w))
 	}
 	return n
 }
