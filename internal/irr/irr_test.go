@@ -168,12 +168,24 @@ y = OR(a, n)
 	}
 }
 
+// makeFingerprints pins the netlist irr.Make produces for each small
+// suite member. Every redundancy PODEM proves rewrites the netlist, so
+// a changed PODEM verdict anywhere in the pass changes a fingerprint.
+var makeFingerprints = map[string]uint64{
+	"irs208": 0xcb62d0dd732d4d77,
+	"irs298": 0x17bafe711564320c,
+	"irs420": 0x86aa29516d34f93a,
+}
+
 func TestMakeOnGeneratedSuite(t *testing.T) {
 	for _, sc := range gen.SmallSuite() {
 		raw := gen.Generate(sc.Config())
 		out, st, err := Make(raw, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if got, want := out.Fingerprint(), makeFingerprints[sc.Name]; got != want {
+			t.Errorf("%s: irr.Make fingerprint %#016x, pinned %#016x", sc.Name, got, want)
 		}
 		if !st.Clean {
 			t.Fatalf("%s: pass did not converge: %+v", sc.Name, st)
