@@ -21,18 +21,13 @@ import (
 //	go test ./internal/atpg -run PodemGolden -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenMembers are the raw suite netlists the PODEM golden covers.
-// Unlike their irredundant versions, whose faults almost all succeed,
-// the raw netlists exercise the Redundant and Aborted outcomes too.
-var goldenMembers = []string{"irs208", "irs298", "irs344", "irs382", "irs400", "irs420", "irs510", "irs526", "irs641"}
-
 // podemDigest runs PODEM at the default backtrack limit on every fault
 // of c's full universe and renders one golden line: the status counts,
 // the total backtracks and decisions, and an FNV-64a digest over
 // (fault, status, backtracks, decisions, cube) per fault.
 func podemDigest(c *circuit.Circuit) string {
 	fl := fault.Universe(c)
-	g := New(c, Options{})
+	g := New(circuit.Compile(c), Options{})
 	h := fnv.New64a()
 	var counts [3]int
 	backtracks, decisions := 0, 0
@@ -58,14 +53,13 @@ func podemDigest(c *circuit.Circuit) string {
 // TestPodemGolden pins every PODEM decision: a change to the search
 // (implication, backtrace, objective selection, the D-frontier or the
 // X-path check) that alters any fault's status, effort or cube changes
-// a digest.
+// a digest. Beside c17 and lion it covers the raw netlists of the
+// suite members irs208–irs641: unlike their irredundant versions,
+// whose faults almost all succeed, they exercise the Redundant and
+// Aborted outcomes too.
 func TestPodemGolden(t *testing.T) {
 	circuits := []*circuit.Circuit{benchdata.MustLoad("c17"), benchdata.MustLoad("lion")}
-	for _, name := range goldenMembers {
-		sc, ok := gen.SuiteByName(name)
-		if !ok {
-			t.Fatalf("suite member %s not found", name)
-		}
+	for _, sc := range gen.PaperSuite()[:9] {
 		circuits = append(circuits, sc.Build())
 	}
 	var lines []string

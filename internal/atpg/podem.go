@@ -16,14 +16,16 @@
 // keeps two three-valued value assignments, the good machine and the
 // faulty machine (with the target fault's line forced to its stuck
 // value), maintained by event-driven forward implication with an undo
-// trail (see imply.go). Objectives alternate between fault activation
-// (set the fault site to the complement of the stuck value) and
-// fault-effect propagation (advance the D-frontier); objectives are
-// mapped to input assignments by backtracing along X-valued lines
-// using SCOAP controllability to pick easy/hard branches. A backtrack
-// limit bounds the search: exceeding it classifies the fault as
-// aborted, exhausting the decision tree classifies it as redundant
-// (undetectable).
+// trail (see imply.go). Both machines of a line share one byte, two
+// rails each, so one packed gate evaluation implies both; every walk
+// reads the CSR arrays of the compiled circuit form. Objectives
+// alternate between fault activation (set the fault site to the
+// complement of the stuck value) and fault-effect propagation (advance
+// the D-frontier); objectives are mapped to input assignments by
+// backtracing along X-valued lines using SCOAP controllability to pick
+// easy/hard branches. A backtrack limit bounds the search: exceeding it
+// classifies the fault as aborted, exhausting the decision tree
+// classifies it as redundant (undetectable).
 //
 // The per-decision checks are incremental: fault effects can only
 // live in the fanout cone of the fault site, so detection and
@@ -96,29 +98,39 @@ type Result struct {
 // across faults (state is reset per Generate) but not safe for
 // concurrent use.
 type Generator struct {
-	c    *circuit.Circuit
-	cc   *circuit.Controllability
-	opts Options
+	cc      *circuit.Compiled
+	ctl     *circuit.Controllability
+	piIndex []int32 // PI gate id -> position in cc.Inputs; -1 for other gates
+	opts    Options
 
-	gval []logic.V3 // good machine
-	fval []logic.V3 // faulty machine
-	pi   []logic.V3 // current PI assignment
+	// val holds the packed good and faulty value of every gate
+	// (imply.go), plus one extra line for a faulty branch.
+	val []uint8
+	pi  []logic.V3 // current PI assignment
 
-	target fault.Fault
+	// The target fault and where its stuck value is forced: stemGate
+	// (a stem fault) or pin target.Pin of branchGate (a branch fault);
+	// the other is -1. stuck is the forced faulty rail. branchFanin is
+	// the fanin of branchGate with the faulty pin reading the extra
+	// line.
+	target               fault.Fault
+	stemGate, branchGate int32
+	stuck                uint8
+	branchFanin          []int32
 
-	in []logic.V3 // scratch fanin buffer
+	// implication machinery (imply.go): per-level event buckets, the
+	// queued level range, and per-wave queue marks
+	trail    []trailEntry
+	buckets  [][]int32
+	qlo, qhi int32
+	qmark    []uint32
+	epoch    uint32
 
-	// implication machinery (imply.go)
-	trail      []trailEntry
-	buckets    [][]int
-	usedLevels []int
-	qmark      []uint32
-	epoch      uint32
-
-	// effect-region / X-path scratch
-	emark  []uint32
-	eepoch uint32
-	estack []int
+	// effect-region / X-path / faulty-X-source scratch
+	emark    []uint32
+	eepoch   uint32
+	estack   []int32
+	frontier []int32
 
 	stack []decision
 }
@@ -130,39 +142,39 @@ type decision struct {
 	mark      int // trail mark taken before the assignment
 }
 
-// New returns a Generator for c.
-func New(c *circuit.Circuit, opts Options) *Generator {
+// New returns a Generator for the compiled circuit cc.
+func New(cc *circuit.Compiled, opts Options) *Generator {
 	if opts.BacktrackLimit <= 0 {
 		opts.BacktrackLimit = DefaultBacktrackLimit
 	}
-	maxFanin := 0
-	for _, g := range c.Gates {
-		if len(g.Fanin) > maxFanin {
-			maxFanin = len(g.Fanin)
-		}
+	n := cc.NumGates()
+	piIndex := make([]int32, n)
+	for i := range piIndex {
+		piIndex[i] = -1
+	}
+	for i, gate := range cc.Inputs {
+		piIndex[gate] = int32(i)
 	}
 	return &Generator{
-		c:       c,
-		cc:      c.ComputeControllability(),
+		cc:      cc,
+		ctl:     cc.Circuit.ComputeControllability(),
+		piIndex: piIndex,
 		opts:    opts,
-		gval:    make([]logic.V3, c.NumGates()),
-		fval:    make([]logic.V3, c.NumGates()),
-		pi:      make([]logic.V3, c.NumInputs()),
-		in:      make([]logic.V3, maxFanin),
-		buckets: make([][]int, c.MaxLevel+1),
-		qmark:   make([]uint32, c.NumGates()),
-		emark:   make([]uint32, c.NumGates()),
+		val:     make([]uint8, n+1),
+		pi:      make([]logic.V3, cc.NumInputs()),
+		buckets: make([][]int32, cc.MaxLevel+1),
+		qlo:     int32(cc.MaxLevel + 1),
+		qhi:     -1,
+		qmark:   make([]uint32, n),
+		emark:   make([]uint32, n),
 		epoch:   1,
 		eepoch:  1,
 	}
 }
 
-// Circuit returns the generator's circuit.
-func (g *Generator) Circuit() *circuit.Circuit { return g.c }
-
 // Generate runs PODEM for fault f and returns the outcome.
 func (g *Generator) Generate(f fault.Fault) Result {
-	g.target = f
+	g.setTarget(f)
 	for i := range g.pi {
 		g.pi[i] = logic.X
 	}
@@ -229,13 +241,18 @@ func (g *Generator) backtrack(res *Result) bool {
 	return false
 }
 
+// siteLine returns the gate driving the faulty line: the site itself
+// for a stem fault, the driver of the faulty pin for a branch fault.
+func (g *Generator) siteLine() int32 {
+	if g.stemGate >= 0 {
+		return g.stemGate
+	}
+	return g.cc.Fanin[g.cc.FaninStart[g.branchGate]+int32(g.target.Pin)]
+}
+
 // goodSiteValue returns the good-machine value of the faulty line.
 func (g *Generator) goodSiteValue() logic.V3 {
-	if g.target.Pin == fault.StemPin {
-		return g.gval[g.target.Gate]
-	}
-	drv := g.c.Gates[g.target.Gate].Fanin[g.target.Pin]
-	return g.gval[drv]
+	return goodV3(g.val[g.siteLine()])
 }
 
 // exploreEffects walks the fault-effect region (lines whose good and
@@ -243,87 +260,76 @@ func (g *Generator) goodSiteValue() logic.V3 {
 // site's fanout cone) and returns whether an effect has reached an
 // observed output, together with the D-frontier: gates fed by an
 // effect line whose own composite output is still X.
-func (g *Generator) exploreEffects() (detected bool, frontier []int) {
+//
+// The frontier aliases scratch storage that the next call reuses.
+func (g *Generator) exploreEffects() (detected bool, frontier []int32) {
+	cc := g.cc
 	g.eepoch++
 	g.estack = g.estack[:0]
-
-	push := func(gate int) {
-		if g.emark[gate] != g.eepoch {
-			g.emark[gate] = g.eepoch
-			g.estack = append(g.estack, gate)
-		}
-	}
+	frontier = g.frontier[:0]
 
 	// Seed the region at the fault site.
-	if isEffect(g.gval[g.target.Gate], g.fval[g.target.Gate]) {
-		push(g.target.Gate)
-	} else if g.target.Pin != fault.StemPin {
+	site := int32(g.target.Gate)
+	if isEffect(g.val[site]) {
+		g.emark[site] = g.eepoch
+		g.estack = append(g.estack, site)
+	} else if g.branchGate >= 0 {
 		// Branch fault: the effect lives on the faulted branch, which
 		// is invisible in the driver's line values. The branch
 		// carries an effect iff the good value of the driver is the
 		// complement of the stuck value; the sink gate is then a
 		// D-frontier candidate when its composite output is X.
-		drv := g.c.Gates[g.target.Gate].Fanin[g.target.Pin]
-		if g.gval[drv].IsBinary() && g.gval[drv] != logic.FromBit(g.target.SA) {
-			if g.gval[g.target.Gate] == logic.X || g.fval[g.target.Gate] == logic.X {
-				frontier = append(frontier, g.target.Gate)
-			}
+		if goodV3(g.val[g.siteLine()]) == logic.FromBit(g.target.SA).Not() && hasX(g.val[site]) {
+			frontier = append(frontier, site)
 		}
 	}
 
 	for len(g.estack) > 0 {
 		gate := g.estack[len(g.estack)-1]
 		g.estack = g.estack[:len(g.estack)-1]
-		if g.c.IsOutput(gate) {
+		if cc.Output[gate] {
 			return true, nil
 		}
-		for _, fo := range g.c.Fanout[gate] {
-			y := fo.Gate
+		for _, y := range cc.Fanout[cc.FanoutStart[gate]:cc.FanoutStart[gate+1]] {
 			if g.emark[y] == g.eepoch {
 				continue
 			}
-			if isEffect(g.gval[y], g.fval[y]) {
-				push(y)
-				continue
-			}
-			if g.gval[y] == logic.X || g.fval[y] == logic.X {
-				g.emark[y] = g.eepoch
+			g.emark[y] = g.eepoch
+			if isEffect(g.val[y]) {
+				g.estack = append(g.estack, y)
+			} else if hasX(g.val[y]) {
 				frontier = append(frontier, y)
 			}
 		}
 	}
+	g.frontier = frontier
 	return false, frontier
 }
 
 // objective returns the next (gate, value) objective: activate the
 // fault if not yet activated, otherwise advance the D-frontier.
-func (g *Generator) objective(frontier []int) (obj objective, ok bool) {
-	site := g.goodSiteValue()
-	want := logic.FromBit(g.target.SA).Not()
-	if site == logic.X {
-		gate := g.target.Gate
-		if g.target.Pin != fault.StemPin {
-			gate = g.c.Gates[g.target.Gate].Fanin[g.target.Pin]
-		}
-		return objective{gate: gate, value: want}, true
+func (g *Generator) objective(frontier []int32) (obj objective, ok bool) {
+	cc := g.cc
+	if g.goodSiteValue() == logic.X {
+		return objective{gate: g.siteLine(), value: logic.FromBit(g.target.SA).Not()}, true
 	}
 
 	// Propagation: pick the D-frontier gate closest to an output
 	// (deepest level in a levelized DAG), then require a
 	// non-controlling value on one of its X inputs.
-	best := -1
+	best := int32(-1)
 	for _, gi := range frontier {
-		if best < 0 || g.c.Level[gi] > g.c.Level[best] {
+		if best < 0 || cc.Level[gi] > cc.Level[best] {
 			best = gi
 		}
 	}
 	if best < 0 {
 		return objective{}, false
 	}
-	gate := &g.c.Gates[best]
-	cv, hasCV := gate.Type.ControllingValue()
-	for _, fi := range gate.Fanin {
-		if g.gval[fi] != logic.X {
+	fanin := cc.GateFanin(int(best))
+	cv, hasCV := cc.Type[best].ControllingValue()
+	for _, fi := range fanin {
+		if goodV3(g.val[fi]) != logic.X {
 			continue
 		}
 		var v logic.V3
@@ -332,7 +338,7 @@ func (g *Generator) objective(frontier []int) (obj objective, ok bool) {
 		} else {
 			// XOR family: either value propagates; choose the cheaper
 			// one by controllability.
-			if g.cc.CC0[fi] <= g.cc.CC1[fi] {
+			if g.ctl.CC0[fi] <= g.ctl.CC1[fi] {
 				v = logic.Zero
 			} else {
 				v = logic.One
@@ -345,13 +351,14 @@ func (g *Generator) objective(frontier []int) (obj objective, ok bool) {
 	// machine (its faulty value depends on an unassigned PI through
 	// the fault cone). Target such a PI directly — without this the
 	// search would wrongly declare a dead end and lose completeness.
-	for _, fi := range gate.Fanin {
-		if g.fval[fi] != logic.X {
+	for _, fi := range fanin {
+		if badV3(g.val[fi]) != logic.X {
 			continue
 		}
+		g.eepoch++
 		if pi, ok := g.faultyXSource(fi); ok {
 			val := logic.One
-			if g.cc.CC0[pi] <= g.cc.CC1[pi] {
+			if g.ctl.CC0[pi] <= g.ctl.CC1[pi] {
 				val = logic.Zero
 			}
 			return objective{gate: pi, value: val}, true
@@ -361,43 +368,37 @@ func (g *Generator) objective(frontier []int) (obj objective, ok bool) {
 }
 
 type objective struct {
-	gate  int
+	gate  int32
 	value logic.V3
 }
 
-// faultyXSource walks backwards from gate gi through faulty-machine X
-// lines and returns an unassigned primary input that the X depends on.
-func (g *Generator) faultyXSource(gi int) (int, bool) {
-	seen := make(map[int]bool)
-	var dfs func(x int) (int, bool)
-	dfs = func(x int) (int, bool) {
-		if seen[x] {
-			return 0, false
-		}
-		seen[x] = true
-		gt := &g.c.Gates[x]
-		if gt.Type == circuit.PI {
-			if g.gval[x] == logic.X {
-				return x, true
-			}
-			return 0, false
-		}
-		for _, fi := range gt.Fanin {
-			if g.fval[fi] != logic.X {
-				continue
-			}
-			if pi, ok := dfs(fi); ok {
-				return pi, true
-			}
-		}
+// faultyXSource walks backwards from gate x through faulty-machine X
+// lines, depth first in pin order, and returns an unassigned primary
+// input that the X depends on. The caller starts a fresh walk by
+// advancing eepoch.
+func (g *Generator) faultyXSource(x int32) (int32, bool) {
+	if g.emark[x] == g.eepoch {
 		return 0, false
 	}
-	return dfs(gi)
+	g.emark[x] = g.eepoch
+	if g.cc.Type[x] == circuit.PI {
+		return x, goodV3(g.val[x]) == logic.X
+	}
+	for _, fi := range g.cc.GateFanin(int(x)) {
+		if badV3(g.val[fi]) != logic.X {
+			continue
+		}
+		if pi, ok := g.faultyXSource(fi); ok {
+			return pi, true
+		}
+	}
+	return 0, false
 }
 
 // xPathExists reports whether some fault effect can still reach an
 // output through composite-X lines, starting from the D-frontier.
-func (g *Generator) xPathExists(frontier []int) bool {
+func (g *Generator) xPathExists(frontier []int32) bool {
+	cc := g.cc
 	g.eepoch++
 	g.estack = g.estack[:0]
 	for _, gi := range frontier {
@@ -409,15 +410,11 @@ func (g *Generator) xPathExists(frontier []int) bool {
 	for len(g.estack) > 0 {
 		gi := g.estack[len(g.estack)-1]
 		g.estack = g.estack[:len(g.estack)-1]
-		if g.c.IsOutput(gi) {
+		if cc.Output[gi] {
 			return true
 		}
-		for _, fo := range g.c.Fanout[gi] {
-			ng := fo.Gate
-			if g.emark[ng] == g.eepoch {
-				continue
-			}
-			if g.gval[ng] != logic.X && g.fval[ng] != logic.X {
+		for _, ng := range cc.Fanout[cc.FanoutStart[gi]:cc.FanoutStart[gi+1]] {
+			if g.emark[ng] == g.eepoch || !hasX(g.val[ng]) {
 				continue
 			}
 			g.emark[ng] = g.eepoch
@@ -430,78 +427,80 @@ func (g *Generator) xPathExists(frontier []int) bool {
 // backtrace maps an objective to an unassigned primary input and a
 // value, walking backwards along X lines.
 func (g *Generator) backtrace(obj objective) (input int, val logic.V3) {
+	cc := g.cc
 	gate, v := obj.gate, obj.value
 	for {
-		gt := &g.c.Gates[gate]
-		if gt.Type == circuit.PI {
-			return g.c.InputIndex[gate], v
-		}
-		switch gt.Type {
+		t := cc.Type[gate]
+		fanin := cc.GateFanin(int(gate))
+		switch t {
+		case circuit.PI:
+			return int(g.piIndex[gate]), v
 		case circuit.Buf:
-			gate = gt.Fanin[0]
+			gate = fanin[0]
 		case circuit.Not:
-			gate, v = gt.Fanin[0], v.Not()
+			gate, v = fanin[0], v.Not()
 		case circuit.And, circuit.Nand, circuit.Or, circuit.Nor:
 			need := v
-			if gt.Type.Inverting() {
+			if t.Inverting() {
 				need = v.Not()
 			}
 			// For AND: need==1 means all inputs 1 (hard), need==0
 			// means one input 0 (easy). Symmetric for OR.
 			var allMust bool
-			switch gt.Type {
+			switch t {
 			case circuit.And, circuit.Nand:
 				allMust = need == logic.One
 			case circuit.Or, circuit.Nor:
 				allMust = need == logic.Zero
 			}
-			gate, v = g.chooseInput(gt, need, allMust), need
+			gate, v = g.chooseInput(fanin, need, allMust), need
 		case circuit.Xor, circuit.Xnor:
 			need := v
-			if gt.Type.Inverting() {
+			if t.Inverting() {
 				need = v.Not()
 			}
 			// Choose the cheapest X input; its required value is the
 			// parity completing the other inputs (X siblings counted
 			// as 0 — a heuristic, corrected by implication).
-			pick := -1
+			pick := int32(-1)
 			parity := logic.Zero
-			for _, fi := range gt.Fanin {
-				if g.gval[fi] == logic.X {
-					if pick < 0 || minCC(g.cc, fi) < minCC(g.cc, pick) {
+			for _, fi := range fanin {
+				if gv := goodV3(g.val[fi]); gv == logic.X {
+					if pick < 0 || minCC(g.ctl, fi) < minCC(g.ctl, pick) {
 						pick = fi
 					}
 				} else {
-					parity = logic.Xor3(parity, g.gval[fi])
+					parity = logic.Xor3(parity, gv)
 				}
 			}
 			if pick < 0 {
 				// No X input left; fall back to the first fanin to
 				// keep the walk moving (implication will expose the
 				// conflict).
-				pick = gt.Fanin[0]
+				pick = fanin[0]
 			}
 			if parity == logic.X {
 				parity = logic.Zero
 			}
 			gate, v = pick, logic.Xor3(need, parity)
 		default:
-			panic(fmt.Sprintf("atpg: backtrace through %v", gt.Type))
+			panic(fmt.Sprintf("atpg: backtrace through %v", t))
 		}
 	}
 }
 
-// chooseInput picks an X-valued fanin of gt: the hardest to set when
-// every input must take the value (allMust), the easiest otherwise.
-func (g *Generator) chooseInput(gt *circuit.Gate, val logic.V3, allMust bool) int {
-	best, bestCost := -1, 0
-	for _, fi := range gt.Fanin {
-		if g.gval[fi] != logic.X {
+// chooseInput picks an X-valued gate of fanin: the hardest to set to
+// val when every input must take the value (allMust), the easiest
+// otherwise.
+func (g *Generator) chooseInput(fanin []int32, val logic.V3, allMust bool) int32 {
+	best, bestCost := int32(-1), 0
+	for _, fi := range fanin {
+		if goodV3(g.val[fi]) != logic.X {
 			continue
 		}
-		cost := g.cc.CC1[fi]
+		cost := g.ctl.CC1[fi]
 		if val == logic.Zero {
-			cost = g.cc.CC0[fi]
+			cost = g.ctl.CC0[fi]
 		}
 		if best < 0 || (allMust && cost > bestCost) || (!allMust && cost < bestCost) {
 			best, bestCost = fi, cost
@@ -510,20 +509,13 @@ func (g *Generator) chooseInput(gt *circuit.Gate, val logic.V3, allMust bool) in
 	if best < 0 {
 		// All inputs assigned: keep walking through the first fanin;
 		// the conflict, if any, surfaces via implication.
-		return gt.Fanin[0]
+		return fanin[0]
 	}
 	return best
 }
 
-func minCC(cc *circuit.Controllability, g int) int {
-	if cc.CC0[g] < cc.CC1[g] {
-		return cc.CC0[g]
-	}
-	return cc.CC1[g]
-}
-
-func isEffect(gv, fv logic.V3) bool {
-	return gv.IsBinary() && fv.IsBinary() && gv != fv
+func minCC(ctl *circuit.Controllability, g int32) int {
+	return min(ctl.CC0[g], ctl.CC1[g])
 }
 
 // FillRandom completes a test cube into a fully specified vector,

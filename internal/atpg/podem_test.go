@@ -7,6 +7,7 @@ import (
 	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
+	"github.com/eda-go/adifo/internal/gen"
 	"github.com/eda-go/adifo/internal/logic"
 	"github.com/eda-go/adifo/internal/prng"
 )
@@ -60,10 +61,10 @@ func exhaustiveDetectable(c *circuit.Circuit, fl *fault.List) []bool {
 func TestPodemC17AllFaults(t *testing.T) {
 	c := parse(t, "c17", c17Bench)
 	fl := fault.Universe(c)
-	gen := New(c, Options{})
+	g := New(circuit.Compile(c), Options{})
 	detectable := exhaustiveDetectable(c, fl)
 	for fi, f := range fl.Faults {
-		res := gen.Generate(f)
+		res := g.Generate(f)
 		if !detectable[fi] {
 			if res.Status != Redundant {
 				t.Fatalf("undetectable fault %v: status %v", f.Name(c), res.Status)
@@ -97,10 +98,10 @@ z = AND(y, b)
 `
 	c := parse(t, "red", src)
 	fl := fault.Universe(c)
-	gen := New(c, Options{})
+	g := New(circuit.Compile(c), Options{})
 	detectable := exhaustiveDetectable(c, fl)
 	for fi, f := range fl.Faults {
-		res := gen.Generate(f)
+		res := g.Generate(f)
 		switch {
 		case detectable[fi] && res.Status != Success:
 			t.Fatalf("detectable %v classified %v", f.Name(c), res.Status)
@@ -124,11 +125,11 @@ y = NAND(n1, n2)
 `
 	cc := parse(t, "reconv", src)
 	fl := fault.Universe(cc)
-	gen := New(cc, Options{})
+	g := New(circuit.Compile(cc), Options{})
 	detectable := exhaustiveDetectable(cc, fl)
 	branchTested := 0
 	for fi, f := range fl.Faults {
-		res := gen.Generate(f)
+		res := g.Generate(f)
 		if detectable[fi] {
 			if res.Status != Success {
 				t.Fatalf("fault %v: %v", f.Name(cc), res.Status)
@@ -162,9 +163,9 @@ p = XOR(x1, x2)
 `
 	cc := parse(t, "xor", src)
 	fl := fault.Universe(cc)
-	gen := New(cc, Options{})
+	g := New(circuit.Compile(cc), Options{})
 	for _, f := range fl.Faults {
-		res := gen.Generate(f)
+		res := g.Generate(f)
 		// Every fault in a pure XOR tree is detectable.
 		if res.Status != Success {
 			t.Fatalf("fault %v: %v", f.Name(cc), res.Status)
@@ -213,10 +214,10 @@ func TestPodemRandomCircuitsAgreeWithExhaustive(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		c := randomCircuit(t, seed, 8, 25)
 		fl := fault.CollapsedUniverse(c)
-		gen := New(c, Options{})
+		g := New(circuit.Compile(c), Options{})
 		detectable := exhaustiveDetectable(c, fl)
 		for fi, f := range fl.Faults {
-			res := gen.Generate(f)
+			res := g.Generate(f)
 			if detectable[fi] {
 				if res.Status != Success {
 					t.Fatalf("seed %d fault %v: %v (detectable)", seed, f.Name(c), res.Status)
@@ -276,11 +277,11 @@ z = AND(y, m2)
 	y, _ := cc.GateByName("y")
 	f := fault.Fault{Gate: y, Pin: fault.StemPin, SA: 1}
 
-	full := New(cc, Options{}).Generate(f)
+	full := New(circuit.Compile(cc), Options{}).Generate(f)
 	if full.Status != Redundant {
 		t.Fatalf("with full budget: %v, want redundant", full.Status)
 	}
-	limited := New(cc, Options{BacktrackLimit: 1}).Generate(f)
+	limited := New(circuit.Compile(cc), Options{BacktrackLimit: 1}).Generate(f)
 	if limited.Status != Aborted {
 		t.Fatalf("with 1-backtrack budget: %v, want aborted", limited.Status)
 	}
@@ -298,27 +299,31 @@ func TestStatusString(t *testing.T) {
 func TestGeneratorReusableAcrossFaults(t *testing.T) {
 	c := parse(t, "c17", c17Bench)
 	fl := fault.Universe(c)
-	gen := New(c, Options{})
+	g := New(circuit.Compile(c), Options{})
 	// Run twice over the fault list; results must be identical.
 	first := make([]Status, fl.Len())
 	for fi, f := range fl.Faults {
-		first[fi] = gen.Generate(f).Status
+		first[fi] = g.Generate(f).Status
 	}
 	for fi, f := range fl.Faults {
-		if got := gen.Generate(f).Status; got != first[fi] {
+		if got := g.Generate(f).Status; got != first[fi] {
 			t.Fatalf("fault %d: status changed across reuse: %v vs %v", fi, got, first[fi])
 		}
 	}
 }
 
-func BenchmarkPodemC17(b *testing.B) {
-	c := parse(b, "c17", c17Bench)
+// BenchmarkPodem runs PODEM at the default backtrack limit on every
+// fault of irs641's raw netlist, whose redundant and aborted faults
+// exercise deep searches.
+func BenchmarkPodem(b *testing.B) {
+	sc, _ := gen.SuiteByName("irs641")
+	c := sc.Build()
 	fl := fault.Universe(c)
-	gen := New(c, Options{})
+	g := New(circuit.Compile(c), Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fl.Faults {
-			gen.Generate(f)
+			g.Generate(f)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/eda-go/adifo/internal/atpg"
+	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
 	"github.com/eda-go/adifo/internal/logic"
@@ -88,7 +89,7 @@ func TestEmbeddedCircuitsAreIrredundant(t *testing.T) {
 	for _, name := range Names() {
 		c := MustLoad(name)
 		fl := fault.CollapsedUniverse(c)
-		g := atpg.New(c, atpg.Options{})
+		g := atpg.New(circuit.Compile(c), atpg.Options{})
 		for _, f := range fl.Faults {
 			if g.Generate(f).Status == atpg.Redundant {
 				t.Errorf("%s: fault %v undetectable", name, f.Name(c))

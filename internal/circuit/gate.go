@@ -137,10 +137,12 @@ type Gate struct {
 	Fanin []int
 }
 
-// EvalV3 evaluates the gate function over three-valued inputs. It
-// implements the optimistic (ternary) semantics used by PODEM:
-// a controlling binary input decides the output even when other
-// inputs are X.
+// EvalV3 evaluates the gate function over three-valued inputs, with
+// the optimistic (ternary) semantics PODEM implies by: a controlling
+// binary input decides the output even when other inputs are X. No
+// simulator or generator calls it; it is the independent per-gate
+// oracle that the circuit, fsim, atpg and irr tests check the packed
+// and word-level evaluators against.
 func EvalV3(t GateType, in []logic.V3) logic.V3 {
 	switch t {
 	case Buf:

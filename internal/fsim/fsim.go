@@ -245,12 +245,38 @@ func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
 // generation loop: vectors arrive one at a time and every fault the
 // new vector detects is dropped immediately, exactly the "fault
 // dropping" regime of the paper's ATPG flow.
+//
+// With one vector per call, PPSFP would leave 63 of every 64 lanes
+// idle, so SimulateVector is parallel-fault instead (Seshu, 1965): the
+// lanes carry up to 64 faults against the one vector, and a single
+// event-driven walk over the union of their fanout cones simulates
+// them all. The vector's good values are broadcast to every lane.
 type Incremental struct {
 	list  *fault.List
-	k     *kern[circuit.W1]
+	cc    *circuit.Compiled
 	alive []bool
 	nAliv int
-	pi    []circuit.W1
+
+	pi   []circuit.W1 // the current vector, each bit broadcast to all lanes
+	good []circuit.W1 // its good values, likewise broadcast
+	in   []circuit.W1 // gathered fanin scratch
+
+	// Parallel-fault walk state, reused across groups: lane l of a group
+	// carries fault lanes[l]. A stem fault forces the lanes in
+	// stemLanes[g] of its gate's output to stemOnes[g]; a branch fault
+	// forces pinLanes/pinOnes of its fanin slot FaninStart[g]+pin.
+	lanes     []int
+	stemLanes []circuit.W1
+	stemOnes  []circuit.W1
+	pinLanes  []circuit.W1
+	pinOnes   []circuit.W1
+	site      []uint32 // epoch stamp: gate carries a fault of the group
+	bad       []circuit.W1
+	vmark     []uint32 // epoch stamp: bad[g] valid
+	qmark     []uint32 // epoch stamp: gate queued
+	epoch     uint32
+	buckets   [][]int32
+	qlo, qhi  int32 // queued level range
 }
 
 // NewIncremental returns an Incremental simulator over the faults of
@@ -260,12 +286,26 @@ func NewIncremental(fl *fault.List, cc *circuit.Compiled) *Incremental {
 	if !compiledFrom(cc, fl.Circuit) {
 		panic("fsim: compiled form does not match the fault list's circuit")
 	}
+	n := cc.NumGates()
 	inc := &Incremental{
-		list:  fl,
-		k:     newKern[circuit.W1](cc, true),
-		alive: make([]bool, fl.Len()),
-		nAliv: fl.Len(),
-		pi:    make([]circuit.W1, cc.NumInputs()),
+		list:      fl,
+		cc:        cc,
+		alive:     make([]bool, fl.Len()),
+		nAliv:     fl.Len(),
+		pi:        make([]circuit.W1, cc.NumInputs()),
+		good:      make([]circuit.W1, n),
+		in:        make([]circuit.W1, cc.MaxFanin),
+		stemLanes: make([]circuit.W1, n),
+		stemOnes:  make([]circuit.W1, n),
+		pinLanes:  make([]circuit.W1, len(cc.Fanin)),
+		pinOnes:   make([]circuit.W1, len(cc.Fanin)),
+		site:      make([]uint32, n),
+		bad:       make([]circuit.W1, n),
+		vmark:     make([]uint32, n),
+		qmark:     make([]uint32, n),
+		buckets:   make([][]int32, cc.MaxLevel+1),
+		qlo:       int32(cc.MaxLevel + 1),
+		qhi:       -1,
 	}
 	for i := range inc.alive {
 		inc.alive[i] = true
@@ -292,31 +332,149 @@ func (inc *Incremental) Drop(f int) {
 // SimulateVector simulates v against all alive faults, drops every
 // fault it detects and returns the dropped fault indices in
 // increasing order.
+//
+// Only the faults v activates (the good value of the fault line is the
+// complement of the stuck value) can be detected; they are packed 64
+// per word in fault-index order and each word is simulated in one walk.
 func (inc *Incremental) SimulateVector(v logic.Vector) []int {
 	if len(v) != len(inc.pi) {
 		panic(fmt.Sprintf("fsim: vector width %d, circuit has %d inputs", len(v), len(inc.pi)))
 	}
 	for i, bit := range v {
+		inc.pi[i] = 0
 		if bit != 0 {
-			inc.pi[i] = 1
-		} else {
-			inc.pi[i] = 0
+			inc.pi[i] = ^circuit.W1(0)
 		}
 	}
-	inc.k.simGood(inc.pi)
+	simGoodInto(inc.cc, inc.pi, inc.good, inc.in)
 
+	cc := inc.cc
 	var detected []int
+	lanes := inc.lanes[:0]
 	for fi, ok := range inc.alive {
 		if !ok {
 			continue
 		}
-		if inc.k.propagate(inc.list.Faults[fi])&1 != 0 {
-			inc.alive[fi] = false
-			inc.nAliv--
-			detected = append(detected, fi)
+		f := inc.list.Faults[fi]
+		line := int32(f.Gate)
+		if f.Pin != fault.StemPin {
+			line = cc.Fanin[cc.FaninStart[line]+int32(f.Pin)]
+		}
+		if uint8(inc.good[line]&1) == f.SA {
+			continue // not activated
+		}
+		lanes = append(lanes, fi)
+		if len(lanes) == logic.WordBits {
+			detected = inc.simulateGroup(lanes, detected)
+			lanes = lanes[:0]
 		}
 	}
+	if len(lanes) > 0 {
+		detected = inc.simulateGroup(lanes, detected)
+	}
+	inc.lanes = lanes
 	return detected
+}
+
+// simulateGroup simulates the faults of lanes, one per lane, against
+// the current good values, drops the detected ones and appends them to
+// detected in lane order.
+func (inc *Incremental) simulateGroup(lanes []int, detected []int) []int {
+	cc := inc.cc
+	inc.epoch++
+	for l, fi := range lanes {
+		f := inc.list.Faults[fi]
+		bit := circuit.W1(1) << l
+		var ones circuit.W1
+		if f.SA != 0 {
+			ones = bit
+		}
+		g := int32(f.Gate)
+		if f.Pin == fault.StemPin {
+			inc.stemLanes[g] |= bit
+			inc.stemOnes[g] |= ones
+		} else {
+			slot := cc.FaninStart[g] + int32(f.Pin)
+			inc.pinLanes[slot] |= bit
+			inc.pinOnes[slot] |= ones
+		}
+		inc.site[g] = inc.epoch
+		inc.enqueue(g)
+	}
+
+	// Level-ordered single pass over the union of the cones: every
+	// queued gate is evaluated once, after all of its fanins are final.
+	var det circuit.W1
+	for lvl := inc.qlo; lvl <= inc.qhi; lvl++ {
+		bucket := inc.buckets[lvl]
+		for _, gi := range bucket {
+			lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
+			isSite := inc.site[gi] == inc.epoch
+			nv := inc.good[gi] // a PI site: its value is the good one
+			if lo < hi {
+				in := inc.in[:hi-lo]
+				for p, fi := range cc.Fanin[lo:hi] {
+					if inc.vmark[fi] == inc.epoch {
+						in[p] = inc.bad[fi]
+					} else {
+						in[p] = inc.good[fi]
+					}
+				}
+				if isSite {
+					for p := range in {
+						in[p] = in[p]&^inc.pinLanes[lo+int32(p)] | inc.pinOnes[lo+int32(p)]
+					}
+				}
+				nv = in[0].EvalPins(cc.Type[gi], in)
+			}
+			if isSite {
+				nv = nv&^inc.stemLanes[gi] | inc.stemOnes[gi]
+			}
+			diff := nv ^ inc.good[gi]
+			if diff == 0 {
+				continue
+			}
+			inc.bad[gi] = nv
+			inc.vmark[gi] = inc.epoch
+			if cc.Output[gi] {
+				det |= diff
+			}
+			for _, fo := range cc.Fanout[cc.FanoutStart[gi]:cc.FanoutStart[gi+1]] {
+				inc.enqueue(fo)
+			}
+		}
+		inc.buckets[lvl] = bucket[:0]
+	}
+	inc.qlo, inc.qhi = int32(cc.MaxLevel+1), -1
+
+	for _, fi := range lanes {
+		f := inc.list.Faults[fi]
+		if f.Pin == fault.StemPin {
+			inc.stemLanes[f.Gate], inc.stemOnes[f.Gate] = 0, 0
+		} else {
+			slot := cc.FaninStart[f.Gate] + int32(f.Pin)
+			inc.pinLanes[slot], inc.pinOnes[slot] = 0, 0
+		}
+	}
+	for ; det != 0; det &= det - 1 {
+		fi := lanes[bits.TrailingZeros64(uint64(det))]
+		inc.alive[fi] = false
+		inc.nAliv--
+		detected = append(detected, fi)
+	}
+	return detected
+}
+
+// enqueue queues gate g for evaluation in the current group's walk.
+func (inc *Incremental) enqueue(g int32) {
+	if inc.qmark[g] == inc.epoch {
+		return
+	}
+	inc.qmark[g] = inc.epoch
+	lvl := inc.cc.Level[g]
+	inc.buckets[lvl] = append(inc.buckets[lvl], g)
+	inc.qlo = min(inc.qlo, lvl)
+	inc.qhi = max(inc.qhi, lvl)
 }
 
 // compiledFrom reports whether cc was compiled from c or from a
@@ -334,11 +492,4 @@ func keepLowestBits(w uint64, k int) uint64 {
 		rest &= rest - 1
 	}
 	return w &^ rest
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -251,34 +251,6 @@ z = AND(y, b)
 	}
 }
 
-func TestIncrementalMatchesBatch(t *testing.T) {
-	c := parse(t, "c17", c17Bench)
-	fl := fault.Universe(c)
-	ps := logic.RandomPatterns(c.NumInputs(), 40, prng.New(9))
-
-	inc := NewIncremental(fl, circuit.Compile(c))
-	var order []int
-	for u := 0; u < ps.Len(); u++ {
-		order = append(order, inc.SimulateVector(ps.Get(u))...)
-	}
-	batch := Run(fl, ps, Options{Mode: Drop})
-
-	// The set of detected faults and each first-detection index must
-	// agree between the incremental and batch simulators.
-	if len(order) != batch.DetectedCount() {
-		t.Fatalf("incremental detected %d, batch %d", len(order), batch.DetectedCount())
-	}
-	if inc.Remaining() != fl.Len()-batch.DetectedCount() {
-		t.Fatalf("Remaining = %d", inc.Remaining())
-	}
-	for fi := range fl.Faults {
-		if batch.Detected(fi) == inc.Alive(fi) {
-			t.Fatalf("fault %d: batch detected=%v but incremental alive=%v",
-				fi, batch.Detected(fi), inc.Alive(fi))
-		}
-	}
-}
-
 func TestIncrementalDrop(t *testing.T) {
 	c := parse(t, "c17", c17Bench)
 	fl := fault.Universe(c)

@@ -100,11 +100,15 @@ func Make(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats, error) {
 // is trivially not redundant — so the expensive PODEM proof runs only
 // on the small random-resistant remainder.
 func classify(c *circuit.Circuit, backtrackLimit int) ([]fault.Fault, bool) {
+	cc := circuit.Compile(c)
 	fl := fault.CollapsedUniverse(c)
 	ps := logic.RandomPatterns(c.NumInputs(), prefilterPatterns, prng.New(prefilterSeed))
-	res := fsim.Run(fl, ps, fsim.Options{Mode: fsim.Drop})
+	// One sequential worker: the same pass as fsim.Run, on cc.
+	res := fsim.RunParallelWith(fl, ps, fsim.ParallelOptions{
+		Options: fsim.Options{Mode: fsim.Drop}, Workers: 1, Compiled: cc,
+	})
 
-	g := atpg.New(c, atpg.Options{BacktrackLimit: backtrackLimit})
+	g := atpg.New(cc, atpg.Options{BacktrackLimit: backtrackLimit})
 	var redundant []fault.Fault
 	aborted := false
 	for fi, f := range fl.Faults {

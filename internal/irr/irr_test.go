@@ -47,7 +47,7 @@ func parse(t testing.TB, name, src string) *circuit.Circuit {
 func assertIrredundant(t *testing.T, c *circuit.Circuit) {
 	t.Helper()
 	fl := fault.CollapsedUniverse(c)
-	g := atpg.New(c, atpg.Options{})
+	g := atpg.New(circuit.Compile(c), atpg.Options{})
 	for _, f := range fl.Faults {
 		if g.Generate(f).Status == atpg.Redundant {
 			t.Fatalf("fault %v still undetectable", f.Name(c))

@@ -3,11 +3,8 @@
 //
 //   - two-valued bit-parallel words (uint64, 64 patterns per word) used
 //     by the good-machine and fault simulators;
-//   - the three-valued system {0, 1, X} used by PODEM for implications
-//     on partially specified input cubes;
-//   - the five-valued composite view (0, 1, X, D, DBar) derived from a
-//     good/faulty pair of three-valued values, used to reason about
-//     fault-effect propagation;
+//   - the three-valued system {0, 1, X} of PODEM's test cubes and of
+//     the evaluation oracle circuit.EvalV3;
 //   - pattern sets: packed collections of input vectors addressed as
 //     (vector index, input index).
 //
@@ -115,55 +112,3 @@ func Xor3(a, b V3) V3 {
 	}
 	return One
 }
-
-// V5 is the composite five-valued view of a (good, faulty) pair of
-// binary values in the D-calculus sense: D means good=1/faulty=0,
-// DBar means good=0/faulty=1.
-type V5 uint8
-
-// The five composite values.
-const (
-	C0   V5 = iota // good 0, faulty 0
-	C1             // good 1, faulty 1
-	CX             // at least one side unknown
-	D              // good 1, faulty 0
-	DBar           // good 0, faulty 1
-)
-
-// String returns the conventional D-calculus spelling.
-func (v V5) String() string {
-	switch v {
-	case C0:
-		return "0"
-	case C1:
-		return "1"
-	case CX:
-		return "X"
-	case D:
-		return "D"
-	case DBar:
-		return "D'"
-	}
-	return fmt.Sprintf("V5(%d)", uint8(v))
-}
-
-// Compose builds the five-valued view from a good and a faulty
-// three-valued value.
-func Compose(good, faulty V3) V5 {
-	if !good.IsBinary() || !faulty.IsBinary() {
-		return CX
-	}
-	switch {
-	case good == faulty && good == Zero:
-		return C0
-	case good == faulty:
-		return C1
-	case good == One:
-		return D
-	default:
-		return DBar
-	}
-}
-
-// IsFaultEffect reports whether v carries a fault effect (D or DBar).
-func (v V5) IsFaultEffect() bool { return v == D || v == DBar }

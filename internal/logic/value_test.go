@@ -81,44 +81,3 @@ func TestBitConversions(t *testing.T) {
 	}()
 	X.Bit()
 }
-
-func TestCompose(t *testing.T) {
-	cases := []struct {
-		good, faulty V3
-		want         V5
-	}{
-		{Zero, Zero, C0},
-		{One, One, C1},
-		{One, Zero, D},
-		{Zero, One, DBar},
-		{X, One, CX},
-		{One, X, CX},
-		{X, X, CX},
-	}
-	for _, c := range cases {
-		if got := Compose(c.good, c.faulty); got != c.want {
-			t.Errorf("Compose(%v,%v) = %v, want %v", c.good, c.faulty, got, c.want)
-		}
-	}
-}
-
-func TestV5Strings(t *testing.T) {
-	cases := map[V5]string{C0: "0", C1: "1", CX: "X", D: "D", DBar: "D'"}
-	for v, want := range cases {
-		if got := v.String(); got != want {
-			t.Errorf("V5 String() = %q, want %q", got, want)
-		}
-	}
-	if got := V5(9).String(); got != "V5(9)" {
-		t.Errorf("invalid V5 String() = %q", got)
-	}
-}
-
-func TestIsFaultEffect(t *testing.T) {
-	if !D.IsFaultEffect() || !DBar.IsFaultEffect() {
-		t.Fatal("D/DBar must be fault effects")
-	}
-	if C0.IsFaultEffect() || C1.IsFaultEffect() || CX.IsFaultEffect() {
-		t.Fatal("0/1/X must not be fault effects")
-	}
-}

@@ -171,8 +171,9 @@ func GenerateContext(ctx context.Context, fl *fault.List, order []int, opts Opti
 	}
 	start := time.Now()
 
-	gen := atpg.New(fl.Circuit, atpg.Options{BacktrackLimit: opts.BacktrackLimit})
-	inc := fsim.NewIncremental(fl, circuit.Compile(fl.Circuit))
+	cc := circuit.Compile(fl.Circuit)
+	gen := atpg.New(cc, atpg.Options{BacktrackLimit: opts.BacktrackLimit})
+	inc := fsim.NewIncremental(fl, cc)
 	fill := prng.New(opts.FillSeed)
 
 	r := &Result{List: fl, Order: order}
