@@ -144,19 +144,66 @@ var (
 	_ Grader = (*ClusterGrader)(nil)
 )
 
+// engine is the half of the Grader interface that LocalGrader and
+// ClusterGrader share: both keep their jobs on a service engine, so
+// status, result, cancel and stream queries are the engine's.
+type engine struct {
+	svc *service.Service
+}
+
+// Status implements Grader.
+func (e engine) Status(_ context.Context, id string) (JobStatus, error) {
+	st, ok := e.svc.Status(id)
+	if !ok {
+		return JobStatus{}, ErrJobNotFound
+	}
+	return st, nil
+}
+
+// Result implements Grader.
+func (e engine) Result(_ context.Context, id string) (*JobResult, error) {
+	return e.svc.Result(id)
+}
+
+// Cancel implements Grader.
+func (e engine) Cancel(_ context.Context, id string) (JobStatus, error) {
+	return e.svc.Cancel(id)
+}
+
+// Stream implements Grader: fn receives every progress event of the
+// job, in order, until the job reaches a terminal state; Stream then
+// returns the final status. ctx aborts the subscription (not the job —
+// use Cancel for that).
+func (e engine) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
+	return e.svc.Stream(ctx, id, fn)
+}
+
+// MetricsHandler returns the engine's Prometheus text exposition
+// endpoint on its own, for embedders that mount metrics on a separate
+// (internal) listener.
+func (e engine) MetricsHandler() http.Handler { return e.svc.Metrics().Handler() }
+
+// TracesHandler returns the engine's trace flight recorder, mountable
+// at /debug/traces: a JSON list of recently retained traces (plus the
+// slowest jobs per kind) and a per-trace span tree at
+// /debug/traces/{trace_id}. adifod mounts it on the -debug-addr
+// listener.
+func (e engine) TracesHandler() http.Handler { return e.svc.Traces().Handler() }
+
 // LocalGrader runs grading jobs in-process: a registry caches parsed
 // circuits, collapsed fault lists and good-machine simulations, and a
 // bounded pool runs jobs through the sharded simulator. It is the
-// engine adifod serves; Handler exposes it over HTTP.
+// engine adifod serves; Handler exposes it over HTTP, and
+// MetricsHandler's exposition is also served there at GET /metrics.
 type LocalGrader struct {
-	svc *service.Service
+	engine
 }
 
 // NewLocalGrader returns an in-process grading engine. It panics when
 // the configured journal directory cannot be opened or replayed; use
 // OpenLocalGrader to handle that as an error.
 func NewLocalGrader(cfg GraderConfig) *LocalGrader {
-	return &LocalGrader{svc: service.New(cfg)}
+	return &LocalGrader{engine{service.New(cfg)}}
 }
 
 // OpenLocalGrader returns an in-process grading engine, surfacing
@@ -173,24 +220,12 @@ func OpenLocalGrader(cfg GraderConfig) (*LocalGrader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LocalGrader{svc: svc}, nil
+	return &LocalGrader{engine{svc}}, nil
 }
 
 // Handler returns the engine's v1 HTTP+JSON API, the surface cmd/adifod
 // listens on and RemoteGrader talks to.
 func (g *LocalGrader) Handler() http.Handler { return g.svc.Handler() }
-
-// MetricsHandler returns the engine's Prometheus text exposition
-// endpoint on its own, for embedders that mount metrics on a separate
-// (internal) listener; Handler already serves it at GET /metrics.
-func (g *LocalGrader) MetricsHandler() http.Handler { return g.svc.Metrics().Handler() }
-
-// TracesHandler returns the engine's trace flight recorder, mountable
-// at /debug/traces: a JSON list of recently retained traces (plus the
-// slowest jobs per kind) and a per-trace span tree at
-// /debug/traces/{trace_id}. adifod mounts it on the -debug-addr
-// listener.
-func (g *LocalGrader) TracesHandler() http.Handler { return g.svc.Traces().Handler() }
 
 // Submit implements Grader. Graders run grade jobs; specs of other
 // kinds are rejected here rather than failing later at Result (use
@@ -201,50 +236,6 @@ func (g *LocalGrader) Submit(_ context.Context, spec JobSpec) (string, error) {
 		return "", err
 	}
 	return g.svc.Submit(spec)
-}
-
-// Status implements Grader.
-func (g *LocalGrader) Status(_ context.Context, id string) (JobStatus, error) {
-	st, ok := g.svc.Status(id)
-	if !ok {
-		return JobStatus{}, ErrJobNotFound
-	}
-	return st, nil
-}
-
-// Result implements Grader.
-func (g *LocalGrader) Result(_ context.Context, id string) (*JobResult, error) {
-	return g.svc.Result(id)
-}
-
-// Cancel implements Grader.
-func (g *LocalGrader) Cancel(_ context.Context, id string) (JobStatus, error) {
-	return g.svc.Cancel(id)
-}
-
-// Stream implements Grader: it subscribes to the job's progress feed
-// and calls fn for every event until the job reaches a terminal state,
-// then returns the final status. ctx aborts the subscription (not the
-// job — use Cancel for that).
-func (g *LocalGrader) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
-	ch, cancel, ok := g.svc.Subscribe(id)
-	if !ok {
-		return JobStatus{}, ErrJobNotFound
-	}
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case ev, open := <-ch:
-			if !open {
-				return g.Status(ctx, id)
-			}
-			if fn != nil {
-				fn(ev)
-			}
-		}
-	}
 }
 
 // Stats implements Grader.
@@ -331,7 +322,17 @@ func (g *RemoteGrader) Close() error { return nil }
 // result wins — determinism makes duplicates safe). Health is probed
 // via /v1/stats and flapping backends are excluded. Cancel fans out to
 // every sub-job.
+//
+// Every cluster job is a job of the coordinator's own engine, so
+// Status, Result, Cancel and Stream behave as LocalGrader's do: the
+// stream carries one merged event per block, in order, once every
+// shard has passed it. MetricsHandler adds the coordinator's
+// placement, retry and merge series to the engine's, and a
+// TracesHandler trace covers the whole fan-out: the job.grade root, one
+// span per shard attempt (reruns after a backend death included) and
+// the merge.
 type ClusterGrader struct {
+	engine
 	co *cluster.Coordinator
 }
 
@@ -344,36 +345,17 @@ func NewClusterGrader(urls []string, opts ClusterOptions) (*ClusterGrader, error
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterGrader{co: co}, nil
+	return &ClusterGrader{engine{co.Service()}, co}, nil
 }
 
-// Submit implements Grader: it places the first fault shard
-// synchronously (so validation errors surface here), queues the rest
-// for the per-backend dispatch loops, and returns the cluster job id.
+// Submit implements Grader. Spec errors, including the sharding
+// refusals (fault_shard, stop_at_coverage, a kind other than grade),
+// and a cluster with no backend answering its health probe fail the
+// call; placement then starts at once, and a spec that only a backend
+// refuses fails the job. A repeated idempotency key answers with the
+// first job's id, per tenant, as on any engine.
 func (g *ClusterGrader) Submit(ctx context.Context, spec JobSpec) (string, error) {
-	return g.co.Submit(ctx, spec)
-}
-
-// Status implements Grader with the merged view of all shards.
-func (g *ClusterGrader) Status(ctx context.Context, id string) (JobStatus, error) {
-	return g.co.Status(ctx, id)
-}
-
-// Result implements Grader: the merged result of every shard,
-// bit-identical to an unsharded run.
-func (g *ClusterGrader) Result(ctx context.Context, id string) (*JobResult, error) {
-	return g.co.Result(ctx, id)
-}
-
-// Cancel implements Grader by fanning the cancel out to every sub-job.
-func (g *ClusterGrader) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	return g.co.Cancel(ctx, id)
-}
-
-// Stream implements Grader: merged per-block events, one per block
-// once every shard has passed it.
-func (g *ClusterGrader) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
-	return g.co.Stream(ctx, id, fn)
+	return g.svc.SubmitContext(ctx, spec)
 }
 
 // Stats implements Grader by summing the counters of every reachable
@@ -387,17 +369,6 @@ func (g *ClusterGrader) Stats(ctx context.Context) (GraderStats, error) {
 func (g *ClusterGrader) Shards(id string) ([]ClusterShardStatus, error) {
 	return g.co.Shards(id)
 }
-
-// MetricsHandler returns the coordinator's Prometheus text exposition
-// endpoint: per-backend probe latency, shard retries, flapping
-// exclusions and merge time.
-func (g *ClusterGrader) MetricsHandler() http.Handler { return g.co.Metrics().Handler() }
-
-// TracesHandler returns the coordinator's trace flight recorder,
-// mountable at /debug/traces. A cluster trace covers the whole
-// fan-out: the root span, one span per shard attempt (reruns after a
-// backend death included) and the merge.
-func (g *ClusterGrader) TracesHandler() http.Handler { return g.co.Traces().Handler() }
 
 // Close implements Grader: it waits for the orchestration of every
 // submitted cluster job to finish.

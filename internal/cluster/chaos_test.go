@@ -112,8 +112,6 @@ func TestClusterStragglerChaos(t *testing.T) {
 	psrv := httptest.NewServer(proxy)
 	t.Cleanup(psrv.Close)
 
-	// Straggler last, so the synchronously-placed canary shard lands on
-	// a fast backend and Submit never blocks on the proxy.
 	urls := append(append([]string{}, fastURLs...), psrv.URL)
 	co, err := New(urls, Options{
 		Logger:         quiet,
@@ -154,7 +152,7 @@ func TestClusterStragglerChaos(t *testing.T) {
 		}
 	}
 
-	exp := scrapeRegistry(t, co.Metrics())
+	exp := scrapeRegistry(t, co.Service().Metrics())
 	if got := seriesValue(t, exp, "adifo_cluster_shards_stolen_total"); got < 1 {
 		t.Errorf("shards_stolen_total = %v, want >= 1 (stalled shards must be stolen)", got)
 	}
@@ -210,7 +208,7 @@ func TestClusterSpeculationLoserCancelled(t *testing.T) {
 		t.Fatalf("straggler run diverges\n got: %s\nwant: %s", got, want)
 	}
 
-	exp := scrapeRegistry(t, co.Metrics())
+	exp := scrapeRegistry(t, co.Service().Metrics())
 	if got := seriesValue(t, exp, "adifo_cluster_shards_speculated_total"); got < 1 {
 		t.Errorf("shards_speculated_total = %v, want >= 1", got)
 	}

@@ -39,6 +39,11 @@
 // (flapping) is excluded from placement once its consecutive failure
 // count reaches Options.MaxBackendFailures, until a probe or sub-job
 // succeeds on it again.
+//
+// Every cluster job is a job of the coordinator's own service engine
+// (Coordinator.Service): the engine owns ids, retention, idempotency,
+// cancellation, the trace root, phase timing and the progress stream,
+// and the fan-out is that engine's grade body (a service.GradeFunc).
 package cluster
 
 import (
@@ -48,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/pprof"
 	"sync"
@@ -76,9 +82,9 @@ type Options struct {
 	// a probe or sub-job completes on it again (default 3).
 	MaxBackendFailures int
 	// MaxRetainedJobs bounds how many finished cluster jobs (and their
-	// merged results) are kept for status/result queries, mirroring the
-	// service's own retention bound; the oldest finished jobs are
-	// evicted first, running jobs never (default 1024).
+	// merged results) are kept for status/result queries: it is the
+	// retention bound of the coordinator's engine, which evicts the
+	// oldest finished jobs first and running jobs never (default 1024).
 	MaxRetainedJobs int
 	// ShardsPerBackend is the work-queue over-partitioning factor K: a
 	// job over N healthy backends is cut into K×N shards (default 4).
@@ -123,9 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBackendFailures <= 0 {
 		o.MaxBackendFailures = 3
-	}
-	if o.MaxRetainedJobs <= 0 {
-		o.MaxRetainedJobs = 1024
 	}
 	if o.ShardsPerBackend <= 0 {
 		o.ShardsPerBackend = 4
@@ -210,26 +213,18 @@ func (b *backend) flapping(max int) bool {
 }
 
 // Coordinator fans grading jobs out across a fixed set of adifod
-// backends. It implements the same submit/status/result/cancel/stream
-// surface as the service, which is what lets the adifo facade expose
-// it behind the Grader interface.
+// backends. Its jobs live on its engine (Service), so they answer
+// status, result, cancel and stream queries as a local engine's do.
 type Coordinator struct {
 	opts     Options
 	backends []*backend
 	logger   *slog.Logger
+	svc      *service.Service
 
-	// metrics/met instrument the coordinator; now is the clock,
-	// swappable by tests that pin timing values.
-	metrics *obs.Registry
-	met     *clusterMetrics
-	now     func() time.Time
-
-	// traces records the coordinator's side of every cluster job's
-	// trace: the fan-out root, one span per shard attempt (including
-	// reruns, steals and speculative duplicates), and the merge. The
-	// sub-jobs join the same trace on their backends via traceparent
-	// propagation.
-	traces *trace.Recorder
+	// met instruments the fan-out on the engine's metric registry; now
+	// is the clock.
+	met *clusterMetrics
+	now func() time.Time
 
 	// nonce distinguishes this coordinator incarnation in the
 	// idempotency keys it mints for shard sub-jobs: a restarted
@@ -237,16 +232,13 @@ type Coordinator struct {
 	// sub-job the previous incarnation left on a journal-backed backend.
 	nonce string
 
-	// stop ends the membership re-probe loop.
-	stop     chan struct{}
-	stopOnce sync.Once
-
-	mu    sync.Mutex
-	jobs  map[string]*cjob
-	order []string
-	seq   uint64
-	idem  map[string]string // caller idempotency key -> cluster job id
-	wg    sync.WaitGroup
+	// ctx lives until Close. It ends the re-probe loop and the
+	// pacemakers, and it bounds remote cancels and reclaims: those
+	// wait as long as a loaded backend takes to answer, since a
+	// sub-job they give up on keeps running.
+	ctx  context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 // New returns a coordinator over the given backend base URLs (e.g.
@@ -257,17 +249,11 @@ func New(urls []string, opts Options) (*Coordinator, error) {
 	}
 	opts = opts.withDefaults()
 	co := &Coordinator{
-		opts:    opts,
-		logger:  opts.Logger,
-		jobs:    make(map[string]*cjob),
-		idem:    make(map[string]string),
-		metrics: obs.NewRegistry(),
-		now:     time.Now,
-		nonce:   newNonce(),
-		traces:  trace.NewRecorder(trace.RecorderOptions{}),
-		stop:    make(chan struct{}),
+		opts:   opts,
+		logger: opts.Logger,
+		now:    time.Now,
+		nonce:  newNonce(),
 	}
-	co.met = newClusterMetrics(co.metrics)
 	seen := make(map[string]bool)
 	for _, u := range urls {
 		if seen[u] {
@@ -275,10 +261,30 @@ func New(urls []string, opts Options) (*Coordinator, error) {
 		}
 		seen[u] = true
 		co.backends = append(co.backends, &backend{url: u, cl: client.New(u, opts.HTTPClient)})
+	}
+	svc, err := service.OpenWithGrade(service.Config{
+		// A cluster job's body waits on its backends rather than
+		// computing, so the pool starts every job at once: a job queued
+		// behind others would leave idle the backends it could use. The
+		// worker bound is each backend's own, checked when it accepts a
+		// shard.
+		MaxConcurrentJobs: math.MaxInt32,
+		SimWorkers:        math.MaxInt32,
+		MaxRetainedJobs:   opts.MaxRetainedJobs,
+		Kinds:             []string{service.KindGrade},
+		Logger:            opts.Logger,
+	}, co.prepare)
+	if err != nil {
+		return nil, err
+	}
+	co.svc = svc
+	co.ctx, co.stop = context.WithCancel(context.Background())
+	co.met = newClusterMetrics(svc.Metrics())
+	for _, b := range co.backends {
 		// Pre-create the per-backend series so a scrape shows the full
 		// backend set at zero before any probe or failure.
-		co.met.probeSeconds.With(u)
-		co.met.exclusions.With(u)
+		co.met.probeSeconds.With(b.url)
+		co.met.exclusions.With(b.url)
 	}
 	co.wg.Add(1)
 	go func() {
@@ -288,13 +294,10 @@ func New(urls []string, opts Options) (*Coordinator, error) {
 	return co, nil
 }
 
-// Metrics exposes the coordinator's metric registry, so an embedder
-// can mount its Prometheus exposition handler.
-func (co *Coordinator) Metrics() *obs.Registry { return co.metrics }
-
-// Traces exposes the coordinator's trace flight recorder, so an
-// embedder can mount its /debug/traces handler.
-func (co *Coordinator) Traces() *trace.Recorder { return co.traces }
+// Service is the coordinator's engine: submit cluster jobs to it and
+// query, cancel and stream them there. Its metric registry carries the
+// cluster's instruments, and its trace recorder the fan-out traces.
+func (co *Coordinator) Service() *service.Service { return co.svc }
 
 // newNonce mints the coordinator incarnation nonce for shard
 // idempotency keys.
@@ -377,32 +380,32 @@ type ShardStatus struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// cjob is one cluster-level grading job.
+// cjob is the fan-out of one cluster job: the body its engine job
+// runs.
 type cjob struct {
-	id     string
-	spec   service.JobSpec
-	shards []*shard
-	merge  *merger
+	co      *Coordinator
+	spec    service.JobSpec
+	healthy []*backend // the backends that answered the submit's probe
+	shards  []*shard
+	merge   *merger
 
-	// tctx carries the job's root span (plus the coordinator's
-	// recorder); shard-attempt and merge spans start under it, and
-	// outbound backend calls inject its traceparent. span is that root,
-	// ended once by finalize. Both are set before the dispatch loops
-	// start and never reassigned.
+	// id is the engine job's id and run its handle; tctx carries the
+	// job's root span (plus the engine's recorder) without the job's
+	// cancellation: shard-attempt spans start under it, and outbound
+	// backend calls inject its traceparent. All three are set before
+	// the dispatch loops start and never reassigned.
+	id   string
+	run  *service.Run
 	tctx context.Context
-	span *trace.Span
 
 	// pubMu serializes merge-and-publish pairs so merged events reach
 	// subscribers in block order even when shard streams race.
 	pubMu sync.Mutex
 
-	// cancelled is the user's Cancel; aborted additionally covers shard
-	// failure fan-outs. Attempt triage consults aborted so the abort's
-	// own remote cancels are not mistaken for backend drains (and
-	// pointlessly retried); finalize consults cancelled to pick the
-	// terminal state.
-	cancelled atomic.Bool
-	aborted   atomic.Bool
+	// aborted marks a cancel or a shard failure fan-out. Attempt triage
+	// consults it so the abort's own remote cancels are not mistaken
+	// for backend drains (and pointlessly retried).
+	aborted atomic.Bool
 
 	// smu guards the work-queue state; cond wakes dispatch loops when
 	// the queue, in-flight windows, or shard states change.
@@ -416,12 +419,6 @@ type cjob struct {
 	remaining   int // shards not yet terminal
 	closed      bool
 	runnersWg   sync.WaitGroup
-
-	mu     sync.Mutex
-	status service.JobStatus
-	timing service.Timing
-	result *service.JobResult
-	subs   []*subscriber
 }
 
 // work is one claimed placement: a shard plus the attempt minted for
@@ -429,63 +426,6 @@ type cjob struct {
 type work struct {
 	sh  *shard
 	att *attempt
-}
-
-// subscriber buffers merged progress events for one Subscribe caller
-// without loss. The merged feed emits every block exactly once, so the
-// queue — formally unbounded — is in fact bounded by the job's block
-// count. A fixed drop-on-full channel here would lose merged blocks
-// whenever a shard rerun catches up after a backend death: the merger
-// then emits a burst of gap-filled blocks faster than a consumer
-// goroutine is guaranteed to be scheduled.
-type subscriber struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []service.ProgressEvent
-	done  bool          // terminal: nothing more will be queued
-	stop  chan struct{} // closed on cancel: the consumer is gone
-}
-
-func newSubscriber() *subscriber {
-	sb := &subscriber{stop: make(chan struct{})}
-	sb.cond = sync.NewCond(&sb.mu)
-	return sb
-}
-
-// push appends one event to the queue; a no-op once the feed is
-// terminal.
-func (sb *subscriber) push(ev service.ProgressEvent) {
-	sb.mu.Lock()
-	if !sb.done {
-		sb.queue = append(sb.queue, ev)
-	}
-	sb.mu.Unlock()
-	sb.cond.Signal()
-}
-
-// finish marks the feed terminal; the pump drains what is already
-// queued and then closes the consumer channel.
-func (sb *subscriber) finish() {
-	sb.mu.Lock()
-	sb.done = true
-	sb.mu.Unlock()
-	sb.cond.Broadcast()
-}
-
-// next blocks until an event is queued or the feed is terminal and
-// drained.
-func (sb *subscriber) next() (service.ProgressEvent, bool) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for len(sb.queue) == 0 && !sb.done {
-		sb.cond.Wait()
-	}
-	if len(sb.queue) == 0 {
-		return service.ProgressEvent{}, false
-	}
-	ev := sb.queue[0]
-	sb.queue = sb.queue[1:]
-	return ev, true
 }
 
 // probe checks one backend's liveness with the configured timeout,
@@ -551,7 +491,7 @@ func (co *Coordinator) reprobeLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-co.stop:
+		case <-co.ctx.Done():
 			return
 		case <-t.C:
 			co.reprobe()
@@ -565,7 +505,7 @@ func (co *Coordinator) reprobe() {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
-			if err := co.probe(context.Background(), b); err != nil {
+			if err := co.probe(co.ctx, b); err != nil {
 				b.markProbe(false)
 				return
 			}
@@ -580,16 +520,13 @@ func (co *Coordinator) reprobe() {
 
 // admit attaches a dispatch loop for b to every running job that lacks
 // one — the work-queue half of dynamic membership. Idempotent:
-// startRunner refuses jobs that are finished or already served by b.
+// startRunner refuses jobs that are finished, not yet started or
+// already served by b.
 func (co *Coordinator) admit(b *backend) {
-	co.mu.Lock()
-	jobs := make([]*cjob, 0, len(co.jobs))
-	for _, j := range co.jobs {
-		jobs = append(jobs, j)
-	}
-	co.mu.Unlock()
-	for _, j := range jobs {
-		co.startRunner(j, b)
+	for _, st := range co.svc.Jobs() {
+		if j := co.job(st.ID); j != nil {
+			co.startRunner(j, b)
+		}
 	}
 }
 
@@ -620,181 +557,65 @@ func (co *Coordinator) capacity(b *backend) int {
 	return c
 }
 
-// Submit partitions the fault universe into ShardsPerBackend shards
-// per healthy backend and feeds them through the work queue. Shard 0
-// is placed synchronously before Submit returns — the canary — so spec
-// validation errors surface here exactly as they do on a direct
-// service submit; the rest of the queue, the streams and the merge are
-// asynchronous.
-func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string, error) {
-	if kind := service.NormalizeKind(spec.Kind); kind != service.KindGrade {
-		// Explicit, not silently degraded: fault sharding is what the
-		// cluster sells, and only grade jobs have the per-fault
-		// independence it needs (atpg and the dynamic orders are
-		// sequential over shared ndet/drop state). Other kinds belong
-		// on a single backend via the remote generator/orderer.
-		return "", fmt.Errorf("cluster: %w %q: fault sharding applies only to grade jobs; submit %s jobs to a single backend",
-			service.ErrUnsupportedKind, kind, kind)
-	}
+// prepare is the engine's GradeFunc, called by Submit once the spec
+// has validated. It refuses what fault sharding cannot run, probes the
+// backends, and cuts the job into ShardsPerBackend shards per healthy
+// one; Run places them.
+func (co *Coordinator) prepare(ctx context.Context, spec service.JobSpec) (service.Body, error) {
 	if spec.FaultShard != nil {
-		return "", errors.New("cluster: spec must not carry fault_shard; the coordinator assigns shards")
+		return nil, errors.New("cluster: spec must not carry fault_shard; the coordinator assigns shards")
 	}
 	if spec.StopAtCoverage > 0 {
-		return "", errors.New("cluster: stop_at_coverage is not supported on sharded jobs (the cut-off depends on global coverage)")
+		return nil, errors.New("cluster: stop_at_coverage is not supported on sharded jobs (the cut-off depends on global coverage)")
 	}
 	healthy := co.healthyBackends(ctx)
 	if len(healthy) == 0 {
-		return "", errors.New("cluster: no healthy backends")
+		return nil, errors.New("cluster: no healthy backends")
 	}
 	count := co.opts.ShardsPerBackend * len(healthy)
-
-	// Coordinator-level idempotency: a caller key that already named a
-	// cluster job answers with that job's id instead of fanning out
-	// again. The caller's key is consumed here — sub-jobs carry
-	// coordinator-minted shard keys instead, because the same caller key
-	// on every shard would make the backends dedupe distinct shards into
-	// one sub-job.
-	callerKey := spec.IdempotencyKey
-	spec.IdempotencyKey = ""
-	co.mu.Lock()
-	if callerKey != "" {
-		if id, ok := co.idem[callerKey]; ok {
-			co.mu.Unlock()
-			return id, nil
-		}
-	}
-	co.seq++
-	id := fmt.Sprintf("c%d", co.seq)
-	if callerKey != "" {
-		co.idem[callerKey] = id
-	}
-	co.mu.Unlock()
-
-	// A cluster job has no queue of its own before placement starts, so
-	// submitted and started coincide and queue wait is zero.
-	now := co.now()
 	j := &cjob{
-		id:        id,
+		co:        co,
 		spec:      spec,
-		merge:     newMerger(id, count),
-		status:    service.JobStatus{ID: id, Kind: service.KindGrade, State: service.StateRunning},
-		timing:    service.Timing{SubmittedAt: now, StartedAt: now},
+		healthy:   healthy,
+		merge:     newMerger(count),
 		inflight:  make(map[string]int),
 		runners:   make(map[string]bool),
 		remaining: count,
 	}
 	j.cond = sync.NewCond(&j.smu)
-	// The job's root span: it joins the caller's trace when the submit
-	// context carries one (a span, or a remote SpanContext from an
-	// incoming traceparent), else starts a fresh trace. One trace then
-	// covers the whole fan-out — every shard attempt, every backend
-	// sub-job, every rerun, steal and speculation, and the merge.
-	tctx := trace.WithRecorder(context.Background(), co.traces)
-	if sc := trace.SpanContextFromContext(ctx); sc.IsValid() {
-		tctx = trace.ContextWithRemote(tctx, sc)
-	}
-	j.tctx, j.span = trace.Start(tctx, "cluster.grade", trace.Root())
-	j.span.SetAttr("kind", service.KindGrade)
-	j.span.SetAttr("job", id)
-	j.span.SetAttrInt("shards", count)
-	j.span.SetAttrInt("backends", len(healthy))
-	j.status.TraceID = j.span.Context().TraceID.String()
 	for i := 0; i < count; i++ {
 		j.shards = append(j.shards, &shard{index: i, count: count, state: service.StateQueued})
 	}
+	j.queue = append([]*shard(nil), j.shards...)
+	return j, nil
+}
 
-	// Canary placement: shard 0 gets a sub-job before Submit returns. A
-	// refusal on every healthy backend aborts the job here — the shard
-	// spec differs from its siblings only in the shard index, so a spec
-	// the whole cluster refuses would refuse 12 times as well. The call
-	// runs under the caller's context (their deadline governs it) with
-	// the job's span attached, so the sub-job joins the trace.
-	canary := j.shards[0]
-	sub := spec
-	sub.FaultShard = &service.FaultShard{Index: 0, Count: count}
-	sub.IdempotencyKey = co.shardKey(id, 0, count, 0)
-	pctx := trace.ContextWithSpan(ctx, j.span)
-	var (
-		canaryWork *work
-		canaryB    *backend
-		lastErr    error
-	)
-	for _, b := range healthy {
-		if b.flapping(co.opts.MaxBackendFailures) {
-			co.exclude(b)
-			continue
-		}
-		rid, err := b.cl.Submit(pctx, sub)
-		if err == nil {
-			canary.mu.Lock()
-			att := co.newAttemptLocked(j, canary, b, false, false)
-			att.remoteID = rid
-			canary.remoteID = rid
-			canary.mu.Unlock()
-			canaryWork = &work{sh: canary, att: att}
-			canaryB = b
-			break
-		}
-		lastErr = err
-		var ae *service.APIError
-		if errors.As(err, &ae) {
-			// This backend refused the spec. Validation can be
-			// server-local (the workers bound depends on each server's
-			// core count) or transient (draining), so a refusal here
-			// does not condemn the spec everywhere: try the next
-			// backend, and only fail the submit when none accepts.
-			co.logger.Warn("backend refused shard", "backend", b.url,
-				"job", id, "shard", 0, "shards", count, "err", err)
-			continue
-		}
-		b.markFailure()
-		co.logger.Warn("submitting shard failed", "backend", b.url,
-			"job", id, "shard", 0, "shards", count, "err", err)
-	}
-	if canaryWork == nil {
-		if callerKey != "" {
-			co.mu.Lock()
-			delete(co.idem, callerKey)
-			co.mu.Unlock()
-		}
-		j.span.SetStatus(trace.StatusError, "placement failed")
-		j.span.End()
-		return "", fmt.Errorf("cluster: could not place shard 0/%d: %w", count, lastErr)
-	}
-
-	co.mu.Lock()
-	co.jobs[id] = j
-	co.order = append(co.order, id)
-	co.evictOldJobsLocked()
-	co.mu.Unlock()
-
-	// Queue the remaining shards and start the machinery. The canary's
-	// supervisor is the job's first runnersWg holder, so startRunner's
-	// liveness guard (holders > 0) admits the dispatch loops.
+// Run is the body of a cluster job (service.Body): it starts a
+// dispatch loop per healthy backend, waits until every loop and
+// attempt has returned, and merges the shard results. A cancel of ctx
+// aborts the fan-out.
+func (j *cjob) Run(ctx context.Context, r *service.Run) (*service.JobResult, error) {
+	co := j.co
+	span := trace.SpanFromContext(ctx)
+	span.SetAttrInt("shards", len(j.shards))
+	span.SetAttrInt("backends", len(j.healthy))
+	// The body holds the job open (holders > 0) while it starts the
+	// dispatch loops, so startRunner admits them.
 	j.smu.Lock()
-	j.queue = append(j.queue, j.shards[1:]...)
-	j.inflight[canaryB.url]++
+	j.id, j.run, j.tctx = r.ID, r, context.WithoutCancel(ctx)
 	j.holders++
 	j.runnersWg.Add(1)
 	j.smu.Unlock()
-	co.wg.Add(1)
-	go func() {
-		defer co.wg.Done()
-		defer func() {
-			j.smu.Lock()
-			j.inflight[canaryB.url]--
-			j.holders--
-			j.smu.Unlock()
-			j.runnersWg.Done()
-			j.cond.Broadcast()
-		}()
-		pprof.Do(context.Background(),
-			pprof.Labels("job", j.id, "shard", fmt.Sprintf("0/%d", count)),
-			func(context.Context) { co.runAttempt(j, canaryB, canaryWork) })
-	}()
-	for _, b := range healthy {
+	stop := context.AfterFunc(ctx, func() { co.abortJob(j) })
+	defer stop()
+	for _, b := range j.healthy {
 		co.startRunner(j, b)
 	}
+	j.smu.Lock()
+	j.holders--
+	j.smu.Unlock()
+	j.runnersWg.Done()
+	j.cond.Broadcast()
 
 	// The pacemaker: steal and speculation eligibility turn true with
 	// the mere passage of time (an attempt ages past StragglerAfter
@@ -820,34 +641,28 @@ func (co *Coordinator) Submit(ctx context.Context, spec service.JobSpec) (string
 				if closed {
 					return
 				}
-			case <-co.stop:
+			case <-co.ctx.Done():
 				return
 			}
 		}
 	}()
 
-	// The watcher: once every dispatch loop and attempt has returned,
-	// settle whatever is left (shards stranded with no backend to run
-	// them) and finalize the job.
-	co.wg.Add(1)
-	go func() {
-		defer co.wg.Done()
-		j.runnersWg.Wait()
-		j.smu.Lock()
-		j.closed = true
-		orphans := j.queue
-		j.queue = nil
-		j.smu.Unlock()
-		for _, sh := range append(orphans, j.shards...) {
-			if j.aborted.Load() {
-				co.settleShard(j, sh, service.StateCancelled, nil)
-			} else {
-				co.settleShard(j, sh, service.StateFailed, errors.New("no healthy backend available"))
-			}
+	// Once every dispatch loop and attempt has returned, settle
+	// whatever is left (shards stranded with no backend to run them).
+	j.runnersWg.Wait()
+	j.smu.Lock()
+	j.closed = true
+	orphans := j.queue
+	j.queue = nil
+	j.smu.Unlock()
+	for _, sh := range append(orphans, j.shards...) {
+		if j.aborted.Load() {
+			co.settleShard(j, sh, service.StateCancelled, nil)
+		} else {
+			co.settleShard(j, sh, service.StateFailed, errors.New("no healthy backend available"))
 		}
-		co.finalize(j)
-	}()
-	return id, nil
+	}
+	return co.finalize(ctx, j)
 }
 
 // newAttemptLocked mints the next attempt of sh on b. Caller holds
@@ -1086,9 +901,8 @@ func (co *Coordinator) claimSpeculativeLocked(j *cjob, b *backend) *work {
 	return &work{sh: pick, att: att}
 }
 
-// runAttempt drives one attempt: submit the sub-job (unless the canary
-// already did), stream it, and triage the outcome. One span per
-// attempt on the cluster job's trace.
+// runAttempt drives one attempt: submit the sub-job, stream it, and
+// triage the outcome. One span per attempt on the cluster job's trace.
 func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 	sh, att := wk.sh, wk.att
 	defer att.cancel()
@@ -1108,28 +922,26 @@ func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 		span.SetAttr("speculate", "true")
 	}
 
-	sh.mu.Lock()
-	rid := att.remoteID
-	sh.mu.Unlock()
-	if rid == "" {
-		sub := j.spec
-		sub.FaultShard = &service.FaultShard{Index: sh.index, Count: sh.count}
-		sub.IdempotencyKey = att.key
-		var err error
-		rid, err = b.cl.Submit(ctx, sub)
-		if err != nil {
-			if att.superseded.Load() || j.aborted.Load() {
-				go co.reclaim(context.WithoutCancel(ctx), j, b, sub)
-			}
-			span.SetStatus(trace.StatusError, err.Error())
-			co.attemptLost(ctx, j, b, sh, att, err, true)
-			return
+	// The sub-job carries the attempt's key in place of the caller's:
+	// the caller's key already deduped at the engine, and one key on
+	// every shard would make a backend dedupe distinct shards into one
+	// sub-job.
+	sub := j.spec
+	sub.FaultShard = &service.FaultShard{Index: sh.index, Count: sh.count}
+	sub.IdempotencyKey = att.key
+	rid, err := b.cl.Submit(ctx, sub)
+	if err != nil {
+		if att.superseded.Load() || j.aborted.Load() {
+			go co.reclaim(ctx, j, b, sub)
 		}
-		sh.mu.Lock()
-		att.remoteID = rid
-		sh.remoteID = rid
-		sh.mu.Unlock()
+		span.SetStatus(trace.StatusError, err.Error())
+		co.attemptLost(ctx, j, b, sh, att, err, true)
+		return
 	}
+	sh.mu.Lock()
+	att.remoteID = rid
+	sh.remoteID = rid
+	sh.mu.Unlock()
 	span.SetAttr("remote_id", rid)
 
 	if j.aborted.Load() || att.superseded.Load() {
@@ -1142,7 +954,7 @@ func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
 	st, err := b.cl.Stream(ctx, rid, func(ev service.ProgressEvent) {
 		att.progress.Add(1)
 		j.pubMu.Lock()
-		co.publish(j, j.merge.update(sh.index, ev))
+		j.publish(j.merge.update(sh.index, ev))
 		j.pubMu.Unlock()
 	})
 	if err == nil {
@@ -1313,7 +1125,7 @@ func (co *Coordinator) completeShard(j *cjob, sh *shard, att *attempt, st servic
 	}
 	j.pubMu.Lock()
 	j.merge.markDone(sh.index, st)
-	co.publish(j, j.merge.collect())
+	j.publish(j.merge.collect())
 	j.pubMu.Unlock()
 	co.shardSettled(j)
 	return true
@@ -1411,19 +1223,17 @@ func (co *Coordinator) abortJob(j *cjob) {
 // A submit that fails once its attempt is superseded or its job
 // aborted may still have been accepted, and then nothing would read
 // or cancel the sub-job. Re-sending the same idempotency key returns
-// that sub-job's id, or creates one that is cancelled at once. ctx
-// carries the attempt's trace but not its cancellation; ProbeTimeout
-// bounds the re-send.
-func (co *Coordinator) reclaim(ctx context.Context, j *cjob, b *backend, sub service.JobSpec) {
-	ctx, cancel := context.WithTimeout(ctx, co.opts.ProbeTimeout)
-	defer cancel()
-	rid, err := b.cl.Submit(ctx, sub)
+// that sub-job's id, or creates one that is cancelled at once. lctx
+// carries the attempt's trace; the re-send, like cancelRemote, lasts
+// until the backend answers or the coordinator closes.
+func (co *Coordinator) reclaim(lctx context.Context, j *cjob, b *backend, sub service.JobSpec) {
+	rid, err := b.cl.Submit(trace.ContextWithSpan(co.ctx, trace.SpanFromContext(lctx)), sub)
 	if err != nil {
-		co.logger.WarnContext(ctx, "reclaiming a cut-off sub-job failed", "backend", b.url,
+		co.logger.WarnContext(lctx, "reclaiming a cut-off sub-job failed", "backend", b.url,
 			"job", j.id, "shard", sub.FaultShard.Index, "err", err)
 		return
 	}
-	co.cancelRemote(ctx, j, b, rid, "reclaim")
+	co.cancelRemote(lctx, j, b, rid, "reclaim")
 }
 
 // cancelRemote cancels one sub-job, logging failures with the job's
@@ -1435,139 +1245,54 @@ func (co *Coordinator) cancelRemote(lctx context.Context, j *cjob, b *backend, r
 	if rid == "" {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), co.opts.ProbeTimeout)
-	defer cancel()
-	if _, err := b.cl.Cancel(ctx, rid); err != nil &&
+	if _, err := b.cl.Cancel(co.ctx, rid); err != nil &&
 		!errors.Is(err, service.ErrFinished) && !errors.Is(err, service.ErrNotFound) {
 		co.logger.WarnContext(lctx, "cancelling sub-job failed", "backend", b.url,
 			"job", j.id, "remote_id", rid, "reason", why, "err", err)
 	}
 }
 
-// finalize runs once every dispatch loop and attempt has returned: it
-// merges the shard results (all-done), or settles on the
-// failed/cancelled state, updates the cluster status and closes every
-// subscriber channel.
-func (co *Coordinator) finalize(j *cjob) {
-	state := service.StateDone
-	var firstErr error
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		shState, shErr := sh.state, sh.err
-		sh.mu.Unlock()
-		switch shState {
-		case service.StateFailed:
-			state = service.StateFailed
-			if firstErr == nil {
-				firstErr = shErr
-			}
-		case service.StateCancelled:
-			if state != service.StateFailed {
-				state = service.StateCancelled
-			}
-		}
-	}
-	if j.cancelled.Load() && state != service.StateFailed {
-		state = service.StateCancelled
-	}
-
-	var merged *service.JobResult
-	if state == service.StateDone {
-		results := make([]*service.JobResult, len(j.shards))
-		for i, sh := range j.shards {
-			sh.mu.Lock()
-			results[i] = sh.result
-			sh.mu.Unlock()
-		}
-		var err error
-		_, msp := trace.Start(j.tctx, "merge")
-		msp.SetAttrInt("shards", len(results))
-		mergeStart := co.now()
-		merged, err = MergeResults(j.id, results)
-		mergeDur := co.now().Sub(mergeStart)
-		if err != nil {
-			msp.SetStatus(trace.StatusError, err.Error())
-		}
-		msp.End()
-		co.met.mergeSeconds.Observe(mergeDur.Seconds())
-		j.mu.Lock()
-		j.timing.AddPhase(service.PhaseMerge, mergeDur)
-		j.mu.Unlock()
-		if err != nil {
-			state = service.StateFailed
-			firstErr = err
-		}
-	}
+// finalize runs once every dispatch loop and attempt has returned: a
+// failed shard fails the job, a cancel cancels it, and otherwise the
+// shard results merge into the job's result.
+func (co *Coordinator) finalize(ctx context.Context, j *cjob) (*service.JobResult, error) {
+	var failed error
+	cancelled := ctx.Err() != nil
 	// The merged result is the job's only retained payload; the
 	// per-shard copies would double its memory for no reader.
-	for _, sh := range j.shards {
+	results := make([]*service.JobResult, len(j.shards))
+	for i, sh := range j.shards {
 		sh.mu.Lock()
-		sh.result = nil
+		switch sh.state {
+		case service.StateFailed:
+			if failed == nil {
+				failed = sh.err
+			}
+		case service.StateCancelled:
+			cancelled = true
+		}
+		results[i], sh.result = sh.result, nil
 		sh.mu.Unlock()
 	}
-
-	j.mu.Lock()
-	j.status.State = state
-	j.timing.FinishedAt = co.now()
-	j.timing.RunSeconds = j.timing.FinishedAt.Sub(j.timing.StartedAt).Seconds()
-	timing := j.timing.Snapshot()
-	j.status.Timing = timing
-	if merged != nil {
-		// The merged result carries the cluster job's own timing — the
-		// fan-out's wall clock and merge phase, not any single backend's
-		// run (those are visible on the sub-jobs' own wires).
-		merged.Timing = timing
-		merged.TraceID = j.status.TraceID
-		j.result = merged
-		j.status.Circuit = merged.Circuit
-		j.status.Faults = merged.Faults
-		j.status.Vectors = merged.Vectors
-		j.status.VectorsUsed = merged.VectorsUsed
-		j.status.Detected = merged.Detected
+	switch {
+	case failed != nil:
+		return nil, failed
+	case cancelled:
+		return nil, context.Canceled
 	}
-	if firstErr != nil {
-		j.status.Error = firstErr.Error()
-	}
-	subs := j.subs
-	j.subs = nil
-	j.mu.Unlock()
-	co.met.jobsTotal.With(state).Inc()
-	// The root span ends before subscribers wake: a caller unblocked by
-	// the terminal status finds the completed trace in the recorder.
-	j.span.SetAttr("state", state)
-	if firstErr != nil {
-		j.span.SetStatus(trace.StatusError, firstErr.Error())
-	} else {
-		j.span.SetStatus(trace.StatusOK, "")
-	}
-	j.span.End()
-	for _, sb := range subs {
-		sb.finish()
-	}
+	stop := j.run.Phase(service.PhaseMerge)
+	start := co.now()
+	merged, err := MergeResults(j.id, results)
+	co.met.mergeSeconds.Observe(co.now().Sub(start).Seconds())
+	stop()
+	return merged, err
 }
 
-// publish forwards merged progress events to the cluster job's status
-// and subscribers. Pushes never block — each subscriber owns a lossless
-// queue its pump goroutine drains — so the merged feed stays contiguous
-// even when a rerun's catch-up emits a whole job's worth of blocks in
-// one burst.
-func (co *Coordinator) publish(j *cjob, evs []service.ProgressEvent) {
+// publish forwards merged progress events to the engine job's status
+// and subscribers.
+func (j *cjob) publish(evs []service.ProgressEvent) {
 	for _, ev := range evs {
-		j.mu.Lock()
-		if terminalState(j.status.State) {
-			j.mu.Unlock()
-			return
-		}
-		j.status.BlocksDone = ev.Block + 1
-		j.status.Blocks = ev.Blocks
-		j.status.VectorsUsed = ev.VectorsUsed
-		j.status.Detected = ev.Detected
-		j.status.Active = ev.Active
-		subs := append([]*subscriber(nil), j.subs...)
-		j.mu.Unlock()
-		for _, sb := range subs {
-			sb.push(ev)
-		}
+		j.run.Publish(ev)
 	}
 }
 
@@ -1575,181 +1300,10 @@ func terminalState(s string) bool {
 	return s == service.StateDone || s == service.StateFailed || s == service.StateCancelled
 }
 
-// evictOldJobsLocked drops the oldest finished cluster jobs once the
-// retained set exceeds the configured bound, exactly as the service
-// does for its own jobs. Caller holds co.mu.
-func (co *Coordinator) evictOldJobsLocked() {
-	excess := len(co.order) - co.opts.MaxRetainedJobs
-	if excess <= 0 {
-		return
-	}
-	kept := co.order[:0]
-	for _, id := range co.order {
-		j := co.jobs[id]
-		j.mu.Lock()
-		done := terminalState(j.status.State)
-		j.mu.Unlock()
-		if excess > 0 && done {
-			delete(co.jobs, id)
-			for key, jid := range co.idem {
-				if jid == id {
-					delete(co.idem, key)
-				}
-			}
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	co.order = kept
-}
-
+// job returns the fan-out of engine job id, nil for an unknown id.
 func (co *Coordinator) job(id string) *cjob {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.jobs[id]
-}
-
-// Status returns the merged status of a cluster job. Identity fields
-// (circuit, fault count) fill in when the job completes; the progress
-// fields track the merged per-block frontier while it runs.
-func (co *Coordinator) Status(ctx context.Context, id string) (service.JobStatus, error) {
-	j := co.job(id)
-	if j == nil {
-		return service.JobStatus{}, service.ErrNotFound
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status, nil
-}
-
-// Result returns the merged grading outcome of a finished cluster job,
-// with the same error contract as the service: ErrNotDone while
-// running, ErrCancelled after a cancel, the failure for failed jobs.
-func (co *Coordinator) Result(ctx context.Context, id string) (*service.JobResult, error) {
-	j := co.job(id)
-	if j == nil {
-		return nil, service.ErrNotFound
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.status.State {
-	case service.StateDone:
-		return j.result, nil
-	case service.StateFailed:
-		return nil, fmt.Errorf("cluster: job %s failed: %s", id, j.status.Error)
-	case service.StateCancelled:
-		return nil, fmt.Errorf("%w (job %s)", service.ErrCancelled, id)
-	}
-	return nil, service.ErrNotDone
-}
-
-// Cancel aborts a cluster job: the queue is drained and a cancel fans
-// out to every live sub-job; each backend stops at its next 64-pattern
-// block barrier. Idempotent on cancelled jobs; ErrFinished after
-// completion.
-func (co *Coordinator) Cancel(ctx context.Context, id string) (service.JobStatus, error) {
-	j := co.job(id)
-	if j == nil {
-		return service.JobStatus{}, service.ErrNotFound
-	}
-	j.mu.Lock()
-	switch j.status.State {
-	case service.StateDone, service.StateFailed:
-		st := j.status
-		j.mu.Unlock()
-		return st, service.ErrFinished
-	case service.StateCancelled:
-		st := j.status
-		j.mu.Unlock()
-		return st, nil
-	}
-	st := j.status
-	j.mu.Unlock()
-	j.cancelled.Store(true)
-	co.abortJob(j)
-	return st, nil
-}
-
-// Subscribe returns a channel of merged per-block progress events for
-// a cluster job and a cancel function; the channel closes when the job
-// reaches a terminal state (immediately for finished jobs).
-func (co *Coordinator) Subscribe(id string) (<-chan service.ProgressEvent, func(), bool) {
-	j := co.job(id)
-	if j == nil {
-		return nil, nil, false
-	}
-	ch := make(chan service.ProgressEvent, 16)
-	j.mu.Lock()
-	if terminalState(j.status.State) {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}, true
-	}
-	sb := newSubscriber()
-	j.subs = append(j.subs, sb)
-	j.mu.Unlock()
-	// The pump decouples the publisher from the consumer: events queue
-	// losslessly in sb and flow into ch at the consumer's pace. On
-	// cancel the pump abandons the queue instead of blocking forever on
-	// a send nobody will receive.
-	go func() {
-		defer close(ch)
-		for {
-			ev, ok := sb.next()
-			if !ok {
-				return
-			}
-			select {
-			case ch <- ev:
-			case <-sb.stop:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() { close(sb.stop) })
-		sb.finish()
-		j.mu.Lock()
-		for i, s := range j.subs {
-			if s == sb {
-				// Shift-and-truncate with a nilled tail slot so the
-				// backing array does not pin the dead subscriber (and
-				// its queued events) until overwritten.
-				copy(j.subs[i:], j.subs[i+1:])
-				j.subs[len(j.subs)-1] = nil
-				j.subs = j.subs[:len(j.subs)-1]
-				break
-			}
-		}
-		j.mu.Unlock()
-	}
-	return ch, cancel, true
-}
-
-// Stream delivers merged progress events until the cluster job reaches
-// a terminal state and returns the final status. ctx aborts the
-// subscription, not the job.
-func (co *Coordinator) Stream(ctx context.Context, id string, fn func(service.ProgressEvent)) (service.JobStatus, error) {
-	ch, cancel, ok := co.Subscribe(id)
-	if !ok {
-		return service.JobStatus{}, service.ErrNotFound
-	}
-	defer cancel()
-	for {
-		select {
-		case <-ctx.Done():
-			return service.JobStatus{}, ctx.Err()
-		case ev, open := <-ch:
-			if !open {
-				return co.Status(ctx, id)
-			}
-			if fn != nil {
-				fn(ev)
-			}
-		}
-	}
+	j, _ := co.svc.Body(id).(*cjob)
+	return j
 }
 
 // Shards returns the per-shard placement state of a cluster job, for
@@ -1786,7 +1340,7 @@ func (co *Coordinator) Shards(id string) ([]ShardStatus, error) {
 // Stats sums the service counters of every reachable backend, fetched
 // concurrently so a dead backend costs one ProbeTimeout in total, not
 // per backend; it contributes nothing rather than failing the
-// aggregate.
+// aggregate. Uptime and version are the coordinator's own.
 func (co *Coordinator) Stats(ctx context.Context) (service.Stats, error) {
 	stats := make([]*service.Stats, len(co.backends))
 	var wg sync.WaitGroup
@@ -1805,7 +1359,8 @@ func (co *Coordinator) Stats(ctx context.Context) (service.Stats, error) {
 		}(i, b)
 	}
 	wg.Wait()
-	var out service.Stats
+	own := co.svc.Stats()
+	out := service.Stats{UptimeSeconds: own.UptimeSeconds, Version: own.Version}
 	for _, st := range stats {
 		if st == nil {
 			continue
@@ -1814,40 +1369,34 @@ func (co *Coordinator) Stats(ctx context.Context) (service.Stats, error) {
 		out.JobsDone += st.JobsDone
 		out.JobsFailed += st.JobsFailed
 		out.JobsCancelled += st.JobsCancelled
+		out.JobsDeduped += st.JobsDeduped
+		out.JobsRejected += st.JobsRejected
 		out.JobsRunning += st.JobsRunning
 		out.JobsQueued += st.JobsQueued
 		out.Workers += st.Workers
-		out.Registry.CircuitHits += st.Registry.CircuitHits
-		out.Registry.CircuitMisses += st.Registry.CircuitMisses
-		out.Registry.CircuitEvictions += st.Registry.CircuitEvictions
-		out.Registry.GoodHits += st.Registry.GoodHits
-		out.Registry.GoodMisses += st.Registry.GoodMisses
-		out.Registry.GoodEvictions += st.Registry.GoodEvictions
-		out.Registry.Circuits += st.Registry.Circuits
-		out.Registry.Goods += st.Registry.Goods
+		r, sr := &out.Registry, st.Registry
+		r.CircuitHits += sr.CircuitHits
+		r.CircuitMisses += sr.CircuitMisses
+		r.GoodHits += sr.GoodHits
+		r.GoodMisses += sr.GoodMisses
+		r.CircuitEvictions += sr.CircuitEvictions
+		r.GoodEvictions += sr.GoodEvictions
+		r.CompiledHits += sr.CompiledHits
+		r.CompiledMisses += sr.CompiledMisses
+		r.CompiledEvictions += sr.CompiledEvictions
+		r.Circuits += sr.Circuits
+		r.Goods += sr.Goods
+		r.Compiled += sr.Compiled
 	}
 	return out, nil
 }
 
-// Jobs returns the status of every cluster job in submission order.
-func (co *Coordinator) Jobs() []service.JobStatus {
-	co.mu.Lock()
-	ids := append([]string(nil), co.order...)
-	co.mu.Unlock()
-	out := make([]service.JobStatus, 0, len(ids))
-	for _, id := range ids {
-		if st, err := co.Status(context.Background(), id); err == nil {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// Close stops the membership re-probe loop and waits for every
-// submitted cluster job's orchestration to finish (cancel them first
-// for a fast shutdown).
+// Close waits for every job on the coordinator's engine to finish
+// (cancel them first for a fast shutdown), then stops the membership
+// re-probe loop.
 func (co *Coordinator) Close() error {
-	co.stopOnce.Do(func() { close(co.stop) })
+	co.svc.Close()
+	co.stop()
 	co.wg.Wait()
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -129,14 +130,18 @@ func canonical(t *testing.T, r *service.JobResult) string {
 func clusterGrade(t *testing.T, co *Coordinator, spec service.JobSpec) *service.JobResult {
 	t.Helper()
 	ctx := context.Background()
-	id, err := co.Submit(ctx, spec)
+	svc := co.Service()
+	id, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
 		t.Fatalf("cluster submit: %v", err)
 	}
 	lastBlock := -1
-	st, err := co.Stream(ctx, id, func(ev service.ProgressEvent) {
+	st, err := svc.Stream(ctx, id, func(ev service.ProgressEvent) {
 		if ev.Block != lastBlock+1 {
 			t.Errorf("merged stream skipped from block %d to %d", lastBlock, ev.Block)
+		}
+		if ev.JobID != id || ev.Kind != service.KindGrade {
+			t.Errorf("merged event names job %q kind %q, want %q kind %q", ev.JobID, ev.Kind, id, service.KindGrade)
 		}
 		lastBlock = ev.Block
 	})
@@ -146,7 +151,7 @@ func clusterGrade(t *testing.T, co *Coordinator, spec service.JobSpec) *service.
 	if st.State != service.StateDone {
 		t.Fatalf("cluster job %s: %s", st.State, st.Error)
 	}
-	res, err := co.Result(ctx, id)
+	res, err := svc.Result(id)
 	if err != nil {
 		t.Fatalf("cluster result: %v", err)
 	}
@@ -186,7 +191,7 @@ func TestClusterBitIdentical(t *testing.T) {
 				// 4) shards per healthy backend, and on an all-healthy run
 				// every shard completes its single attempt with no steals
 				// or speculation.
-				shards, err := co.Shards("c1")
+				shards, err := co.Shards(res.ID)
 				if err != nil || len(shards) != 4*n {
 					t.Fatalf("shards: %v, %v (want %d)", shards, err, 4*n)
 				}
@@ -291,7 +296,7 @@ func TestClusterBackendDeathMidJob(t *testing.T) {
 	if !dying.isDead() {
 		t.Fatal("the dying backend never received its shard")
 	}
-	shards, err := co.Shards("c1")
+	shards, err := co.Shards(res.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,13 +314,13 @@ func TestClusterBackendDeathMidJob(t *testing.T) {
 	// The incident must be visible on the observability surface too:
 	// the re-placement counter matches the per-shard retry totals, the
 	// merged result records when the fan-out ran and what the merge
-	// cost, and the terminal counter settled on done.
-	exp := scrapeRegistry(t, co.Metrics())
+	// cost, and the engine's terminal counter settled on done.
+	exp := scrapeRegistry(t, co.Service().Metrics())
 	if got := seriesValue(t, exp, "adifo_cluster_shard_retries_total"); got != float64(retried) {
 		t.Errorf("adifo_cluster_shard_retries_total = %v, shards report %d retries", got, retried)
 	}
-	if got := seriesValue(t, exp, `adifo_cluster_jobs_total{status="done"}`); got != 1 {
-		t.Errorf(`adifo_cluster_jobs_total{status="done"} = %v, want 1`, got)
+	if got := seriesValue(t, exp, `adifo_jobs_total{kind="grade",status="done"}`); got != 1 {
+		t.Errorf(`adifo_jobs_total{kind="grade",status="done"} = %v, want 1`, got)
 	}
 	if got := seriesValue(t, exp, "adifo_cluster_merge_seconds_count"); got != 1 {
 		t.Errorf("adifo_cluster_merge_seconds_count = %v, want 1", got)
@@ -358,11 +363,12 @@ func TestClusterFlappingExcluded(t *testing.T) {
 
 	// The dying backend is now flapping: the next job must be sharded
 	// across the two survivors only, without probing timeouts.
-	id, err := co.Submit(context.Background(), spec)
+	svc := co.Service()
+	id, err := svc.SubmitContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := co.Stream(context.Background(), id, nil); err != nil || st.State != service.StateDone {
+	if st, err := svc.Stream(context.Background(), id, nil); err != nil || st.State != service.StateDone {
 		t.Fatalf("second job: %+v, %v", st, err)
 	}
 	shards, err := co.Shards(id)
@@ -377,7 +383,7 @@ func TestClusterFlappingExcluded(t *testing.T) {
 			t.Fatalf("shard %d placed on the flapping backend", sh.Index)
 		}
 	}
-	res, err := co.Result(context.Background(), id)
+	res, err := svc.Result(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +393,7 @@ func TestClusterFlappingExcluded(t *testing.T) {
 
 	// Every skip of the flapping backend — during placement and during
 	// probing — lands on its exclusion counter.
-	exp := scrapeRegistry(t, co.Metrics())
+	exp := scrapeRegistry(t, svc.Metrics())
 	series := `adifo_cluster_backend_exclusions_total{backend="` + dsrv.URL + `"}`
 	if got := seriesValue(t, exp, series); got < 1 {
 		t.Errorf("%s = %v, want >= 1", series, got)
@@ -413,50 +419,52 @@ func TestClusterBackendDrainRetries(t *testing.T) {
 	defer co.Close()
 
 	ctx := context.Background()
-	id, err := co.Submit(ctx, spec)
+	svc := co.Service()
+	id, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cancel backend 1's sub-job directly, exactly what its Drain()
-	// would do on SIGTERM. Only the canary is guaranteed placed when
-	// Submit returns — the dispatch loops place the rest — so poll
-	// until a shard lands on backend 1.
+	// Cancel a sub-job on backend 1 directly, exactly what its Drain()
+	// would do on SIGTERM. Look for it on the backend itself: under
+	// load the coordinator can learn a sub-job's id only once the
+	// sub-job is done.
 	drained := -1
 	deadline := time.Now().Add(5 * time.Second)
 	for drained < 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no shard placed on backend 1")
+			t.Fatal("no shard ran on backend 1")
 		}
-		shards, err := co.Shards(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sh := range shards {
-			if sh.Backend == urls[1] && sh.RemoteID != "" && sh.State == service.StateRunning {
-				if _, err := svcs[1].Cancel(sh.RemoteID); err != nil {
-					// The sub-job can finish between the Shards snapshot
-					// and the cancel — small shards are quick. Try the
-					// next running one.
-					if errors.Is(err, service.ErrFinished) || errors.Is(err, service.ErrNotFound) {
-						continue
-					}
-					t.Fatalf("backend-side cancel: %v", err)
-				}
-				drained = sh.Index
-				break
+		for _, js := range svcs[1].Jobs() {
+			if js.State != service.StateRunning {
+				continue
 			}
+			if _, err := svcs[1].Cancel(js.ID); err != nil {
+				// The sub-job can finish between the Jobs snapshot and
+				// the cancel — small shards are quick. Try the next
+				// running one.
+				if errors.Is(err, service.ErrFinished) || errors.Is(err, service.ErrNotFound) {
+					continue
+				}
+				t.Fatalf("backend-side cancel: %v", err)
+			}
+			// A cancel that lands in the last block lets it finish.
+			if st, err := svcs[1].Stream(ctx, js.ID, nil); err != nil || st.State != service.StateCancelled {
+				continue
+			}
+			drained = js.FaultShard.Index
+			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	st, err := co.Stream(ctx, id, nil)
+	st, err := svc.Stream(ctx, id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != service.StateDone {
 		t.Fatalf("cluster job after backend drain: %s (%s), want done", st.State, st.Error)
 	}
-	res, err := co.Result(ctx, id)
+	res, err := svc.Result(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +551,8 @@ func TestClusterCancel(t *testing.T) {
 	ctx := context.Background()
 	wctx, stop := context.WithTimeout(ctx, 30*time.Second)
 	defer stop()
-	id, err := co.Submit(ctx, service.JobSpec{
+	csvc := co.Service()
+	id, err := csvc.SubmitContext(ctx, service.JobSpec{
 		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
 		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1 << 16, Seed: 1}},
 	})
@@ -557,7 +566,7 @@ func TestClusterCancel(t *testing.T) {
 			t.Fatalf("backend %d never received a sub-job", i)
 		}
 	}
-	if _, err := co.Cancel(ctx, id); err != nil {
+	if _, err := csvc.Cancel(id); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	live := make([][]string, n) // per backend: sub-jobs not terminal once Cancel returned
@@ -574,19 +583,19 @@ func TestClusterCancel(t *testing.T) {
 		t.Fatal("no sub-job was live at Cancel: nothing exercised the fan-out")
 	}
 
-	st, err := co.Stream(ctx, id, nil)
+	st, err := csvc.Stream(ctx, id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != service.StateCancelled {
 		t.Fatalf("stream of cancelled cluster job ended with %q", st.State)
 	}
-	if _, err := co.Result(ctx, id); !errors.Is(err, service.ErrCancelled) {
+	if _, err := csvc.Result(id); !errors.Is(err, service.ErrCancelled) {
 		t.Fatalf("result of cancelled job: %v, want ErrCancelled", err)
 	}
 	// Cancel is idempotent; a second cancel reports the state without
 	// error.
-	if st, err := co.Cancel(ctx, id); err != nil || st.State != service.StateCancelled {
+	if st, err := csvc.Cancel(id); err != nil || st.State != service.StateCancelled {
 		t.Fatalf("second cancel: %+v, %v", st, err)
 	}
 
@@ -658,8 +667,8 @@ func (hs *heldSubmit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // it must not leave it running: the backend must receive a DELETE for
 // it and the sub-job must end cancelled.
 func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
-	// One job slot: the held sub-job queues behind the canary's and
-	// cannot finish before its cancel arrives.
+	// One job slot: one sub-job runs while the other queues, and the
+	// held one cannot finish before its cancel arrives.
 	svc := service.New(service.Config{MaxConcurrentJobs: 1, Logger: quiet})
 	hold := &heldSubmit{h: svc.Handler(), n: 2, held: make(chan string, 1), release: make(chan struct{})}
 	log := newBackendLog()
@@ -668,7 +677,7 @@ func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
 		srv.Close()
 		svc.Close()
 	})
-	// Two shards on one backend: POST 1 is the canary, POST 2 shard 1.
+	// Two shards on one backend: the second POST to arrive is held.
 	co, err := New([]string{srv.URL}, Options{Logger: quiet, ShardsPerBackend: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -679,7 +688,8 @@ func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
 	ctx := context.Background()
 	wctx, stop := context.WithTimeout(ctx, 10*time.Second)
 	defer stop()
-	id, err := co.Submit(ctx, service.JobSpec{
+	csvc := co.Service()
+	id, err := csvc.SubmitContext(ctx, service.JobSpec{
 		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
 		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1 << 16, Seed: 1}},
 	})
@@ -690,9 +700,9 @@ func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
 	select {
 	case rid = <-hold.held:
 	case <-wctx.Done():
-		t.Fatal("shard 1 was never submitted")
+		t.Fatal("the second shard was never submitted")
 	}
-	if _, err := co.Cancel(ctx, id); err != nil {
+	if _, err := csvc.Cancel(id); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	select {
@@ -715,7 +725,7 @@ func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
 	if st, _ := svc.Status(rid); st.State != service.StateCancelled {
 		t.Fatalf("sub-job %s ended %s, want cancelled", rid, st.State)
 	}
-	if st, err := co.Stream(wctx, id, nil); err != nil || st.State != service.StateCancelled {
+	if st, err := csvc.Stream(wctx, id, nil); err != nil || st.State != service.StateCancelled {
 		t.Fatalf("cluster job: %+v, %v; want cancelled", st, err)
 	}
 	// Cutting the submit off was the coordinator's own doing, not a
@@ -735,17 +745,18 @@ func TestClusterSubmitValidation(t *testing.T) {
 	}
 	defer co.Close()
 	ctx := context.Background()
+	svc := co.Service()
 
-	if _, err := co.Submit(ctx, service.JobSpec{Circuit: "c17",
+	if _, err := svc.SubmitContext(ctx, service.JobSpec{Circuit: "c17",
 		Patterns: service.PatternSpec{Exhaustive: true}}); err == nil {
 		t.Fatal("missing mode must be rejected")
 	}
-	if _, err := co.Submit(ctx, service.JobSpec{Circuit: "c17", Mode: "nodrop",
+	if _, err := svc.SubmitContext(ctx, service.JobSpec{Circuit: "c17", Mode: "nodrop",
 		Patterns:   service.PatternSpec{Exhaustive: true},
 		FaultShard: &service.FaultShard{Index: 0, Count: 2}}); err == nil {
 		t.Fatal("caller-supplied fault_shard must be rejected")
 	}
-	if _, err := co.Submit(ctx, service.JobSpec{Circuit: "c17", Mode: "drop",
+	if _, err := svc.SubmitContext(ctx, service.JobSpec{Circuit: "c17", Mode: "drop",
 		Patterns:       service.PatternSpec{Exhaustive: true},
 		StopAtCoverage: 0.5}); err == nil {
 		t.Fatal("stop_at_coverage must be rejected on a cluster")
@@ -756,45 +767,49 @@ func TestClusterSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := down.Submit(ctx, service.JobSpec{Circuit: "c17", Mode: "nodrop",
+	if _, err := down.Service().SubmitContext(ctx, service.JobSpec{Circuit: "c17", Mode: "nodrop",
 		Patterns: service.PatternSpec{Exhaustive: true}}); err == nil {
 		t.Fatal("submit with no healthy backends must fail")
 	}
 }
 
 func TestClusterErrorsContract(t *testing.T) {
-	urls, _ := newBackends(t, 2)
+	urls, backends := newBackends(t, 2)
 	co, err := New(urls, Options{Logger: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
 	ctx := context.Background()
-	if _, err := co.Status(ctx, "c99"); !errors.Is(err, service.ErrNotFound) {
-		t.Fatalf("status: %v, want ErrNotFound", err)
+	svc := co.Service()
+	if _, ok := svc.Status("j99"); ok {
+		t.Fatal("status of an unknown job found")
 	}
-	if _, err := co.Result(ctx, "c99"); !errors.Is(err, service.ErrNotFound) {
+	if _, err := svc.Result("j99"); !errors.Is(err, service.ErrNotFound) {
 		t.Fatalf("result: %v, want ErrNotFound", err)
 	}
-	if _, err := co.Cancel(ctx, "c99"); !errors.Is(err, service.ErrNotFound) {
+	if _, err := svc.Cancel("j99"); !errors.Is(err, service.ErrNotFound) {
 		t.Fatalf("cancel: %v, want ErrNotFound", err)
 	}
-	id, err := co.Submit(ctx, service.JobSpec{Circuit: "c17", Mode: "nodrop",
+	if _, err := co.Shards("j99"); !errors.Is(err, service.ErrNotFound) {
+		t.Fatalf("shards: %v, want ErrNotFound", err)
+	}
+	id, err := svc.SubmitContext(ctx, service.JobSpec{Circuit: "c17", Mode: "nodrop",
 		Patterns: service.PatternSpec{Exhaustive: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Result(ctx, id); err != nil && !errors.Is(err, service.ErrNotDone) {
+	if _, err := svc.Result(id); err != nil && !errors.Is(err, service.ErrNotDone) {
 		t.Fatalf("result of running job: %v, want nil-or-ErrNotDone", err)
 	}
-	if st, err := co.Stream(ctx, id, nil); err != nil || st.State != service.StateDone {
+	if st, err := svc.Stream(ctx, id, nil); err != nil || st.State != service.StateDone {
 		t.Fatalf("stream: %+v, %v", st, err)
 	}
-	if _, err := co.Cancel(ctx, id); !errors.Is(err, service.ErrFinished) {
+	if _, err := svc.Cancel(id); !errors.Is(err, service.ErrFinished) {
 		t.Fatalf("cancel finished: %v, want ErrFinished", err)
 	}
-	if len(co.Jobs()) != 1 {
-		t.Fatalf("jobs = %d, want 1", len(co.Jobs()))
+	if len(svc.Jobs()) != 1 {
+		t.Fatalf("jobs = %d, want 1", len(svc.Jobs()))
 	}
 	st, err := co.Stats(ctx)
 	if err != nil {
@@ -805,6 +820,36 @@ func TestClusterErrorsContract(t *testing.T) {
 	}
 	if st.Workers <= 0 {
 		t.Fatalf("summed backend stats Workers = %d, want > 0 (capacity hints feed placement)", st.Workers)
+	}
+	// Every other field is the sum over the backends too, except the
+	// coordinator's own uptime and version.
+	var want service.Stats
+	for _, b := range backends {
+		addFields(reflect.ValueOf(&want).Elem(), reflect.ValueOf(b.Stats()))
+	}
+	if st.Version != obs.Version || st.UptimeSeconds <= 0 {
+		t.Errorf("summed stats version %q, uptime %v; want the coordinator's %q and > 0", st.Version, st.UptimeSeconds, obs.Version)
+	}
+	got := st
+	got.Version, got.UptimeSeconds = "", 0
+	if got != want {
+		t.Errorf("summed stats differ from the sum over the backends\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// addFields adds every integer field of src into dst, recursing into
+// nested structs; other fields are left alone.
+func addFields(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		d, s := dst.Field(i), src.Field(i)
+		switch d.Kind() {
+		case reflect.Struct:
+			addFields(d, s)
+		case reflect.Int:
+			d.SetInt(d.Int() + s.Int())
+		case reflect.Uint64:
+			d.SetUint(d.Uint() + s.Uint())
+		}
 	}
 }
 
@@ -867,16 +912,16 @@ func TestClusterRejectsNonGradeKinds(t *testing.T) {
 		{Kind: service.KindADIOrder, Circuit: "c17", Patterns: pat, Order: &service.OrderSpec{Kind: "decr"}},
 		{Kind: "mystery", Circuit: "c17", Patterns: pat},
 	} {
-		if _, err := co.Submit(context.Background(), spec); !errors.Is(err, service.ErrUnsupportedKind) {
+		if _, err := co.Service().SubmitContext(context.Background(), spec); !errors.Is(err, service.ErrUnsupportedKind) {
 			t.Errorf("Submit(kind %q) = %v, want ErrUnsupportedKind", spec.Kind, err)
 		}
 	}
 	// The kind-less default still shards as a grade job.
-	id, err := co.Submit(context.Background(), service.JobSpec{Circuit: "c17", Mode: "drop", Patterns: pat})
+	id, err := co.Service().SubmitContext(context.Background(), service.JobSpec{Circuit: "c17", Mode: "drop", Patterns: pat})
 	if err != nil {
 		t.Fatalf("kind-less grade submit: %v", err)
 	}
-	if st, err := co.Stream(context.Background(), id, nil); err != nil || st.State != service.StateDone {
+	if st, err := co.Service().Stream(context.Background(), id, nil); err != nil || st.State != service.StateDone {
 		t.Fatalf("cluster grade job ended %v, %v", st.State, err)
 	}
 }

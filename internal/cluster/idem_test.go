@@ -9,8 +9,8 @@ import (
 )
 
 // TestClusterCallerIdempotencyKey: a caller-supplied idempotency key
-// dedupes at the coordinator — the second submit answers with the
-// first cluster job instead of fanning out again — and the key is
+// dedupes at the coordinator's engine — the second submit answers with
+// the first cluster job instead of fanning out again — and the key is
 // consumed rather than forwarded (every sub-job carries a
 // coordinator-minted shard key, so backends never collapse distinct
 // shards into one sub-job).
@@ -29,18 +29,19 @@ func TestClusterCallerIdempotencyKey(t *testing.T) {
 		IdempotencyKey: "caller-1",
 		Patterns:       service.PatternSpec{Random: &service.RandomSpec{N: 256, Seed: 5}},
 	}
-	id1, err := co.Submit(ctx, spec)
+	svc := co.Service()
+	id1, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := co.Submit(ctx, spec)
+	id2, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id1 != id2 {
 		t.Fatalf("caller key did not dedupe: %s vs %s", id1, id2)
 	}
-	if _, err := co.Stream(ctx, id1, nil); err != nil {
+	if _, err := svc.Stream(ctx, id1, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,10 +16,9 @@ import (
 // duplicates replay identical per-block stats (grading is
 // deterministic), so a track tolerates multiple concurrent reporters:
 // replayed blocks below the frontier only fill holes, and the merged
-// feed never regresses and never double-counts.
+// feed never regresses and never double-counts. The engine stamps the
+// job's id and kind on every merged event it publishes.
 type merger struct {
-	jobID string
-
 	mu      sync.Mutex
 	tracks  []shardTrack
 	emitted int // merged events emitted so far (== blocks fully merged)
@@ -30,8 +29,8 @@ type shardTrack struct {
 	done       bool
 	blocksDone int
 	hist       map[int]blockStat
-	// last is the most recent stat, used to fill gaps: progress events
-	// are advisory (a slow consumer may miss blocks), so a skipped
+	// last is the most recent stat, used to fill gaps: a stream sees
+	// only the blocks after it attached to its sub-job, so a skipped
 	// block inherits the previous counters instead of merging zeros.
 	last  blockStat
 	final blockStat
@@ -43,8 +42,8 @@ type blockStat struct {
 	active      int
 }
 
-func newMerger(jobID string, count int) *merger {
-	m := &merger{jobID: jobID, tracks: make([]shardTrack, count)}
+func newMerger(count int) *merger {
+	m := &merger{tracks: make([]shardTrack, count)}
 	for i := range m.tracks {
 		m.tracks[i].hist = make(map[int]blockStat)
 	}
@@ -141,8 +140,6 @@ func (m *merger) collectLocked() []service.ProgressEvent {
 			break
 		}
 		out = append(out, service.ProgressEvent{
-			JobID:       m.jobID,
-			State:       service.StateRunning,
 			Block:       b,
 			Blocks:      m.blocks,
 			VectorsUsed: st.vectorsUsed,

@@ -15,7 +15,6 @@ type clusterMetrics struct {
 	shardRetries     *obs.Counter
 	exclusions       *obs.CounterVec // backend
 	mergeSeconds     *obs.Histogram
-	jobsTotal        *obs.CounterVec // status (terminal only)
 	shardsStolen     *obs.Counter
 	shardsSpeculated *obs.Counter
 	speculationWins  *obs.Counter
@@ -33,11 +32,6 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 		"backend")
 	m.mergeSeconds = reg.Histogram("adifo_cluster_merge_seconds",
 		"Time to merge all shard results into the final JobResult.", nil)
-	m.jobsTotal = reg.CounterVec("adifo_cluster_jobs_total",
-		"Cluster jobs reaching a terminal state, by status.", "status")
-	for _, st := range []string{"done", "failed", "cancelled"} {
-		m.jobsTotal.With(st)
-	}
 	m.shardsStolen = reg.Counter("adifo_cluster_shards_stolen_total",
 		"Shards stolen from a backlogged backend before their sub-job made progress.")
 	m.shardsSpeculated = reg.Counter("adifo_cluster_shards_speculated_total",

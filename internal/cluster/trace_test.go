@@ -31,7 +31,7 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
 		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 2048, Seed: 5}},
 	}
-	urls, svcs := newBackends(t, 2)
+	urls, backends := newBackends(t, 2)
 	dying := &dyingBackend{}
 	dsrv := httptest.NewServer(dying)
 	defer dsrv.Close()
@@ -49,11 +49,12 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 	}
 	tid := caller.TraceID.String()
 	ctx := trace.ContextWithRemote(context.Background(), caller)
-	id, err := co.Submit(ctx, spec)
+	svc := co.Service()
+	id, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := co.Stream(context.Background(), id, nil)
+	st, err := svc.Stream(context.Background(), id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 	if st.TraceID != tid {
 		t.Errorf("terminal status TraceID = %q, want caller's %q", st.TraceID, tid)
 	}
-	res, err := co.Result(context.Background(), id)
+	res, err := svc.Result(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +73,10 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 	}
 
 	// The coordinator's recorder holds the whole fan-out as one trace.
-	td, ok := co.Traces().Trace(tid)
-	if !ok {
-		t.Fatalf("coordinator recorder has no trace %s", tid)
-	}
-	if td.Root != "cluster.grade" {
-		t.Errorf("trace root = %q, want cluster.grade", td.Root)
+	// The root span ends just after the stream closes; poll briefly.
+	td := waitTrace(t, svc.Traces(), tid)
+	if td.Root != "job.grade" {
+		t.Errorf("trace root = %q, want job.grade", td.Root)
 	}
 	var shardSpans, failedShards, reruns, merges int
 	for _, sp := range td.Spans {
@@ -111,7 +110,7 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 
 	// The tree endpoint serves the same trace nested under one root.
 	rr := httptest.NewRecorder()
-	co.Traces().Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/traces/"+tid, nil))
+	svc.Traces().Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/traces/"+tid, nil))
 	if rr.Code != 200 {
 		t.Fatalf("GET /debug/traces/%s: HTTP %d", tid, rr.Code)
 	}
@@ -124,8 +123,8 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &tree); err != nil {
 		t.Fatalf("tree endpoint returned unparseable JSON: %v", err)
 	}
-	if tree.TraceID != tid || tree.Root != "cluster.grade" || len(tree.Tree) != 1 {
-		t.Errorf("tree = {trace_id %q, root %q, %d roots}, want {%q, cluster.grade, 1}",
+	if tree.TraceID != tid || tree.Root != "job.grade" || len(tree.Tree) != 1 {
+		t.Errorf("tree = {trace_id %q, root %q, %d roots}, want {%q, job.grade, 1}",
 			tree.TraceID, tree.Root, len(tree.Tree), tid)
 	}
 	if tree.Spans != len(td.Spans) {
@@ -133,25 +132,30 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 	}
 
 	// Both surviving backends recorded their sub-jobs under the same
-	// trace id — the context crossed the wire. A backend's root span
-	// ends just after its stream closes; poll briefly.
-	for i, svc := range svcs {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, ok := svc.Traces().Trace(tid); ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("backend %d recorder never completed trace %s", i, tid)
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	// trace id — the context crossed the wire.
+	for _, b := range backends {
+		waitTrace(t, b.Traces(), tid)
 	}
 
 	// The coordinator's own log lines carry the trace id — one grep
 	// correlates logs with the recorder.
 	if !strings.Contains(logs.String(), "trace_id="+tid) {
 		t.Errorf("coordinator logs carry no trace_id=%s:\n%s", tid, logs.String())
+	}
+}
+
+// waitTrace polls rec until it has completed trace tid: an engine ends
+// a job's root span just after the job's stream closes.
+func waitTrace(t *testing.T, rec *trace.Recorder, tid string) *trace.TraceData {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if td, ok := rec.Trace(tid); ok {
+			return td
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recorder never completed trace %s", tid)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -222,15 +222,16 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 	}
 
 	// A done job to provoke "finished" and a cancelled one for
-	// "cancelled".
+	// "cancelled". The cancelled job is long enough (1024 blocks) that
+	// it cannot finish before the cancel reaches it.
 	doneID, err := s.Submit(JobSpec{Circuit: "c17", Mode: "drop",
 		Patterns: PatternSpec{Random: &RandomSpec{N: 64, Seed: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitTerminal(t, s, doneID)
-	cancelledID, err := s.Submit(JobSpec{Circuit: "c17", Mode: "drop",
-		Patterns: PatternSpec{Random: &RandomSpec{N: 64, Seed: 2}}})
+	cancelledID, err := s.Submit(JobSpec{Circuit: "c17", Mode: "nodrop",
+		Patterns: PatternSpec{Random: &RandomSpec{N: 1 << 16, Seed: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -227,9 +228,11 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStream writes one JSON line per block barrier as the job runs
+// handleStream writes one JSON line per progress event as the job runs
 // and a final JobStatus line when it reaches a terminal state
 // (including cancellation, whose final line reads state "cancelled").
+// The subscription precedes the response header, so a client that has
+// the header misses no event.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ch, cancel, ok := s.Subscribe(id)
@@ -250,29 +253,29 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	for {
-		select {
-		case <-r.Context().Done():
+	// A failed write ends the stream: stop cuts follow short.
+	ctx, stop := context.WithCancel(r.Context())
+	defer stop()
+	st, err := s.follow(ctx, id, ch, func(ev ProgressEvent) {
+		if ctx.Err() != nil {
 			return
-		case ev, open := <-ch:
-			if !open {
-				if st, ok := s.Status(id); ok {
-					if err := enc.Encode(st); err != nil {
-						s.met.writeErrors.Inc()
-						s.logger.Warn("encoding final stream status failed", "job", id, "err", err)
-					}
-				}
-				flush()
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				s.met.writeErrors.Inc()
-				s.logger.Warn("encoding stream event failed", "job", id, "err", err)
-				return
-			}
-			flush()
 		}
+		if err := enc.Encode(ev); err != nil {
+			s.met.writeErrors.Inc()
+			s.logger.Warn("encoding stream event failed", "job", id, "err", err)
+			stop()
+			return
+		}
+		flush()
+	})
+	if err != nil {
+		return
 	}
+	if err := enc.Encode(st); err != nil {
+		s.met.writeErrors.Inc()
+		s.logger.Warn("encoding final stream status failed", "job", id, "err", err)
+	}
+	flush()
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
+	"github.com/eda-go/adifo/internal/obs/trace"
 )
 
 // gradeKind is the original fault-grading workload: batch simulation
@@ -148,4 +150,57 @@ func buildResult(j *job, entry *CircuitEntry, faults *fault.List, shardLo, vecto
 		out.PerFault[fi] = fr
 	}
 	return out
+}
+
+// GradeFunc supplies the body of a service's grade jobs in place of
+// the local simulator: the cluster coordinator's engine fans each job
+// out across remote backends. Submit, and journal replay, call it once
+// the spec has validated; an error rejects the job as a spec error
+// does. The Body it returns must start no work before its Run.
+type GradeFunc func(ctx context.Context, spec JobSpec) (Body, error)
+
+// Body runs one grade job that a GradeFunc supplied. ctx is cancelled
+// by Cancel and Drain and carries the job's root span. The result is
+// non-nil when err is nil; an error wrapping ctx's error marks the job
+// cancelled, any other error fails it.
+type Body interface {
+	Run(ctx context.Context, r *Run) (*JobResult, error)
+}
+
+// Run is the engine's side of a running Body: the job's id and the
+// progress and phase records every job keeps.
+type Run struct {
+	ID string
+	j  *job
+}
+
+// Publish records one block's progress on the job's status and
+// delivers it, stamped with the job's id and kind, to every
+// subscriber.
+func (r *Run) Publish(ev ProgressEvent) { r.j.publishBlock(ev) }
+
+// Phase starts the stopwatch of one Timing.Phases entry, with a span
+// under the job's root span; calling stop records it.
+func (r *Run) Phase(name string) (stop func()) { return r.j.phase(name) }
+
+// bodyKind is a grade job whose body a GradeFunc supplied; it
+// validates exactly as grade does.
+type bodyKind struct {
+	gradeKind
+	body Body
+}
+
+func (k bodyKind) run(s *Service, j *job) (any, error) {
+	j.mu.Lock()
+	ctx := trace.ContextWithSpan(j.ctx, j.span)
+	j.mu.Unlock()
+	res, err := k.body.Run(ctx, &Run{ID: j.id, j: j})
+	if err != nil {
+		return nil, err
+	}
+	j.mu.Lock()
+	j.status.Circuit, j.status.Faults, j.status.Vectors = res.Circuit, res.Faults, res.Vectors
+	j.status.VectorsUsed, j.status.Detected = res.VectorsUsed, res.Detected
+	j.mu.Unlock()
+	return res, nil
 }

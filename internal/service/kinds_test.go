@@ -275,10 +275,10 @@ func TestAtpgProgressStream(t *testing.T) {
 func TestAtpgJobCancel(t *testing.T) {
 	s := New(Config{Logger: obs.Nop()})
 	defer s.Close()
-	// irs circuits take long enough to cancel reliably mid-run.
+	// Suite circuits take long enough to cancel reliably mid-run.
 	id, err := s.Submit(JobSpec{
 		Kind:     KindAtpg,
-		Circuit:  "irs1238",
+		Circuit:  "irs208",
 		Patterns: PatternSpec{Random: &RandomSpec{N: 2048, Seed: 3}},
 		Order:    &OrderSpec{Kind: "orig"},
 	})

@@ -228,7 +228,7 @@ func (s *Service) requeue(id string, p *replayedJob) {
 	var k jobKind
 	err := json.Unmarshal(p.submitted.Spec, &spec)
 	if err == nil {
-		k, err = s.validateSpec(spec)
+		k, err = s.kindFor(context.Background(), spec)
 	}
 	if err != nil {
 		err = fmt.Errorf("service: journal replay: job no longer runnable: %w", err)

@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -382,6 +383,10 @@ type Service struct {
 	// land in, served over /debug/traces by embedders.
 	traces *trace.Recorder
 
+	// grade, when set, supplies the body of every grade job (see
+	// GradeFunc).
+	grade GradeFunc
+
 	// schedCond signals the dispatcher goroutine that sched gained
 	// work (or schedClosed was set). It shares mu.
 	schedCond *sync.Cond
@@ -449,7 +454,7 @@ type job struct {
 	// job's result; the result endpoint serves it verbatim so a
 	// restart is byte-invisible to clients.
 	rawResult []byte
-	subs      []chan ProgressEvent
+	subs      []*subscriber
 }
 
 // New returns a ready service. It panics if Config.JournalDir is set
@@ -468,7 +473,11 @@ func New(cfg Config) *Service {
 // time any listener accepts traffic every pre-crash terminal job
 // answers result queries with byte-identical payloads and every job
 // that was queued or running is queued again.
-func Open(cfg Config) (*Service, error) {
+func Open(cfg Config) (*Service, error) { return OpenWithGrade(cfg, nil) }
+
+// OpenWithGrade is Open for a service whose grade jobs run the bodies
+// grade supplies in place of the local simulator.
+func OpenWithGrade(cfg Config, grade GradeFunc) (*Service, error) {
 	if cfg.SimWorkers <= 0 {
 		cfg.SimWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -497,6 +506,7 @@ func Open(cfg Config) (*Service, error) {
 		logger:  obs.Or(cfg.Logger),
 		metrics: obs.NewRegistry(),
 		now:     time.Now,
+		grade:   grade,
 	}
 	s.schedCond = sync.NewCond(&s.mu)
 	s.start = s.now()
@@ -585,6 +595,21 @@ func (s *Service) validateSpec(spec JobSpec) (jobKind, error) {
 	return k, nil
 }
 
+// kindFor validates spec and resolves the kind that runs it: on a
+// service opened with a GradeFunc, a grade job runs the body it
+// supplies.
+func (s *Service) kindFor(ctx context.Context, spec JobSpec) (jobKind, error) {
+	k, err := s.validateSpec(spec)
+	if _, grade := k.(gradeKind); err != nil || !grade || s.grade == nil {
+		return k, err
+	}
+	body, err := s.grade(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return bodyKind{body: body}, nil
+}
+
 // kindAllowed reports whether this server serves the given canonical
 // kind name (Config.Kinds empty = all).
 func (s *Service) kindAllowed(kindName string) bool {
@@ -619,9 +644,9 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 // from an incoming traceparent header), the job joins that trace;
 // otherwise a fresh trace id is minted. The context's cancellation does
 // NOT govern the job — jobs outlive their submit request by design and
-// are aborted through Cancel.
+// are aborted through Cancel — but it does bound a GradeFunc's call.
 func (s *Service) SubmitContext(ctx context.Context, spec JobSpec) (string, error) {
-	k, err := s.validateSpec(spec)
+	k, err := s.kindFor(ctx, spec)
 	if err != nil {
 		return "", err
 	}
@@ -801,6 +826,19 @@ func (s *Service) Status(id string) (JobStatus, bool) {
 	return j.status, true
 }
 
+// Body returns the Body a GradeFunc supplied for job id: nil for an
+// unknown id or a job the local simulator runs.
+func (s *Service) Body(id string) Body {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		return nil
+	}
+	bk, _ := j.kind.(bodyKind)
+	return bk.body
+}
+
 // Jobs returns the status of every known job in submission order.
 func (s *Service) Jobs() []JobStatus {
 	s.mu.Lock()
@@ -912,11 +950,12 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	return st, nil
 }
 
-// Subscribe returns a channel of per-block progress events for a job
-// and a cancel function. The channel closes when the job reaches a
-// terminal state (immediately for already-finished jobs). Events are
-// advisory: a slow consumer may miss intermediate blocks but the
-// channel close is always delivered.
+// Subscribe returns a channel of a job's progress events and a cancel
+// function. Every event the job publishes after the call arrives, in
+// order: events queue until the consumer reads them. The channel closes
+// once the job is terminal and the queue drained (immediately for an
+// already-finished job). A caller that stops reading before the close
+// must call cancel, which abandons the queue.
 func (s *Service) Subscribe(id string) (<-chan ProgressEvent, func(), bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -924,30 +963,135 @@ func (s *Service) Subscribe(id string) (<-chan ProgressEvent, func(), bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	ch := make(chan ProgressEvent, 16)
+	ch := make(chan ProgressEvent)
 	j.mu.Lock()
 	if terminal(j.status.State) {
-		close(ch)
-	} else {
-		j.subs = append(j.subs, ch)
-	}
-	j.mu.Unlock()
-	cancel := func() {
-		j.mu.Lock()
-		for i, c := range j.subs {
-			if c == ch {
-				// Nil the vacated tail slot so the backing array does
-				// not pin the channel (and its buffered events) after
-				// the subscriber is gone.
-				copy(j.subs[i:], j.subs[i+1:])
-				j.subs[len(j.subs)-1] = nil
-				j.subs = j.subs[:len(j.subs)-1]
-				break
-			}
-		}
 		j.mu.Unlock()
+		close(ch)
+		return ch, func() {}, true
+	}
+	sb := newSubscriber()
+	j.subs = append(j.subs, sb)
+	j.mu.Unlock()
+	go sb.pump(ch)
+	var once sync.Once
+	cancel := func() {
+		once.Do(func() {
+			close(sb.stop)
+			sb.finish()
+			j.mu.Lock()
+			j.subs = slices.DeleteFunc(j.subs, func(x *subscriber) bool { return x == sb })
+			j.mu.Unlock()
+		})
 	}
 	return ch, cancel, true
+}
+
+// subscriber queues one Subscribe caller's events without loss. A job
+// publishes a bounded number of events (one per block, plus one per
+// ATPG target), so the queue, formally unbounded, is bounded by the
+// job. A drop-on-full channel would lose blocks whenever the consumer
+// falls behind the job, as a cluster's merged feed does when a shard
+// rerun catches up in one burst.
+type subscriber struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []ProgressEvent
+	done  bool          // terminal: nothing more will be queued
+	stop  chan struct{} // closed on cancel: the consumer is gone
+}
+
+func newSubscriber() *subscriber {
+	sb := &subscriber{stop: make(chan struct{})}
+	sb.cond = sync.NewCond(&sb.mu)
+	return sb
+}
+
+// push appends one event to the queue; a no-op once the feed is
+// terminal.
+func (sb *subscriber) push(ev ProgressEvent) {
+	sb.mu.Lock()
+	if !sb.done {
+		sb.queue = append(sb.queue, ev)
+	}
+	sb.mu.Unlock()
+	sb.cond.Signal()
+}
+
+// finish marks the feed terminal; the pump drains what is already
+// queued and then closes the consumer channel.
+func (sb *subscriber) finish() {
+	sb.mu.Lock()
+	sb.done = true
+	sb.mu.Unlock()
+	sb.cond.Broadcast()
+}
+
+// next blocks until an event is queued or the feed is terminal and
+// drained.
+func (sb *subscriber) next() (ProgressEvent, bool) {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	for len(sb.queue) == 0 && !sb.done {
+		sb.cond.Wait()
+	}
+	if len(sb.queue) == 0 {
+		return ProgressEvent{}, false
+	}
+	ev := sb.queue[0]
+	sb.queue = sb.queue[1:]
+	return ev, true
+}
+
+// pump moves queued events into ch at the consumer's pace, so a
+// publisher never waits on a consumer. On cancel it abandons the
+// queue instead of blocking on a send nobody will receive.
+func (sb *subscriber) pump(ch chan<- ProgressEvent) {
+	defer close(ch)
+	for {
+		ev, ok := sb.next()
+		if !ok {
+			return
+		}
+		select {
+		case ch <- ev:
+		case <-sb.stop:
+			return
+		}
+	}
+}
+
+// Stream calls fn (when non-nil) with every progress event of job id,
+// in order, until the job reaches a terminal state, and returns its
+// final status. ctx aborts the subscription, not the job.
+func (s *Service) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
+	ch, cancel, ok := s.Subscribe(id)
+	if !ok {
+		return JobStatus{}, ErrNotFound
+	}
+	defer cancel()
+	return s.follow(ctx, id, ch, fn)
+}
+
+// follow is Stream on a subscription the caller already holds.
+func (s *Service) follow(ctx context.Context, id string, ch <-chan ProgressEvent, fn func(ProgressEvent)) (JobStatus, error) {
+	for {
+		select {
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		case ev, open := <-ch:
+			if !open {
+				st, ok := s.Status(id)
+				if !ok {
+					return JobStatus{}, ErrNotFound
+				}
+				return st, nil
+			}
+			if fn != nil {
+				fn(ev)
+			}
+		}
+	}
 }
 
 // Stats returns the service counters, including the registry cache
@@ -1184,8 +1328,8 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 		s.cancelled++
 	}
 	s.mu.Unlock()
-	for _, ch := range subs {
-		close(ch)
+	for _, sb := range subs {
+		sb.finish()
 	}
 	s.countTerminal(kind, state, started)
 	switch state {
@@ -1259,25 +1403,28 @@ func (s *Service) countTerminal(kind, state string, started bool) {
 	}
 }
 
-// publish pushes one block-barrier progress snapshot to the status and
-// to every subscriber. Sends never block: progress is advisory.
+// publish is the simulator's block-barrier progress callback.
 func (j *job) publish(p fsim.Progress) {
 	j.met.simBlocks.Inc()
-	j.mu.Lock()
-	j.status.BlocksDone = p.Block + 1
-	j.status.VectorsUsed = p.VectorsUsed
-	j.status.Detected = p.Detected
-	j.status.Active = p.Active
-	ev := ProgressEvent{
-		JobID:       j.id,
-		Kind:        j.status.Kind,
-		State:       StateRunning,
+	j.publishBlock(ProgressEvent{
 		Block:       p.Block,
 		Blocks:      p.Blocks,
 		VectorsUsed: p.VectorsUsed,
 		Detected:    p.Detected,
 		Active:      p.Active,
-	}
+	})
+}
+
+// publishBlock records one block's progress on the status and
+// delivers it to every subscriber.
+func (j *job) publishBlock(ev ProgressEvent) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.status.BlocksDone = ev.Block + 1
+	j.status.Blocks = ev.Blocks
+	j.status.VectorsUsed = ev.VectorsUsed
+	j.status.Detected = ev.Detected
+	j.status.Active = ev.Active
 	j.send(ev)
 }
 
@@ -1286,35 +1433,27 @@ func (j *job) publish(p fsim.Progress) {
 // attempt.
 func (j *job) publishGen(p tgen.Progress) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.status.TargetsDone = p.Done
 	j.status.Targets = p.Targets
 	j.status.Tests = p.Tests
 	j.status.Detected = p.Detected
 	j.status.Active = p.Active
-	ev := ProgressEvent{
-		JobID:    j.id,
-		Kind:     j.status.Kind,
-		State:    StateRunning,
+	j.send(ProgressEvent{
 		Target:   p.Done,
 		Targets:  p.Targets,
 		Tests:    p.Tests,
 		Detected: p.Detected,
 		Active:   p.Active,
-	}
-	j.send(ev)
+	})
 }
 
-// send delivers one event to every subscriber without blocking (a slow
-// consumer misses intermediate events, never the channel close).
-// Called with j.mu held; unlocks it.
+// send stamps ev with the job's identity and queues it for every
+// subscriber; queueing never blocks. Called with j.mu held.
 func (j *job) send(ev ProgressEvent) {
-	subs := append([]chan ProgressEvent(nil), j.subs...)
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default:
-		}
+	ev.JobID, ev.Kind, ev.State = j.id, j.status.Kind, StateRunning
+	for _, sb := range j.subs {
+		sb.push(ev)
 	}
 }
 

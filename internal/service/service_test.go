@@ -299,8 +299,7 @@ func TestSubscribeStreamsBlocks(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("job failed: %s", st.Error)
 	}
-	// Events are advisory (a slow consumer may drop some) but block
-	// indices must be strictly increasing and in range.
+	// Block indices must be strictly increasing and in range.
 	for i := 1; i < len(events); i++ {
 		if events[i].Block <= events[i-1].Block {
 			t.Fatalf("non-increasing block stream: %v then %v", events[i-1], events[i])

@@ -54,9 +54,7 @@ func (t *Timing) Snapshot() *Timing {
 	return &cp
 }
 
-// AddPhase accumulates d into phase name. The cluster coordinator uses
-// it to record the merge phase on its own jobs; in-process jobs record
-// phases through the engine's stopwatches instead.
+// AddPhase accumulates d into phase name.
 func (t *Timing) AddPhase(name string, d time.Duration) {
 	if t.Phases == nil {
 		t.Phases = make(map[string]float64, 4)
