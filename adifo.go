@@ -1,11 +1,12 @@
 package adifo
 
 import (
+	"fmt"
 	"io"
+	"os"
 
 	"github.com/eda-go/adifo/internal/benchdata"
 	"github.com/eda-go/adifo/internal/circuit"
-	"github.com/eda-go/adifo/internal/cli"
 	"github.com/eda-go/adifo/internal/experiments"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/gen"
@@ -57,7 +58,18 @@ const (
 // (irs208 … irs13207, generated and made irredundant exactly as the
 // paper's experiments do), and finally a path to an ISCAS-89 style
 // .bench file.
-func LoadCircuit(ref string) (*Circuit, error) { return cli.LoadCircuit(ref) }
+func LoadCircuit(ref string) (*Circuit, error) {
+	if c, err := experiments.LoadNamedCircuit(ref); err == nil {
+		return c, nil
+	}
+	f, err := os.Open(ref)
+	if err != nil {
+		return nil, fmt.Errorf("%q is neither an embedded circuit (%v), a suite name, nor a readable file: %w",
+			ref, benchdata.Names(), err)
+	}
+	defer f.Close()
+	return circuit.ParseBench(ref, f)
+}
 
 // IsNamedCircuit reports whether ref names an embedded benchmark or a
 // synthetic suite circuit — i.e. whether LoadCircuit would resolve it

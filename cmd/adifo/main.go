@@ -1,8 +1,12 @@
-// Command adifo is the Swiss-army tool of the library: circuit
+// Command adifo is the library's command-line tool: circuit
 // statistics, fault listing, ADI computation, fault-order inspection,
 // fault grading and test generation (in-process or against an adifod
-// server) on any circuit. It is built entirely on the public adifo
-// package — the same surface an external Go program uses.
+// server) on any circuit, plus the paper's evaluation and benchmark
+// suite. Every verb but repro and benchgen is built entirely on the
+// public adifo package — the same surface an external Go program
+// uses. repro and benchgen import internal/experiments and
+// internal/gen: they regenerate the paper's tables and emit its
+// synthetic suite, which the facade does not expose.
 //
 // Usage:
 //
@@ -11,11 +15,14 @@
 //	adifo adi    -circuit lion -exhaustive
 //	adifo order  -circuit lion -exhaustive -order dynm
 //	adifo order  -server http://localhost:8417 -circuit c17 -order dynm
-//	adifo gen    -circuit c17 -order dynm -n 256
+//	adifo gen    -circuit irs420 -order dynm -stop 0.9
 //	adifo gen    -server http://localhost:8417 -circuit my.bench -order 0dynm
 //	adifo grade  -circuit c17 -mode drop -n 256
 //	adifo grade  -server http://localhost:8417 -circuit my.bench
 //	adifo grade  -server http://hostA:8417 -server http://hostB:8417 -circuit irs1238
+//	adifo repro  -suite small              # Tables 1 and 4-7, Figure 1
+//	adifo repro  -table 5 -ablation
+//	adifo benchgen -out ./bench -suite small
 //
 // Repeating -server grades on a cluster: the fault universe is
 // sharded across the servers, each grades its shard against the full
@@ -23,9 +30,12 @@
 // run. Only grade jobs shard: gen and order accept a single -server
 // (ATPG and the dynamic orders are sequential over shared state).
 //
-// With -server, gen and order use exactly the requested vector set
-// (-n random vectors or -exhaustive) as U; without it, order keeps
-// its historical behavior of sizing U at the paper's target coverage.
+// U is the requested vector set (-n random vectors or -exhaustive),
+// the same set in-process and on a server. -stop c cuts it off after
+// the first 64-vector block that reaches fault coverage c, which is
+// how the paper sizes U (c = 0.9 over the default 10,000 vectors):
+// adi, order and gen cut U in-process, grade sends c to the engine,
+// and a server refuses it for remote gen and order.
 //
 // An interrupt (Ctrl-C) during grade or gen cancels the job — on the
 // server (or every cluster backend) when -server is set — and the
@@ -39,11 +49,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
+	"time"
 
 	"github.com/eda-go/adifo"
+	"github.com/eda-go/adifo/internal/experiments"
+	"github.com/eda-go/adifo/internal/gen"
 )
 
 func usage() {
@@ -56,12 +71,19 @@ commands:
   order    print a fault order (remotely with -server)
   gen      generate an ADI-ordered test set (remotely with -server)
   grade    fault-grade a circuit via the grading service
+  repro    regenerate the paper's tables and figure
+  benchgen write the synthetic suite as .bench files
+  (repro and benchgen use internal/experiments, not the public API)
 
 common flags:
   -circuit ref   embedded name (c17, s27, lion), suite name, or .bench path
   -exhaustive    use all 2^inputs vectors for U (inputs <= 20)
   -n, -seed      random vector count / seed for U
+  -stop c        cut U off once fault coverage reaches c (the paper
+                 uses 0.9); in-process for adi, order and gen, by the
+                 engine for grade; refused by a server for gen and order
   -order k       fault order: orig, incr0, decr, 0decr, dynm, 0dynm
+  -limit k       print at most k rows (0 = all)
 
 gen flags:
   -server url    adifod server to generate on (default: in-process)
@@ -78,6 +100,16 @@ grade flags:
   -block-width w simulation block width in patterns: 64, 256 or 512
                  (default 0 = the widest block the job justifies)
   -quiet         suppress per-block progress lines
+
+repro flags (none of -table, -figure, -ablation = Tables 1, 4-7 and Figure 1):
+  -suite s       full, small, or one suite circuit name
+  -table t       print table t: 1, 4, 5, 6 or 7
+  -figure 1      print figure 1 (coverage curves of irs420)
+  -ablation      print the design-choice ablations
+
+benchgen flags:
+  -out dir       output directory
+  -suite s       full, small, or one suite circuit name
 `)
 	os.Exit(2)
 }
@@ -88,6 +120,7 @@ type options struct {
 	exhaustive bool
 	n          int
 	seed       uint64
+	stop       float64
 	order      string
 	limit      int
 
@@ -98,6 +131,12 @@ type options struct {
 	blockWidth int
 	fillseed   uint64
 	quiet      bool
+
+	suite    string
+	table    int
+	figure   int
+	ablation bool
+	out      string
 }
 
 // serverList is the repeatable -server flag: one URL grades remotely,
@@ -125,6 +164,7 @@ func main() {
 	fs.BoolVar(&o.exhaustive, "exhaustive", false, "use all 2^inputs vectors")
 	fs.IntVar(&o.n, "n", adifo.DefaultUBudget, "random vector budget for U")
 	fs.Uint64Var(&o.seed, "seed", adifo.DefaultUSeed, "random vector seed")
+	fs.Float64Var(&o.stop, "stop", 0, "cut U off once this fraction of faults is detected (0 = never)")
 	fs.StringVar(&o.order, "order", "dynm", "fault order to print")
 	fs.IntVar(&o.limit, "limit", 0, "print at most this many rows (0 = all)")
 	fs.Var(&o.servers, "server", "adifod server URL, repeatable for a cluster (none = grade in-process)")
@@ -134,6 +174,11 @@ func main() {
 	fs.IntVar(&o.blockWidth, "block-width", 0, "simulation block width in patterns: 64, 256 or 512 (0 = auto)")
 	fs.Uint64Var(&o.fillseed, "fillseed", adifo.DefaultFillSeed, "seed for the ATPG's random fill of unspecified inputs")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-block progress lines")
+	fs.StringVar(&o.suite, "suite", "full", "circuit suite: full, small, or one circuit name")
+	fs.IntVar(&o.table, "table", 0, "table to regenerate: 1, 4, 5, 6 or 7")
+	fs.IntVar(&o.figure, "figure", 0, "figure to regenerate: 1")
+	fs.BoolVar(&o.ablation, "ablation", false, "run the design-choice ablations")
+	fs.StringVar(&o.out, "out", ".", "benchgen output directory")
 	fs.Parse(os.Args[2:])
 
 	if err := run(cmd, o); err != nil {
@@ -147,7 +192,11 @@ func run(cmd string, o options) error {
 	case "grade":
 		return grade(o, os.Stdout)
 	case "gen":
-		return gen(o, os.Stdout)
+		return genTests(o, os.Stdout)
+	case "repro":
+		return repro(o, os.Stdout)
+	case "benchgen":
+		return benchgen(o, os.Stdout)
 	case "order":
 		if len(o.servers) > 0 {
 			return orderRemote(o, os.Stdout)
@@ -186,7 +235,7 @@ func run(cmd string, o options) error {
 
 	case "adi", "order":
 		fl := adifo.Faults(c)
-		u, err := vectorSet(ctx, c, fl, o.exhaustive, o.n, o.seed)
+		u, err := vectorSet(ctx, fl, o)
 		if err != nil {
 			return err
 		}
@@ -230,7 +279,7 @@ func run(cmd string, o options) error {
 // when -server is set, otherwise the in-process engine behind the same
 // Grader interface — streams per-block progress and prints the result
 // summary. An interrupt cancels the job.
-func grade(o options, out *os.File) error {
+func grade(o options, out io.Writer) error {
 	ctx := context.Background()
 
 	var g adifo.Grader
@@ -327,6 +376,7 @@ func baseSpec(o options) adifo.JobSpec {
 	} else {
 		spec.Patterns.Random = &adifo.RandomSpec{N: o.n, Seed: o.seed}
 	}
+	spec.StopAtCoverage = o.stop
 	return spec
 }
 
@@ -348,7 +398,7 @@ type canceller interface {
 // cancelOnInterrupt installs a Ctrl-C handler that cancels job id on g
 // rather than abandoning it; the progress stream then terminates with
 // the cancelled status. The returned stop function uninstalls it.
-func cancelOnInterrupt(g canceller, id string, out *os.File) func() {
+func cancelOnInterrupt(g canceller, id string, out io.Writer) func() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	done := make(chan struct{})
@@ -389,10 +439,10 @@ func terminalError(id string, st adifo.JobStatus) error {
 	return fmt.Errorf("job %s ended in unexpected state %q", id, st.State)
 }
 
-// gen generates an ADI-ordered test set: in-process through the public
-// library by default, or as a remote atpg job when -server is set —
-// the two paths produce bit-identical test sets for equal inputs.
-func gen(o options, out *os.File) error {
+// genTests generates an ADI-ordered test set: in-process through the
+// public library by default, or as a remote atpg job when -server is
+// set — the two paths produce bit-identical test sets for equal inputs.
+func genTests(o options, out io.Writer) error {
 	kind, err := adifo.ParseOrder(o.order)
 	if err != nil {
 		return err
@@ -410,12 +460,16 @@ func gen(o options, out *os.File) error {
 		return err
 	}
 	fl := adifo.Faults(c)
-	u := rawVectorSet(c, o)
+	u, err := vectorSet(ctx, fl, o)
+	if err != nil {
+		return err
+	}
 	ix, err := adifo.ComputeADI(ctx, fl, u)
 	if err != nil {
 		return err
 	}
-	res, err := adifo.GenerateTests(ctx, fl, ix.Order(kind), adifo.WithFillSeed(o.fillseed))
+	res, err := adifo.GenerateTests(ctx, fl, ix.Order(kind),
+		adifo.WithFillSeed(o.fillseed), adifo.WithValidate(true))
 	if err != nil {
 		return err
 	}
@@ -429,7 +483,7 @@ func gen(o options, out *os.File) error {
 }
 
 // genRemote runs the gen verb against one adifod server.
-func genRemote(o options, kind adifo.OrderKind, out *os.File) error {
+func genRemote(o options, kind adifo.OrderKind, out io.Writer) error {
 	ctx := context.Background()
 	g := adifo.NewRemoteGenerator(o.servers[0], nil)
 	defer g.Close()
@@ -479,7 +533,7 @@ func genRemote(o options, kind adifo.OrderKind, out *os.File) error {
 
 // printGenSummary renders a generation outcome — local or remote, the
 // same layout — with at most limit test rows (0 = all).
-func printGenSummary(out *os.File, limit, tests, detected, faults int, coverage, ave float64,
+func printGenSummary(out io.Writer, limit, tests, detected, faults int, coverage, ave float64,
 	atpgCalls, backtracks int, test func(i int) (string, int)) {
 	fmt.Fprintf(out, "tests       %d, detected %d/%d (%.2f%%), AVE %.2f\n",
 		tests, detected, faults, 100*coverage, ave)
@@ -497,7 +551,7 @@ func printGenSummary(out *os.File, limit, tests, detected, faults int, coverage,
 // printTiming renders the server-side wall-clock record of a remote
 // job: queue wait, run time, and the per-phase breakdown in pipeline
 // order. Old servers send no timing; print nothing rather than zeros.
-func printTiming(out *os.File, t *adifo.JobTiming) {
+func printTiming(out io.Writer, t *adifo.JobTiming) {
 	if t == nil {
 		return
 	}
@@ -520,7 +574,7 @@ func printTiming(out *os.File, t *adifo.JobTiming) {
 // printTrace prints the job's distributed-trace id, the key into the
 // server's /debug/traces flight recorder (and into log lines, which
 // carry it as trace_id). Old servers send none; print nothing.
-func printTrace(out *os.File, traceID string) {
+func printTrace(out io.Writer, traceID string) {
 	if traceID == "" {
 		return
 	}
@@ -541,20 +595,9 @@ func vectorString(v adifo.Vector) string {
 	return string(b)
 }
 
-// rawVectorSet builds the vector set U without coverage sizing — the
-// set a remote job would use for the same flags, keeping the local and
-// remote gen paths bit-identical.
-func rawVectorSet(c *adifo.Circuit, o options) *adifo.PatternSet {
-	if o.exhaustive {
-		return adifo.ExhaustivePatterns(c.NumInputs())
-	}
-	return adifo.RandomPatterns(c.NumInputs(), o.n, o.seed)
-}
-
-// orderRemote runs the order verb as a remote adi_order job. Unlike
-// the in-process path it uses the raw requested vector set as U (no
-// coverage sizing), exactly like gen.
-func orderRemote(o options, out *os.File) error {
+// orderRemote runs the order verb as a remote adi_order job over the
+// requested vector set, the U the in-process path uses without -stop.
+func orderRemote(o options, out io.Writer) error {
 	kind, err := adifo.ParseOrder(o.order)
 	if err != nil {
 		return err
@@ -616,13 +659,124 @@ func orderRemote(o options, out *os.File) error {
 	return nil
 }
 
-// vectorSet builds the vector set U for the adi and order verbs: the
-// exhaustive set when requested, otherwise seeded random vectors sized
-// at the paper's target coverage.
-func vectorSet(ctx context.Context, c *adifo.Circuit, fl *adifo.FaultList, exhaustive bool, n int, seed uint64) (*adifo.PatternSet, error) {
-	if exhaustive {
-		return adifo.ExhaustivePatterns(c.NumInputs()), nil
+// vectorSet builds U for the adi, order and gen verbs: the exhaustive
+// set or -n seeded random vectors, cut off at coverage -stop when it
+// is set. It is the set a remote job gets for the same flags, and it
+// refuses what a server refuses.
+func vectorSet(ctx context.Context, fl *adifo.FaultList, o options) (*adifo.PatternSet, error) {
+	inputs := fl.Circuit.NumInputs()
+	var u *adifo.PatternSet
+	switch {
+	case !o.exhaustive:
+		u = adifo.RandomPatterns(inputs, o.n, o.seed)
+	case inputs > 20:
+		return nil, fmt.Errorf("exhaustive patterns limited to 20 inputs, circuit has %d", inputs)
+	default:
+		u = adifo.ExhaustivePatterns(inputs)
 	}
-	candidates := adifo.RandomPatterns(c.NumInputs(), n, seed)
-	return adifo.SizePatterns(ctx, fl, candidates, adifo.DefaultTargetCoverage)
+	if o.stop <= 0 {
+		return u, nil
+	}
+	return adifo.SizePatterns(ctx, fl, u, o.stop)
+}
+
+// repro prints the paper's evaluation over the -suite circuits: the
+// tables, figure and ablations that -table, -figure and -ablation
+// pick, or, with none of them, Tables 1 and 4-7 and Figure 1 in paper
+// order. Tables 5, 6 and 7 are projections of the same generation
+// runs, which execute once.
+func repro(o options, out io.Writer) error {
+	suite, err := gen.SelectSuite(o.suite)
+	if err != nil {
+		return err
+	}
+	switch o.table {
+	case 0, 1, 4, 5, 6, 7:
+	default:
+		return fmt.Errorf("unknown table %d (want 1, 4, 5, 6 or 7)", o.table)
+	}
+	if o.figure != 0 && o.figure != 1 {
+		return fmt.Errorf("unknown figure %d (want 1)", o.figure)
+	}
+	all := o.table == 0 && o.figure == 0 && !o.ablation
+	wantTable := func(n int) bool { return all || o.table == n }
+
+	if wantTable(1) {
+		_, text, err := experiments.Table1()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, text)
+	}
+	if wantTable(4) {
+		start := time.Now()
+		_, text, err := experiments.Table4(suite)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, text)
+		fmt.Fprintf(out, "(table 4 computed in %v)\n\n", time.Since(start).Round(time.Millisecond))
+	}
+	if wantTable(5) || wantTable(6) || wantTable(7) {
+		start := time.Now()
+		runs, err := experiments.RunSuite(suite)
+		if err != nil {
+			return err
+		}
+		if wantTable(5) {
+			_, text := experiments.Table5(runs)
+			fmt.Fprintln(out, text)
+		}
+		if wantTable(6) {
+			_, text := experiments.Table6(runs)
+			fmt.Fprintln(out, text)
+		}
+		if wantTable(7) {
+			_, text := experiments.Table7(runs)
+			fmt.Fprintln(out, text)
+		}
+		fmt.Fprintf(out, "(generation runs completed in %v)\n\n", time.Since(start).Round(time.Millisecond))
+	}
+	if all || o.figure == 1 {
+		_, text, err := experiments.Figure1(experiments.Figure1Circuit)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, text)
+	}
+	if o.ablation {
+		_, text, err := experiments.Ablation(suite)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, text)
+	}
+	return nil
+}
+
+// benchgen writes every -suite circuit, irredundant as the experiments
+// evaluate it, to <-out>/<name>.bench, so it can be inspected, archived
+// or fed to other tools.
+func benchgen(o options, out io.Writer) error {
+	suite, err := gen.SelectSuite(o.suite)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return err
+	}
+	for _, sc := range suite {
+		c, err := experiments.BuildSuiteCircuit(sc)
+		if err != nil {
+			return err
+		}
+		path := filepath.Join(o.out, sc.Name+".bench")
+		if err := os.WriteFile(path, []byte(adifo.BenchString(c)), 0o666); err != nil {
+			return err
+		}
+		st := c.ComputeStats()
+		fmt.Fprintf(out, "%s: %d inputs, %d outputs, %d gates, %d levels -> %s\n",
+			sc.Name, st.Inputs, st.Outputs, st.Gates, st.Levels, path)
+	}
+	return nil
 }

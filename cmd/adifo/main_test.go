@@ -2,16 +2,21 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"github.com/eda-go/adifo"
+	"github.com/eda-go/adifo/internal/experiments"
+	"github.com/eda-go/adifo/internal/gen"
 )
 
 func TestCommands(t *testing.T) {
@@ -94,6 +99,33 @@ func TestOrderBadName(t *testing.T) {
 	}
 }
 
+// TestExhaustiveTooWide: -exhaustive on a circuit with more than 20
+// inputs is an error in-process, as it is on a server, not a panic.
+func TestExhaustiveTooWide(t *testing.T) {
+	for _, cmd := range []string{"adi", "order", "gen"} {
+		o := options{circuit: "irs420", exhaustive: true, order: "dynm"}
+		if err := run(cmd, o); err == nil || !strings.Contains(err.Error(), "20 inputs") {
+			t.Errorf("%s -exhaustive on irs420 = %v", cmd, err)
+		}
+	}
+}
+
+// TestGenBadCircuit: gen refuses an unknown circuit.
+func TestGenBadCircuit(t *testing.T) {
+	o := options{circuit: "no-such-circuit", n: 10, seed: 1, order: "dynm", quiet: true}
+	if err := run("gen", o); err == nil {
+		t.Fatal("expected error for unknown circuit")
+	}
+}
+
+// TestGenBadOrder: gen refuses an unknown order before any work.
+func TestGenBadOrder(t *testing.T) {
+	o := options{circuit: "c17", n: 10, seed: 1, order: "bogus", quiet: true}
+	if err := run("gen", o); err == nil || !strings.Contains(err.Error(), "unknown order") {
+		t.Fatalf("gen -order bogus = %v", err)
+	}
+}
+
 func TestBadCircuit(t *testing.T) {
 	o := options{circuit: "nope", n: 10, seed: 1, order: "dynm"}
 	if err := run("stats", o); err != nil {
@@ -103,10 +135,59 @@ func TestBadCircuit(t *testing.T) {
 	t.Fatal("expected error for unknown circuit")
 }
 
+// TestGradeModes grades in-process in each mode; with -stop the engine
+// cuts a nodrop run off after the first block that reaches the
+// coverage.
+func TestGradeModes(t *testing.T) {
+	for _, mode := range []string{"drop", "nodrop", "ndetect"} {
+		o := options{circuit: "c17", mode: mode, n: 256, seed: 1, limit: 1, quiet: true}
+		if mode == "ndetect" {
+			o.ndet = 3
+		}
+		if err := grade(o, io.Discard); err != nil {
+			t.Fatalf("grade -mode %s: %v", mode, err)
+		}
+	}
+	for stop, want := range map[float64]string{
+		0:   "vectors     256 (256 simulated)",
+		0.5: "vectors     256 (64 simulated)",
+	} {
+		o := options{circuit: "c17", mode: "nodrop", n: 256, seed: 1, stop: stop, limit: 1, quiet: true}
+		var b strings.Builder
+		if err := grade(o, &b); err != nil {
+			t.Fatalf("grade -stop %v: %v", stop, err)
+		}
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("grade -stop %v: no %q in\n%s", stop, want, b.String())
+		}
+	}
+}
+
 func TestGradeBadMode(t *testing.T) {
 	o := options{circuit: "c17", mode: "bogus", n: 10, seed: 1, quiet: true}
 	if err := run("grade", o); err == nil {
 		t.Fatal("expected error for unknown mode")
+	}
+}
+
+// TestGradeBadModeRemote: an unknown mode is refused on one -server
+// and across a cluster, as it is in-process.
+func TestGradeBadModeRemote(t *testing.T) {
+	mk := func() *httptest.Server {
+		g := adifo.NewLocalGrader(adifo.GraderConfig{})
+		srv := httptest.NewServer(g.Handler())
+		t.Cleanup(func() {
+			srv.Close()
+			g.Close()
+		})
+		return srv
+	}
+	a, b := mk(), mk()
+	for _, servers := range []serverList{{a.URL}, {a.URL, b.URL}} {
+		o := options{circuit: "c17", mode: "bogus", n: 10, seed: 1, quiet: true, servers: servers}
+		if err := run("grade", o); err == nil {
+			t.Errorf("grade -mode bogus on %d server(s) succeeded", len(servers))
+		}
 	}
 }
 
@@ -135,7 +216,7 @@ func TestGenRemoteMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		if err := gen(o, f); err != nil {
+		if err := genTests(o, f); err != nil {
 			t.Fatalf("gen: %v", err)
 		}
 		data, err := os.ReadFile(f.Name())
@@ -248,5 +329,154 @@ func TestTerminalError(t *testing.T) {
 	f := terminalError("j1", adifo.JobStatus{State: adifo.JobFailed, Error: "x"})
 	if c == nil || f == nil || c.Error() == f.Error() {
 		t.Fatalf("cancelled %v and failed %v must be distinct non-nil errors", c, f)
+	}
+}
+
+// testRow matches one printed test: "t<i> <vector> (for f<target>)".
+var testRow = regexp.MustCompile(`^t\d+ +[01]+ \(for f\d+\)$`)
+
+// TestGenStopMatchesPaper: gen -stop 0.9 over the default 10,000
+// vectors sizes U the way the paper does, so on irs208 it prints the
+// dynm test set of the experiments' own run.
+func TestGenStopMatchesPaper(t *testing.T) {
+	o := options{circuit: "irs208", n: adifo.DefaultUBudget, seed: adifo.DefaultUSeed, stop: 0.9,
+		order: "dynm", fillseed: adifo.DefaultFillSeed}
+	var b strings.Builder
+	if err := genTests(o, &b); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if testRow.MatchString(line) {
+			got = append(got, line)
+		}
+	}
+
+	sc, _ := gen.SuiteByName("irs208")
+	setup, err := experiments.Prepare(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := experiments.RunCircuit(setup).Runs[adifo.Dynm]
+	var want []string
+	for i, v := range res.Tests {
+		want = append(want, fmt.Sprintf("t%-4d %s (for f%d)", i, vectorString(v), res.TargetOf[i]))
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("gen -stop 0.9 printed %d tests, the paper run has %d:\n%s", len(got), len(want), b.String())
+	}
+	if u := fmt.Sprintf("U %d vectors", setup.U.Len()); !strings.Contains(b.String(), u) {
+		t.Fatalf("gen -stop 0.9 output lacks %q:\n%s", u, b.String())
+	}
+}
+
+// TestGenStopRemoteRefused: -stop sizes U in-process only; a server
+// refuses it on a gen job as an invalid request.
+func TestGenStopRemoteRefused(t *testing.T) {
+	g := adifo.NewLocalGrader(adifo.GraderConfig{})
+	defer g.Close()
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	o := options{circuit: "c17", n: 96, seed: 7, stop: 0.9, order: "dynm", quiet: true,
+		servers: serverList{srv.URL}}
+	err := genTests(o, io.Discard)
+	var apiErr *adifo.APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != "invalid_request" {
+		t.Fatalf("gen -stop -server = %v, want an invalid_request error", err)
+	}
+}
+
+func TestReproTable1(t *testing.T) {
+	var b strings.Builder
+	if err := repro(options{suite: "small", table: 1}, &b); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := experiments.Table1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != want+"\n" {
+		t.Fatalf("repro -table 1 printed:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+func TestReproFigure1(t *testing.T) {
+	var b strings.Builder
+	if err := repro(options{suite: "small", figure: 1}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.HasPrefix(out, "Figure 1: Fault coverage curve for irs420") || strings.Contains(out, "Table") {
+		t.Fatalf("repro -figure 1 printed:\n%s", out)
+	}
+}
+
+// TestReproDefault: with no -table, -figure or -ablation, repro prints
+// Tables 1 and 4-7 and Figure 1 in paper order, and no ablation.
+func TestReproDefault(t *testing.T) {
+	var b strings.Builder
+	if err := repro(options{suite: "irs208"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	at := 0
+	for _, title := range []string{"Table 1:", "Table 4:", "Table 5:", "Table 6:", "Table 7:", "Figure 1:"} {
+		i := strings.Index(out[at:], title)
+		if i < 0 {
+			t.Fatalf("%q missing or out of order:\n%s", title, out)
+		}
+		at += i
+	}
+	if strings.Contains(out, "Ablation") {
+		t.Fatalf("ablation printed without -ablation:\n%s", out)
+	}
+}
+
+// TestReproBadArgs: an unknown suite, table or figure is an error, not
+// an empty report.
+func TestReproBadArgs(t *testing.T) {
+	for _, o := range []options{
+		{suite: "bogus"},
+		{suite: "small", table: 2},
+		{suite: "small", figure: 2},
+	} {
+		if err := repro(o, io.Discard); err == nil {
+			t.Errorf("repro %+v succeeded", o)
+		}
+	}
+}
+
+// TestBenchgenSmallSuite writes the small suite: every file parses and
+// is the netlist LoadCircuit builds under the same name.
+func TestBenchgenSmallSuite(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	if err := benchgen(options{suite: "small", out: dir}, &b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"irs208", "irs298", "irs420"} {
+		data, err := os.ReadFile(filepath.Join(dir, name+".bench"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := adifo.ParseBenchString(name, string(data)); err != nil {
+			t.Fatalf("%s.bench does not parse: %v", name, err)
+		}
+		c, err := adifo.LoadCircuit(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != adifo.BenchString(c) {
+			t.Fatalf("%s.bench differs from LoadCircuit(%s)", name, name)
+		}
+		if !strings.Contains(b.String(), name+": ") {
+			t.Fatalf("no summary line for %s:\n%s", name, b.String())
+		}
+	}
+}
+
+func TestBenchgenBadSuite(t *testing.T) {
+	if err := benchgen(options{suite: "bogus", out: t.TempDir()}, io.Discard); err == nil {
+		t.Fatal("benchgen -suite bogus succeeded")
 	}
 }

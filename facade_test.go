@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -463,6 +465,37 @@ func TestLocalGraderErrors(t *testing.T) {
 	}
 	if _, err := g.Cancel(ctx, id); !errors.Is(err, adifo.ErrJobFinished) {
 		t.Fatalf("cancel finished: %v, want ErrJobFinished", err)
+	}
+}
+
+// TestLoadCircuitFile loads a .bench file path; a name is resolved
+// before the filesystem is tried.
+func TestLoadCircuitFile(t *testing.T) {
+	if c := mustLoad(t, "c17"); c.Name != "c17" || c.NumInputs() != 5 {
+		t.Fatalf("c17: loaded %s with %d inputs", c.Name, c.NumInputs())
+	}
+	path := filepath.Join(t.TempDir(), "tiny.bench")
+	if err := os.WriteFile(path, []byte("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c := mustLoad(t, path); c.NumInputs() != 2 {
+		t.Fatalf("tiny.bench: %d inputs", c.NumInputs())
+	}
+}
+
+// TestLoadCircuitBadFile refuses a reference that is neither a name
+// nor a readable netlist: an unknown name, a missing file, and a file
+// that is not a netlist.
+func TestLoadCircuitBadFile(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.bench")
+	if err := os.WriteFile(bad, []byte("not a netlist"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []string{"no-such-thing", filepath.Join(dir, "missing.bench"), bad} {
+		if _, err := adifo.LoadCircuit(ref); err == nil {
+			t.Errorf("LoadCircuit(%q) succeeded", ref)
+		}
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
@@ -192,6 +193,27 @@ func (k OrderKind) String() string {
 		return "0dynm"
 	}
 	return fmt.Sprintf("OrderKind(%d)", int(k))
+}
+
+// ParseOrder maps the paper's order labels to an OrderKind. It
+// accepts every String form, case-insensitively, plus the decr0 and
+// dynm0 spellings.
+func ParseOrder(name string) (OrderKind, error) {
+	switch strings.ToLower(name) {
+	case "orig":
+		return Orig, nil
+	case "incr0":
+		return Incr0, nil
+	case "decr":
+		return Decr, nil
+	case "0decr", "decr0":
+		return Decr0, nil
+	case "dynm":
+		return Dynm, nil
+	case "0dynm", "dynm0":
+		return Dynm0, nil
+	}
+	return 0, fmt.Errorf("unknown order %q (want orig, incr0, decr, 0decr, dynm or 0dynm)", name)
 }
 
 // AllOrders lists every OrderKind.

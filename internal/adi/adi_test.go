@@ -2,6 +2,7 @@ package adi
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/eda-go/adifo/internal/benchdata"
@@ -383,6 +384,28 @@ func TestOrderKindStrings(t *testing.T) {
 	}
 	if OrderKind(42).String() == "" {
 		t.Fatal("unknown kind must render")
+	}
+}
+
+func TestParseOrder(t *testing.T) {
+	cases := map[string]OrderKind{
+		"orig": Orig, "incr0": Incr0, "decr": Decr,
+		"0decr": Decr0, "decr0": Decr0,
+		"dynm": Dynm, "0dynm": Dynm0, "DYNM0": Dynm0,
+	}
+	for name, want := range cases {
+		got, err := ParseOrder(name)
+		if err != nil || got != want {
+			t.Errorf("ParseOrder(%q) = %v, %v", name, got, err)
+		}
+	}
+	for _, k := range AllOrders() {
+		if got, err := ParseOrder(k.String()); err != nil || got != k {
+			t.Errorf("ParseOrder(%v.String()) = %v, %v", k, got, err)
+		}
+	}
+	if _, err := ParseOrder("bogus"); err == nil || !strings.Contains(err.Error(), "unknown order") {
+		t.Fatalf("bogus order accepted: %v", err)
 	}
 }
 

@@ -225,9 +225,15 @@ func slowChainBench() string {
 // stream one block, and then die for good — the deterministic stand-in
 // for a backend killed mid-job.
 type dyingBackend struct {
+	accepted chan struct{} // closed when the first shard is accepted
+
 	mu      sync.Mutex
 	dead    bool
 	submits int
+}
+
+func newDyingBackend() *dyingBackend {
+	return &dyingBackend{accepted: make(chan struct{})}
 }
 
 func (d *dyingBackend) isDead() bool {
@@ -243,6 +249,9 @@ func (d *dyingBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
 		d.mu.Lock()
+		if d.submits == 0 {
+			close(d.accepted)
+		}
 		d.submits++
 		d.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
@@ -279,7 +288,7 @@ func TestClusterBackendDeathMidJob(t *testing.T) {
 	want := canonical(t, referenceResult(t, spec))
 
 	urls, _ := newBackends(t, 2)
-	dying := &dyingBackend{}
+	dying := newDyingBackend()
 	dsrv := httptest.NewServer(dying)
 	defer dsrv.Close()
 
@@ -346,10 +355,34 @@ func TestClusterFlappingExcluded(t *testing.T) {
 	}
 	want := canonical(t, referenceResult(t, spec))
 
-	urls, _ := newBackends(t, 2)
-	dying := &dyingBackend{}
+	dying := newDyingBackend()
 	dsrv := httptest.NewServer(dying)
 	defer dsrv.Close()
+
+	// The healthy backends hold their sub-job submits until the dying
+	// backend has accepted a shard: a c17 job is so short that they
+	// could otherwise drain the whole queue before its dispatch loop
+	// claims one, and it would never fail.
+	urls := make([]string, 2)
+	for i := range urls {
+		svc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
+		h := svc.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				select {
+				case <-dying.accepted:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			srv.Close()
+			svc.Close()
+		})
+		urls[i] = srv.URL
+	}
 
 	co, err := New([]string{urls[0], urls[1], dsrv.URL}, Options{Logger: quiet, MaxBackendFailures: 1})
 	if err != nil {
@@ -359,6 +392,9 @@ func TestClusterFlappingExcluded(t *testing.T) {
 
 	if got := canonical(t, clusterGrade(t, co, spec)); got != want {
 		t.Fatalf("first job diverges\n got: %s\nwant: %s", got, want)
+	}
+	if !dying.isDead() {
+		t.Fatal("the dying backend never received its shard")
 	}
 
 	// The dying backend is now flapping: the next job must be sharded

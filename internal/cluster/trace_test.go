@@ -32,7 +32,7 @@ func TestClusterBackendDeathSingleTrace(t *testing.T) {
 		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 2048, Seed: 5}},
 	}
 	urls, backends := newBackends(t, 2)
-	dying := &dyingBackend{}
+	dying := newDyingBackend()
 	dsrv := httptest.NewServer(dying)
 	defer dsrv.Close()
 

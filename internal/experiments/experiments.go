@@ -2,7 +2,7 @@
 // paper's evaluation (Section 4). Each experiment has one entry point
 // returning both structured rows (asserted on by tests and benches)
 // and formatted text in the paper's layout (quoted by EXPERIMENTS.md
-// and printed by cmd/repro).
+// and printed by `adifo repro`).
 //
 // The mapping to the paper is:
 //
@@ -59,13 +59,38 @@ type Setup struct {
 	Index  *adi.Index
 }
 
-// Prepare builds the suite circuit, applies the irredundancy pass,
-// sizes U per the paper's recipe and computes the ADI.
-func Prepare(sc gen.SuiteCircuit) (*Setup, error) {
-	raw := gen.Generate(sc.Config())
-	c, _, err := irr.Make(raw, irr.Options{})
+// BuildSuiteCircuit generates suite member sc and applies the
+// irredundancy pass: the netlist every experiment, the grading
+// service and the command-line tools evaluate under sc's name.
+func BuildSuiteCircuit(sc gen.SuiteCircuit) (*circuit.Circuit, error) {
+	c, _, err := irr.Make(gen.Generate(sc.Config()), irr.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("prepare %s: %w", sc.Name, err)
+		return nil, fmt.Errorf("building %s: %w", sc.Name, err)
+	}
+	return c, nil
+}
+
+// LoadNamedCircuit resolves a circuit name without touching the
+// filesystem: an embedded benchmark (c17, s27, lion) first, then a
+// synthetic suite member (irs208 … irs13207) built by
+// BuildSuiteCircuit. The grading service resolves named circuits
+// from requests with it, which must never read server-local files.
+func LoadNamedCircuit(ref string) (*circuit.Circuit, error) {
+	if c, err := benchdata.Load(ref); err == nil {
+		return c, nil
+	}
+	if sc, ok := gen.SuiteByName(ref); ok {
+		return BuildSuiteCircuit(sc)
+	}
+	return nil, fmt.Errorf("%q is neither an embedded circuit (%v) nor a suite name", ref, benchdata.Names())
+}
+
+// Prepare builds the suite circuit, sizes U per the paper's recipe
+// and computes the ADI.
+func Prepare(sc gen.SuiteCircuit) (*Setup, error) {
+	c, err := BuildSuiteCircuit(sc)
+	if err != nil {
+		return nil, err
 	}
 	fl := fault.CollapsedUniverse(c)
 
@@ -73,7 +98,9 @@ func Prepare(sc gen.SuiteCircuit) (*Setup, error) {
 	// stopping once TargetCoverage of the faults are detected; keep
 	// only the vectors simulated up to that point.
 	candidates := logic.RandomPatterns(c.NumInputs(), MaxRandomVectors, prng.New(USeed))
-	sizing := fsim.Run(fl, candidates, fsim.Options{Mode: fsim.Drop, StopAtCoverage: TargetCoverage})
+	sizing := fsim.RunParallelWith(fl, candidates, fsim.ParallelOptions{
+		Options: fsim.Options{Mode: fsim.Drop, StopAtCoverage: TargetCoverage},
+	})
 	u := candidates.Slice(sizing.VectorsUsed)
 
 	return &Setup{

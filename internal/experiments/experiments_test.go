@@ -1,12 +1,54 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/eda-go/adifo/internal/adi"
+	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/gen"
 )
+
+// TestLoadNamedEmbedded resolves an embedded benchmark by name.
+func TestLoadNamedEmbedded(t *testing.T) {
+	c, err := LoadNamedCircuit("c17")
+	if err != nil || c.Name != "c17" || c.NumInputs() != 5 {
+		t.Fatalf("c17: %v, %v", c, err)
+	}
+}
+
+// TestLoadNamedSuiteMember resolves a suite name to the same netlist
+// BuildSuiteCircuit makes.
+func TestLoadNamedSuiteMember(t *testing.T) {
+	c, err := LoadNamedCircuit("irs208")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := gen.SuiteByName("irs208")
+	built, err := BuildSuiteCircuit(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumInputs() != 19 || circuit.BenchString(c) != circuit.BenchString(built) {
+		t.Fatalf("irs208 by name differs from BuildSuiteCircuit (%d inputs)", c.NumInputs())
+	}
+}
+
+// TestLoadNamedUnknown refuses anything that is not a name, a .bench
+// file path included, without reading the filesystem.
+func TestLoadNamedUnknown(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.bench")
+	if err := os.WriteFile(path, []byte("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []string{"no-such-thing", path} {
+		if _, err := LoadNamedCircuit(ref); err == nil {
+			t.Errorf("LoadNamedCircuit(%q) resolved", ref)
+		}
+	}
+}
 
 func TestTable1(t *testing.T) {
 	rows, text, err := Table1()

@@ -148,7 +148,8 @@ func (r *Result) Coverage() float64 {
 // Run is the bit-identity reference for the whole simulator core: it
 // always executes the scalar 64-pattern kernel in fault-index order,
 // and every parallel/wide configuration must reproduce its result
-// exactly.
+// exactly. Only tests and perfbench call it, as that reference; the
+// library simulates with RunParallelWith or RunParallelCtx.
 func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
 	c := fl.Circuit
 	if ps.Inputs() != c.NumInputs() {

@@ -132,6 +132,24 @@ func TestSuiteByName(t *testing.T) {
 	}
 }
 
+func TestSuiteSelectors(t *testing.T) {
+	small, err := SelectSuite("small")
+	if err != nil || len(small) != 3 {
+		t.Fatalf("small = %d circuits, %v", len(small), err)
+	}
+	full, err := SelectSuite("full")
+	if err != nil || len(full) != 14 {
+		t.Fatalf("full = %d circuits, %v", len(full), err)
+	}
+	one, err := SelectSuite("irs420")
+	if err != nil || len(one) != 1 || one[0].Name != "irs420" {
+		t.Fatalf("single = %+v, %v", one, err)
+	}
+	if _, err := SelectSuite("bogus"); err == nil {
+		t.Fatal("bogus suite accepted")
+	}
+}
+
 func TestSuiteBuildsParseable(t *testing.T) {
 	// Round-trip each small suite member through the .bench format.
 	for _, sc := range SmallSuite() {

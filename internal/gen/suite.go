@@ -1,6 +1,11 @@
 package gen
 
-import "github.com/eda-go/adifo/internal/circuit"
+import (
+	"fmt"
+	"strings"
+
+	"github.com/eda-go/adifo/internal/circuit"
+)
 
 // SuiteCircuit describes one member of the benchmark suite mirroring
 // the paper's circuit list.
@@ -74,4 +79,19 @@ func SuiteByName(name string) (SuiteCircuit, bool) {
 		}
 	}
 	return SuiteCircuit{}, false
+}
+
+// SelectSuite resolves a suite selector: "small", "full" (or "paper"),
+// or the name of a single suite member.
+func SelectSuite(sel string) ([]SuiteCircuit, error) {
+	switch strings.ToLower(sel) {
+	case "small":
+		return SmallSuite(), nil
+	case "full", "paper":
+		return PaperSuite(), nil
+	}
+	if sc, ok := SuiteByName(sel); ok {
+		return []SuiteCircuit{sc}, nil
+	}
+	return nil, fmt.Errorf("unknown suite %q (want small, full, or a circuit name)", sel)
 }

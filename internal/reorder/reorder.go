@@ -50,7 +50,7 @@ type Result struct {
 // the test-set sizes ATPG produces.
 func Greedy(fl *fault.List, ps *logic.PatternSet) *Result {
 	k := ps.Len()
-	res := fsim.Run(fl, ps, fsim.Options{Mode: fsim.NoDrop})
+	res := fsim.RunParallelWith(fl, ps, fsim.ParallelOptions{Options: fsim.Options{Mode: fsim.NoDrop}})
 
 	// detBy[u] = set of faults vector u detects.
 	detBy := logic.Transpose(res.Det, k)

@@ -3,7 +3,7 @@ package service
 import (
 	"fmt"
 
-	"github.com/eda-go/adifo/internal/cli"
+	"github.com/eda-go/adifo/internal/adi"
 	"github.com/eda-go/adifo/internal/tgen"
 )
 
@@ -36,7 +36,7 @@ func (atpgKind) run(s *Service, j *job) (any, error) {
 		return nil, err
 	}
 	// Validated at submit.
-	kind, _ := cli.ParseOrder(j.spec.Order.Kind)
+	kind, _ := adi.ParseOrder(j.spec.Order.Kind)
 	stopOrder := j.phase(PhaseOrder)
 	order := ix.Order(kind)
 	stopOrder()

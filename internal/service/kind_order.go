@@ -3,7 +3,7 @@ package service
 import (
 	"fmt"
 
-	"github.com/eda-go/adifo/internal/cli"
+	"github.com/eda-go/adifo/internal/adi"
 )
 
 // adiOrderKind computes the accidental detection index over the job's
@@ -34,7 +34,7 @@ func (adiOrderKind) run(s *Service, j *job) (any, error) {
 		return nil, err
 	}
 	// Validated at submit.
-	kind, _ := cli.ParseOrder(j.spec.Order.Kind)
+	kind, _ := adi.ParseOrder(j.spec.Order.Kind)
 	stopOrder := j.phase(PhaseOrder)
 	perm := ix.Order(kind)
 	mn, mx := ix.MinMax()

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/eda-go/adifo/internal/adi"
-	"github.com/eda-go/adifo/internal/cli"
 	"github.com/eda-go/adifo/internal/fsim"
 	"github.com/eda-go/adifo/internal/logic"
 )
@@ -115,7 +114,7 @@ func validateOrderedSpec(spec JobSpec) error {
 	if spec.Order == nil || spec.Order.Kind == "" {
 		return fmt.Errorf("%s jobs require an order spec (kind orig, incr0, decr, 0decr, dynm or 0dynm)", kind)
 	}
-	if _, err := cli.ParseOrder(spec.Order.Kind); err != nil {
+	if _, err := adi.ParseOrder(spec.Order.Kind); err != nil {
 		return err
 	}
 	return nil

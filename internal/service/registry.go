@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"github.com/eda-go/adifo/internal/circuit"
-	"github.com/eda-go/adifo/internal/cli"
+	"github.com/eda-go/adifo/internal/experiments"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
 	"github.com/eda-go/adifo/internal/logic"
@@ -167,7 +167,7 @@ func (r *Registry) CircuitFor(spec JobSpec) (*CircuitEntry, error) {
 	}
 	return r.Circuit(key, func() (*circuit.Circuit, error) {
 		if spec.Circuit != "" {
-			return cli.LoadNamedCircuit(spec.Circuit)
+			return experiments.LoadNamedCircuit(spec.Circuit)
 		}
 		name := spec.Name
 		if name == "" {

@@ -41,7 +41,9 @@ start_daemon() {
 }
 cleanup() {
   kill "$daemon" 2>/dev/null || true
-  [ "$keep_dir" = 0 ] && rm -rf "$JOURNAL_DIR"
+  if [ "$keep_dir" = 0 ]; then
+    rm -rf "$JOURNAL_DIR"
+  fi
 }
 trap cleanup EXIT
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/eda-go/adifo/internal/adi"
-	"github.com/eda-go/adifo/internal/cli"
 	"github.com/eda-go/adifo/internal/fsim"
 )
 
@@ -163,7 +162,7 @@ func AllOrders() []OrderKind { return adi.AllOrders() }
 
 // ParseOrder maps the paper's order labels (orig, incr0, decr, 0decr,
 // dynm, 0dynm) to an OrderKind.
-func ParseOrder(name string) (OrderKind, error) { return cli.ParseOrder(name) }
+func ParseOrder(name string) (OrderKind, error) { return adi.ParseOrder(name) }
 
 // ComputeADI fault-simulates fl under u without dropping and derives
 // the accidental detection indices. ctx cancels the underlying
