@@ -54,7 +54,10 @@ var (
 // runs, exactly as in the paper.
 func sharedRuns() ([]*experiments.CircuitRuns, error) {
 	runsOnce.Do(func() {
-		runsVal, runsErr = experiments.RunSuite(benchSuite())
+		var setups []*experiments.Setup
+		if setups, runsErr = experiments.PrepareSuite(benchSuite()); runsErr == nil {
+			runsVal = experiments.RunSuite(setups)
+		}
 	})
 	return runsVal, runsErr
 }
@@ -80,11 +83,11 @@ func BenchmarkTable4(b *testing.B) {
 	suite := benchSuite()
 	var text string
 	for i := 0; i < b.N; i++ {
-		var err error
-		_, text, err = experiments.Table4(suite)
+		setups, err := experiments.PrepareSuite(suite)
 		if err != nil {
 			b.Fatal(err)
 		}
+		_, text = experiments.Table4(setups)
 	}
 	b.StopTimer()
 	fmt.Println(text)
@@ -142,7 +145,7 @@ func BenchmarkFigure1(b *testing.B) {
 	var text string
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, text, err = experiments.Figure1(experiments.Figure1Circuit)
+		_, text, err = experiments.Figure1(experiments.Figure1Circuit, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,9 +160,11 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkGenerationRuns(b *testing.B) {
 	suite := gen.SmallSuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunSuite(suite); err != nil {
+		setups, err := experiments.PrepareSuite(suite)
+		if err != nil {
 			b.Fatal(err)
 		}
+		experiments.RunSuite(setups)
 	}
 }
 
@@ -385,11 +390,11 @@ func BenchmarkClusterGradeStraggler(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	var text string
 	for i := 0; i < b.N; i++ {
-		var err error
-		_, text, err = experiments.Ablation(gen.SmallSuite())
+		setups, err := experiments.PrepareSuite(gen.SmallSuite())
 		if err != nil {
 			b.Fatal(err)
 		}
+		_, text = experiments.Ablation(setups)
 	}
 	b.StopTimer()
 	fmt.Println(text)

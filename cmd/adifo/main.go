@@ -683,8 +683,9 @@ func vectorSet(ctx context.Context, fl *adifo.FaultList, o options) (*adifo.Patt
 // repro prints the paper's evaluation over the -suite circuits: the
 // tables, figure and ablations that -table, -figure and -ablation
 // pick, or, with none of them, Tables 1 and 4-7 and Figure 1 in paper
-// order. Tables 5, 6 and 7 are projections of the same generation
-// runs, which execute once.
+// order. Each member is prepared once, by the first experiment that
+// needs it, and Tables 5, 6 and 7 are projections of the same
+// generation runs, which execute once.
 func repro(o options, out io.Writer) error {
 	suite, err := gen.SelectSuite(o.suite)
 	if err != nil {
@@ -700,6 +701,17 @@ func repro(o options, out io.Writer) error {
 	}
 	all := o.table == 0 && o.figure == 0 && !o.ablation
 	wantTable := func(n int) bool { return all || o.table == n }
+	// The first experiment over the suite prepares it, inside its own
+	// timing line; Figure 1 takes irs420's setup from it when the
+	// suite is prepared at all.
+	needSuite := o.ablation || wantTable(4) || wantTable(5) || wantTable(6) || wantTable(7)
+	var setups []*experiments.Setup
+	prepare := func() (err error) {
+		if setups == nil {
+			setups, err = experiments.PrepareSuite(suite)
+		}
+		return err
+	}
 
 	if wantTable(1) {
 		_, text, err := experiments.Table1()
@@ -710,19 +722,19 @@ func repro(o options, out io.Writer) error {
 	}
 	if wantTable(4) {
 		start := time.Now()
-		_, text, err := experiments.Table4(suite)
-		if err != nil {
+		if err := prepare(); err != nil {
 			return err
 		}
+		_, text := experiments.Table4(setups)
 		fmt.Fprintln(out, text)
 		fmt.Fprintf(out, "(table 4 computed in %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if wantTable(5) || wantTable(6) || wantTable(7) {
 		start := time.Now()
-		runs, err := experiments.RunSuite(suite)
-		if err != nil {
+		if err := prepare(); err != nil {
 			return err
 		}
+		runs := experiments.RunSuite(setups)
 		if wantTable(5) {
 			_, text := experiments.Table5(runs)
 			fmt.Fprintln(out, text)
@@ -738,17 +750,22 @@ func repro(o options, out io.Writer) error {
 		fmt.Fprintf(out, "(generation runs completed in %v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if all || o.figure == 1 {
-		_, text, err := experiments.Figure1(experiments.Figure1Circuit)
+		if needSuite {
+			if err := prepare(); err != nil {
+				return err
+			}
+		}
+		_, text, err := experiments.Figure1(experiments.Figure1Circuit, setups)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(out, text)
 	}
 	if o.ablation {
-		_, text, err := experiments.Ablation(suite)
-		if err != nil {
+		if err := prepare(); err != nil {
 			return err
 		}
+		_, text := experiments.Ablation(setups)
 		fmt.Fprintln(out, text)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -187,6 +188,7 @@ func TestClusterBitIdentical(t *testing.T) {
 				if got := canonical(t, res); got != want {
 					t.Fatalf("cluster result diverges from single-node run\n got: %s\nwant: %s", got, want)
 				}
+				checkServedBytes(t, co, res)
 				// The work queue over-partitions: ShardsPerBackend (default
 				// 4) shards per healthy backend, and on an all-healthy run
 				// every shard completes its single attempt with no steals
@@ -202,6 +204,23 @@ func TestClusterBitIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkServedBytes requires the coordinator's engine to serve the
+// merged result, whose faults hold the decoded shard results' names
+// and detection lists, as exactly the bytes json.Encoder writes.
+func checkServedBytes(t *testing.T, co *Coordinator, res *service.JobResult) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	co.Service().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+res.ID+"/result", nil))
+	if rec.Code != http.StatusOK || rec.Body.String() != want.String() {
+		t.Fatalf("served merged result (HTTP %d) differs from json.Encoder's bytes\n got: %.300s\nwant: %.300s",
+			rec.Code, rec.Body.Bytes(), want.Bytes())
 	}
 }
 

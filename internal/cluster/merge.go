@@ -194,6 +194,10 @@ func MergeResults(id string, shards []*service.JobResult) (*service.JobResult, e
 	}
 
 	first := byIndex[0]
+	n := 0
+	for _, r := range byIndex {
+		n += len(r.PerFault)
+	}
 	out := &service.JobResult{
 		ID:          id,
 		Kind:        service.KindGrade,
@@ -202,6 +206,8 @@ func MergeResults(id string, shards []*service.JobResult) (*service.JobResult, e
 		Mode:        first.Mode,
 		TotalFaults: first.TotalFaults,
 		Vectors:     first.Vectors,
+		// Sized once: the coordinator retains merged results.
+		PerFault: make([]service.FaultResult, 0, n),
 	}
 	nextF := 0
 	for i, r := range byIndex {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/eda-go/adifo/internal/adi"
-	"github.com/eda-go/adifo/internal/gen"
 	"github.com/eda-go/adifo/internal/report"
 	"github.com/eda-go/adifo/internal/tgen"
 )
@@ -54,29 +53,25 @@ func AblationVariants() []AblationVariant {
 	}
 }
 
-// Ablation runs every variant over the suite and reports test-set
-// size and AVE per (circuit, variant).
-func Ablation(suite []gen.SuiteCircuit) ([]AblationRow, string, error) {
+// Ablation runs every variant over prepared suite members and reports
+// test-set size and AVE per (circuit, variant).
+func Ablation(setups []*Setup) ([]AblationRow, string) {
 	var rows []AblationRow
-	for _, sc := range suite {
-		setup, err := Prepare(sc)
-		if err != nil {
-			return nil, "", err
-		}
+	for _, setup := range setups {
 		for _, v := range AblationVariants() {
 			res := tgen.Generate(setup.Faults, v.Order(setup), tgen.Options{
 				FillSeed: FillSeed,
 				Validate: true,
 			})
 			rows = append(rows, AblationRow{
-				Circuit: sc.Name,
+				Circuit: setup.Suite.Name,
 				Variant: v.Name,
 				Tests:   len(res.Tests),
 				AVE:     res.AVE(),
 			})
 		}
 	}
-	return rows, FormatAblation(rows), nil
+	return rows, FormatAblation(rows)
 }
 
 // FormatAblation renders the ablation as one table per metric with a

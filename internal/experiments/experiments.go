@@ -13,9 +13,11 @@
 //	Table7  — AVE steepness relative to orig
 //	Figure1 — fault coverage curves for irs420 under three orders
 //
-// Tables 5, 6 and 7 are different projections of the same generation
-// runs; RunSuite executes the runs once and the per-table formatters
-// slice them.
+// Every experiment over suite members takes them prepared: PrepareSuite
+// builds each selected member once, and Table 4, the generation runs,
+// Figure 1 and the ablation share the setups. Tables 5, 6 and 7 are
+// different projections of the same generation runs; RunSuite executes
+// the runs once and the per-table formatters slice them.
 package experiments
 
 import (
@@ -147,17 +149,26 @@ func RunCircuit(setup *Setup) *CircuitRuns {
 	return cr
 }
 
-// RunSuite prepares and runs every circuit of the given suite.
-func RunSuite(suite []gen.SuiteCircuit) ([]*CircuitRuns, error) {
-	var out []*CircuitRuns
+// PrepareSuite prepares every member of suite, in order.
+func PrepareSuite(suite []gen.SuiteCircuit) ([]*Setup, error) {
+	var out []*Setup
 	for _, sc := range suite {
 		setup, err := Prepare(sc)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, RunCircuit(setup))
+		out = append(out, setup)
 	}
 	return out, nil
+}
+
+// RunSuite executes the generation runs on every prepared member.
+func RunSuite(setups []*Setup) []*CircuitRuns {
+	var out []*CircuitRuns
+	for _, setup := range setups {
+		out = append(out, RunCircuit(setup))
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -214,17 +225,13 @@ type Table4Row struct {
 	Faults  int // collapsed fault count (extra context column)
 }
 
-// Table4 computes the ADI spread table over the given suite.
-func Table4(suite []gen.SuiteCircuit) ([]Table4Row, string, error) {
+// Table4 computes the ADI spread table over prepared suite members.
+func Table4(setups []*Setup) ([]Table4Row, string) {
 	var rows []Table4Row
-	for _, sc := range suite {
-		setup, err := Prepare(sc)
-		if err != nil {
-			return nil, "", err
-		}
+	for _, setup := range setups {
 		rows = append(rows, table4Row(setup))
 	}
-	return rows, FormatTable4(rows), nil
+	return rows, FormatTable4(rows)
 }
 
 func table4Row(setup *Setup) Table4Row {
@@ -401,15 +408,25 @@ const Figure1Circuit = "irs420"
 // Figure1 renders the fault coverage curves of the named circuit (by
 // default Figure1Circuit) for the orig, dynm and 0dynm orders, using
 // the paper's o/d/z markers. It returns the three curves and the
-// ASCII plot.
-func Figure1(name string) (map[adi.OrderKind][]int, string, error) {
-	sc, ok := gen.SuiteByName(name)
-	if !ok {
-		return nil, "", fmt.Errorf("experiments: unknown suite circuit %q", name)
+// ASCII plot. The circuit's setup is taken from setups when they hold
+// it and prepared otherwise.
+func Figure1(name string, setups []*Setup) (map[adi.OrderKind][]int, string, error) {
+	var setup *Setup
+	for _, s := range setups {
+		if s.Suite.Name == name {
+			setup = s
+			break
+		}
 	}
-	setup, err := Prepare(sc)
-	if err != nil {
-		return nil, "", err
+	if setup == nil {
+		sc, ok := gen.SuiteByName(name)
+		if !ok {
+			return nil, "", fmt.Errorf("experiments: unknown suite circuit %q", name)
+		}
+		var err error
+		if setup, err = Prepare(sc); err != nil {
+			return nil, "", err
+		}
 	}
 	cr := RunCircuit(setup)
 	curves := map[adi.OrderKind][]int{

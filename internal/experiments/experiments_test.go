@@ -113,10 +113,11 @@ func TestPrepareSmallCircuit(t *testing.T) {
 }
 
 func TestTable4SmallSuite(t *testing.T) {
-	rows, text, err := Table4(gen.SmallSuite())
+	setups, err := PrepareSuite(gen.SmallSuite())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, text := Table4(setups)
 	if len(rows) != len(gen.SmallSuite()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -144,10 +145,11 @@ func TestTables567QualitativeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generation runs take a few seconds")
 	}
-	runs, err := RunSuite(gen.SmallSuite())
+	setups, err := PrepareSuite(gen.SmallSuite())
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := RunSuite(setups)
 
 	rows5, text5 := Table5(runs)
 	var sumOrig, sumDynm, sumDynm0, sumIncr0, nIncr0 int
@@ -204,7 +206,7 @@ func TestFigure1SmallCircuit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generation runs take a few seconds")
 	}
-	curves, text, err := Figure1("irs298")
+	curves, text, err := Figure1("irs298", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestFigure1SmallCircuit(t *testing.T) {
 }
 
 func TestFigure1UnknownCircuit(t *testing.T) {
-	if _, _, err := Figure1("nope"); err == nil {
+	if _, _, err := Figure1("nope", nil); err == nil {
 		t.Fatal("unknown circuit accepted")
 	}
 }
@@ -253,10 +255,11 @@ func TestAblationSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generation runs take a few seconds")
 	}
-	rows, text, err := Ablation(gen.SmallSuite()[:1])
+	setups, err := PrepareSuite(gen.SmallSuite()[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, text := Ablation(setups)
 	if len(rows) != len(AblationVariants()) {
 		t.Fatalf("rows = %d, want one per variant", len(rows))
 	}

@@ -24,6 +24,7 @@ package fault
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/eda-go/adifo/internal/circuit"
 )
@@ -45,13 +46,19 @@ func (f Fault) String() string {
 	return fmt.Sprintf("gate%d.pin%d sa%d", f.Gate, f.Pin, f.SA)
 }
 
-// Name renders the fault with signal names from c.
+// Name renders the fault with signal names from c: "n16 sa0" for a
+// stem, "n22.in1 sa1" for a branch.
 func (f Fault) Name(c *circuit.Circuit) string {
-	g := c.Gates[f.Gate]
-	if f.Pin == StemPin {
-		return fmt.Sprintf("%s sa%d", g.Name, f.SA)
+	return string(f.AppendName(nil, c))
+}
+
+// AppendName appends f's Name to b.
+func (f Fault) AppendName(b []byte, c *circuit.Circuit) []byte {
+	b = append(b, c.Gates[f.Gate].Name...)
+	if f.Pin != StemPin {
+		b = strconv.AppendInt(append(b, ".in"...), int64(f.Pin), 10)
 	}
-	return fmt.Sprintf("%s.in%d sa%d", g.Name, f.Pin, f.SA)
+	return strconv.AppendUint(append(b, " sa"...), uint64(f.SA), 10)
 }
 
 // List is an ordered set of faults over one circuit. The order of

@@ -208,6 +208,31 @@ func TestFaultNames(t *testing.T) {
 	}
 }
 
+// TestFaultName pins the exact stem and branch renderings the grade
+// results carry, for Name and for AppendName after a prefix.
+func TestFaultName(t *testing.T) {
+	c := parseC17(t)
+	g16, _ := c.GateByName("16")
+	g22, _ := c.GateByName("22")
+	for _, tc := range []struct {
+		f    Fault
+		want string
+	}{
+		{Fault{Gate: g16, Pin: StemPin, SA: 0}, "16 sa0"},
+		{Fault{Gate: g16, Pin: StemPin, SA: 1}, "16 sa1"},
+		{Fault{Gate: g22, Pin: 0, SA: 0}, "22.in0 sa0"},
+		{Fault{Gate: g22, Pin: 1, SA: 1}, "22.in1 sa1"},
+		{Fault{Gate: g22, Pin: 12, SA: 1}, "22.in12 sa1"},
+	} {
+		if got := tc.f.Name(c); got != tc.want {
+			t.Errorf("Name(%+v) = %q, want %q", tc.f, got, tc.want)
+		}
+		if got := string(tc.f.AppendName([]byte("x|"), c)); got != "x|"+tc.want {
+			t.Errorf("AppendName(%+v) = %q, want %q", tc.f, got, "x|"+tc.want)
+		}
+	}
+}
+
 func TestUniverseDeterministic(t *testing.T) {
 	c := parseC17(t)
 	u1 := Universe(c)

@@ -34,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,18 +249,45 @@ func (j *Journal) rotateLocked() error {
 
 // EncodeFrame renders one record as its on-disk frame:
 // length | CRC | JSON payload.
+//
+// Spec and Result are spliced into the payload verbatim rather than
+// re-compacted as json.Marshal would: they are megabytes of JSON their
+// producer has just written compactly. They are still checked with
+// json.Valid, because replay stops at the first CRC-valid frame that
+// does not decode and would lose every record after it.
 func EncodeFrame(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	spec, result, at := rec.Spec, rec.Result, rec.At
+	if len(spec) > 0 && !json.Valid(spec) {
+		return nil, errors.New("journal: encode record: spec is not valid JSON")
+	}
+	if len(result) > 0 && !json.Valid(result) {
+		return nil, errors.New("journal: encode record: result is not valid JSON")
+	}
+	// The fields after Trace are spec, result and at, in that order;
+	// the rest of the record is small and goes through json.Marshal.
+	rec.Spec, rec.Result, rec.At = nil, nil, 0
+	head, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("journal: encode record: %w", err)
 	}
+	frame := make([]byte, frameHeader, frameHeader+len(head)+len(spec)+len(result)+40)
+	frame = append(frame, head[:len(head)-1]...) // without the closing brace
+	if len(spec) > 0 {
+		frame = append(append(frame, `,"spec":`...), spec...)
+	}
+	if len(result) > 0 {
+		frame = append(append(frame, `,"result":`...), result...)
+	}
+	if at != 0 {
+		frame = strconv.AppendInt(append(frame, `,"at":`...), at, 10)
+	}
+	frame = append(frame, '}')
+	payload := frame[frameHeader:]
 	if len(payload) > MaxRecordBytes {
 		return nil, fmt.Errorf("journal: record payload %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
 	}
-	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
 	return frame, nil
 }
 

@@ -320,3 +320,43 @@ func TestReaderStopsNotPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeFrameSplicesRawJSON: Spec and Result are written as they
+// are, so a compact payload frames to exactly json.Marshal's bytes,
+// and one that is not valid JSON is refused: replay would stop at its
+// frame and lose every record after it.
+func TestEncodeFrameSplicesRawJSON(t *testing.T) {
+	recs := []Record{
+		testRecord(1),
+		{Type: TypeFinished, Job: "j2", State: "done", Result: json.RawMessage(`{"id":"j2","ndet":[1,2]}`), At: -7},
+		{Type: TypeFinished, Job: "j3", State: "failed", Error: "boom <&>"},
+		{Type: TypeSubmitted, Job: "j4", Spec: json.RawMessage(`{}`), Result: json.RawMessage(`[1]`)},
+	}
+	for _, rec := range recs {
+		frame, err := EncodeFrame(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(rec)
+		if got := frame[frameHeader:]; string(got) != string(want) {
+			t.Errorf("payload %s, json.Marshal gives %s", got, want)
+		}
+	}
+	spaced := Record{Type: TypeSubmitted, Job: "j5", Spec: json.RawMessage(`{ "a" : [1, 2] }`)}
+	frame, err := EncodeFrame(spaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(frame), `"spec":{ "a" : [1, 2] }`) {
+		t.Errorf("spec was not spliced verbatim: %s", frame[frameHeader:])
+	}
+	for _, bad := range []Record{
+		{Type: TypeSubmitted, Job: "j6", Spec: json.RawMessage(`{"a":`)},
+		{Type: TypeFinished, Job: "j7", State: "done", Result: json.RawMessage(`{"id":"j7"} trailing`)},
+		{Type: TypeFinished, Job: "j8", State: "done", Result: json.RawMessage("\"\xff")},
+	} {
+		if _, err := EncodeFrame(bad); err == nil {
+			t.Errorf("EncodeFrame accepted %+v", bad)
+		}
+	}
+}

@@ -277,11 +277,15 @@ func (b *Bitset) ForEach(fn func(i int)) {
 	}
 }
 
-// Indices returns the set bits in increasing order.
-func (b *Bitset) Indices() []int {
-	out := make([]int, 0, b.Count())
-	b.ForEach(func(i int) { out = append(out, i) })
-	return out
+// AppendIndices appends the set bits to dst in increasing order.
+func (b *Bitset) AppendIndices(dst []int) []int {
+	for wi, w := range b.words {
+		for w != 0 {
+			dst = append(dst, wi*WordBits+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // Clone returns an independent copy.

@@ -170,9 +170,9 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Test(64) || b.Count() != 2 {
 		t.Fatal("Clear wrong")
 	}
-	got := b.Indices()
-	if len(got) != 2 || got[0] != 0 || got[1] != 129 {
-		t.Fatalf("Indices = %v", got)
+	got := b.AppendIndices([]int{-1})
+	if len(got) != 3 || got[0] != -1 || got[1] != 0 || got[2] != 129 {
+		t.Fatalf("AppendIndices = %v", got)
 	}
 }
 

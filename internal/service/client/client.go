@@ -66,7 +66,9 @@ func decodeError(method, path string, resp *http.Response) error {
 	var env struct {
 		Err service.APIError `json:"error"`
 	}
-	if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Err.Code != "" {
+	err := json.NewDecoder(resp.Body).Decode(&env)
+	drain(resp.Body)
+	if err == nil && env.Err.Code != "" {
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			if secs := parseRetryAfter(ra, time.Now()); secs > 0 {
 				env.Err.RetryAfter = secs
@@ -101,18 +103,33 @@ func parseRetryAfter(v string, now time.Time) int {
 	return int((d + time.Second - 1) / time.Second)
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// maxDrainBytes bounds what drain reads of a body's unread tail. A
+// decoded JSON response leaves at most a newline and a chunked
+// encoding's terminator; anything longer is not worth reading to save
+// a connection.
+const maxDrainBytes = 64 << 10
+
+// drain reads what is left of a response body, up to maxDrainBytes:
+// net/http reuses a connection only once its body has been read to
+// EOF, and a json.Decoder stops at the end of the value.
+func drain(body io.Reader) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrainBytes)) // a failed drain costs only the connection
+}
+
+// send issues one request and returns the response to a 2xx status;
+// any other status is returned as the error decodeError makes of it.
+func (c *Client) send(ctx context.Context, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if tp := trace.Traceparent(ctx); tp != "" {
 		req.Header.Set("traceparent", tp)
@@ -122,16 +139,44 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		return nil, decodeError(method, path, resp)
+	}
+	return resp, nil
+}
+
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.send(ctx, method, path, body)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return decodeError(method, path, resp)
+	if out != nil {
+		err = json.NewDecoder(resp.Body).Decode(out)
 	}
-	if out == nil {
-		return nil
+	drain(resp.Body)
+	return err
+}
+
+// maxPrealloc bounds the buffer Result allocates from a Content-Length
+// header before any of the body has arrived.
+const maxPrealloc = 256 << 20
+
+// readBody reads a whole response body: into one exactly sized buffer
+// when the server sent a Content-Length, as adifod does for results.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPrealloc {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		drain(resp.Body)
+		return b, nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return io.ReadAll(resp.Body)
 }
 
 // submitAttempts bounds Submit's transparent retry of transport
@@ -240,15 +285,27 @@ func (c *Client) Jobs(ctx context.Context) ([]service.JobStatus, error) {
 // endpoint serves kind-specific payloads; use ResultAtpg and
 // ResultOrder for the other kinds (a mismatched call is detected by
 // the payload's kind field rather than silently mis-decoded).
+//
+// The body is read whole and decoded by service.DecodeJobResult, which
+// is several times cheaper than encoding/json on a large result.
 func (c *Client) Result(ctx context.Context, id string) (*service.JobResult, error) {
-	var res service.JobResult
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &res); err != nil {
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil)
+	if err != nil {
+		return nil, err
+	}
+	body, err := readBody(resp)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	res, err := service.DecodeJobResult(body)
+	if err != nil {
 		return nil, err
 	}
 	if err := checkKind(id, service.KindGrade, res.Kind); err != nil {
 		return nil, err
 	}
-	return &res, nil
+	return res, nil
 }
 
 // ResultAtpg fetches the outcome of a finished atpg job.

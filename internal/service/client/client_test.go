@@ -3,10 +3,15 @@ package client
 import (
 	"context"
 	"errors"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/eda-go/adifo/internal/circuit"
+	"github.com/eda-go/adifo/internal/gen"
 	"github.com/eda-go/adifo/internal/service"
 )
 
@@ -171,5 +176,80 @@ func TestClientCancel(t *testing.T) {
 	var ae *service.APIError
 	if !errors.As(err, &ae) || ae.Code != service.CodeFinished {
 		t.Fatalf("cancel finished job: %v (want APIError code finished)", err)
+	}
+}
+
+// TestClientKeepsConnectionAlive: a client reads every response body to
+// its end, so one TCP connection carries a run of grade, atpg and
+// adi_order jobs, the status, stats, list and cancel calls, and the
+// error responses. A body closed before EOF makes net/http drop the
+// connection and dial again.
+func TestClientKeepsConnectionAlive(t *testing.T) {
+	svc := service.New(service.Config{})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Close()
+	var dials atomic.Int32
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	}}
+	defer tr.CloseIdleConnections()
+	cl := New(srv.URL, &http.Client{Transport: tr})
+	ctx := context.Background()
+
+	// Results of a few hundred faults, so that the server streams
+	// them in chunks and a decoder stops short of the body's end.
+	bench := circuit.BenchString(gen.Generate(gen.Config{Name: "g50", Inputs: 32, Gates: 50}))
+	pat := service.PatternSpec{Random: &service.RandomSpec{N: 640, Seed: 3}}
+	run := func(spec service.JobSpec) string {
+		t.Helper()
+		id, err := cl.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := cl.Stream(ctx, id, nil); err != nil || st.State != service.StateDone {
+			t.Fatalf("stream %s: %v, %+v", id, err, st)
+		}
+		return id
+	}
+	var last string
+	for i := range 15 {
+		last = run(service.JobSpec{Bench: bench, Mode: []string{"nodrop", "drop", "ndetect"}[i%3], N: i % 3 / 2 * 4, Patterns: pat})
+		if _, err := cl.Result(ctx, last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	atpg := run(service.JobSpec{Kind: service.KindAtpg, Bench: bench, Patterns: pat, Order: &service.OrderSpec{Kind: "dynm"}})
+	if _, err := cl.ResultAtpg(ctx, atpg); err != nil {
+		t.Fatal(err)
+	}
+	order := run(service.JobSpec{Kind: service.KindADIOrder, Bench: bench, Patterns: pat, Order: &service.OrderSpec{Kind: "dynm"}})
+	if _, err := cl.ResultOrder(ctx, order); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Status(ctx, last); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Jobs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		func() error { _, err := cl.Cancel(ctx, last); return err }(),
+		func() error { _, err := cl.Result(ctx, "j999"); return err }(),
+		func() error { _, err := cl.ResultAtpg(ctx, "j999"); return err }(),
+		func() error { _, err := cl.Submit(ctx, service.JobSpec{Circuit: "c17", Patterns: pat}); return err }(),
+		func() error { _, err := cl.Stream(ctx, "j999", nil); return err }(),
+	} {
+		var ae *service.APIError
+		if !errors.As(err, &ae) {
+			t.Fatalf("want an API error, got %v", err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d connections dialled, want 1", n)
 	}
 }

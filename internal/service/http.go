@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 
 	"github.com/eda-go/adifo/internal/obs/trace"
 )
@@ -128,6 +129,24 @@ func (s *Service) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
+// writeBody sends b, a complete JSON value, as a 200 response with the
+// trailing newline json.Encoder writes and a Content-Length, so a
+// client can read the body into one exactly sized buffer.
+func (s *Service) writeBody(w http.ResponseWriter, b []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)+1))
+	w.WriteHeader(http.StatusOK)
+	_, err := w.Write(b)
+	if err == nil {
+		_, err = w.Write([]byte{'\n'})
+	}
+	if err != nil {
+		s.met.writeErrors.Inc()
+		s.logger.Warn("writing response body failed", "status", http.StatusOK, "err", err)
+	}
+}
+
 func (s *Service) writeError(w http.ResponseWriter, httpCode int, apiCode string, err error) {
 	s.writeJSON(w, httpCode, errorEnvelope{Err: APIError{Code: apiCode, Message: err.Error()}})
 }
@@ -209,13 +228,17 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	res, raw, err := s.result(id)
 	switch {
 	case err == nil:
-		if raw != nil {
-			// A job replayed from the journal: serve the journaled
-			// wire bytes verbatim, so the restart is byte-invisible.
-			s.writeJSON(w, http.StatusOK, json.RawMessage(raw))
-			return
+		// A job replayed from the journal serves the journaled wire
+		// bytes verbatim, so the restart is byte-invisible. A live
+		// result is encoded per request: keeping its bytes on the job
+		// would hold megabytes per retained grade job.
+		if raw == nil {
+			if raw, err = encodeResult(res); err != nil {
+				s.writeJSON(w, http.StatusOK, res) // logs and counts the failure
+				return
+			}
 		}
-		s.writeJSON(w, http.StatusOK, res)
+		s.writeBody(w, raw)
 	case errors.Is(err, ErrNotFound):
 		s.writeError(w, http.StatusNotFound, CodeNotFound, err)
 	case errors.Is(err, ErrNotDone):

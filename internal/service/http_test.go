@@ -117,7 +117,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 	for fi := range fl.Faults {
-		wantIdx := want.Det[fi].Indices()
+		wantIdx := want.Det[fi].AppendIndices(nil)
 		got := res.PerFault[fi].Det
 		if len(got) != len(wantIdx) {
 			t.Fatalf("fault %d: detection set size %d, want %d", fi, len(got), len(wantIdx))

@@ -137,15 +137,38 @@ func buildResult(j *job, entry *CircuitEntry, faults *fault.List, shardLo, vecto
 		Ndet:        append([]int(nil), res.Ndet...),
 		PerFault:    make([]FaultResult, faults.Len()),
 	}
+	// The names share one string and the detection lists one exactly
+	// sized array, each fault holding a full-capacity window of it: a
+	// retained result then costs its payload, not an allocation per
+	// fault.
+	var names []byte
+	ends := make([]int, faults.Len())
 	for fi, f := range faults.Faults {
+		names = f.AppendName(names, c)
+		ends[fi] = len(names)
+	}
+	all := string(names)
+	var dets []int
+	if res.Det != nil {
+		total := 0
+		for _, d := range res.Det {
+			total += d.Count()
+		}
+		dets = make([]int, 0, total)
+	}
+	lo := 0
+	for fi := range faults.Faults {
 		fr := FaultResult{
 			F:        shardLo + fi,
-			Name:     f.Name(c),
+			Name:     all[lo:ends[fi]],
 			DetCount: res.DetCount[fi],
 			FirstDet: res.FirstDet[fi],
 		}
+		lo = ends[fi]
 		if res.Det != nil {
-			fr.Det = res.Det[fi].Indices()
+			n := len(dets)
+			dets = res.Det[fi].AppendIndices(dets)
+			fr.Det = dets[n:len(dets):len(dets)]
 		}
 		out.PerFault[fi] = fr
 	}

@@ -86,7 +86,7 @@ func (s *Service) journalFinished(j *job, st JobStatus, res any) {
 		At:    s.now().UnixNano(),
 	}
 	if st.State == StateDone && res != nil {
-		raw, err := json.Marshal(res)
+		raw, err := encodeResult(res)
 		if err != nil {
 			s.logger.Error("journal result encode failed", "job", j.id, "err", err)
 		} else {
@@ -295,11 +295,11 @@ func parseJobID(id string) uint64 {
 func decodeResult(kind string, raw []byte) (any, error) {
 	switch kind {
 	case KindGrade:
-		var r JobResult
-		if err := json.Unmarshal(raw, &r); err != nil {
+		r, err := DecodeJobResult(raw)
+		if err != nil {
 			return nil, err
 		}
-		return &r, nil
+		return r, nil
 	case KindAtpg:
 		var r AtpgResult
 		if err := json.Unmarshal(raw, &r); err != nil {

@@ -94,7 +94,7 @@ func TestJobMatchesDirectLibraryRun(t *testing.T) {
 					fr.DetCount, fr.FirstDet, want.DetCount[fi], want.FirstDet[fi])
 			}
 			if want.Det != nil {
-				wantIdx := want.Det[fi].Indices()
+				wantIdx := want.Det[fi].AppendIndices(nil)
 				if len(fr.Det) != len(wantIdx) {
 					t.Fatalf("%s fault %d: det set size %d vs %d", tc.mode, fi, len(fr.Det), len(wantIdx))
 				}
