@@ -259,17 +259,50 @@ func (g *LocalGrader) Close() error {
 // down.
 func (g *LocalGrader) Drain() { g.svc.Drain() }
 
+// remote is the half that RemoteGrader, RemoteGenerator and
+// RemoteOrderer share: each talks to one adifod server through a
+// client, and the calls that do not depend on the job's kind go
+// straight to it.
+type remote struct {
+	cl *client.Client
+}
+
+// Status polls one job.
+func (r *remote) Status(ctx context.Context, id string) (JobStatus, error) {
+	return r.cl.Status(ctx, id)
+}
+
+// Cancel aborts a job: a queued job immediately, a running one at its
+// next barrier (a 64-pattern simulation block, or one ATPG target).
+func (r *remote) Cancel(ctx context.Context, id string) (JobStatus, error) {
+	return r.cl.Cancel(ctx, id)
+}
+
+// Stream delivers progress events until the job reaches a terminal
+// state and returns the final status.
+func (r *remote) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
+	return r.cl.Stream(ctx, id, fn)
+}
+
+// Stats returns the server's counters.
+func (r *remote) Stats(ctx context.Context) (GraderStats, error) {
+	return r.cl.Stats(ctx)
+}
+
+// Close releases nothing: a remote front end holds no resources.
+func (r *remote) Close() error { return nil }
+
 // RemoteGrader grades on a running adifod server over the v1 HTTP+JSON
 // API. Non-2xx responses surface as *APIError.
 type RemoteGrader struct {
-	cl *client.Client
+	remote
 }
 
 // NewRemoteGrader returns a grader for the adifod server at base (e.g.
 // "http://localhost:8417"). httpClient may be nil for
 // http.DefaultClient.
 func NewRemoteGrader(base string, httpClient *http.Client) *RemoteGrader {
-	return &RemoteGrader{cl: client.New(base, httpClient)}
+	return &RemoteGrader{remote{client.New(base, httpClient)}}
 }
 
 // Submit implements Grader. Like LocalGrader, it submits grade jobs
@@ -282,33 +315,10 @@ func (g *RemoteGrader) Submit(ctx context.Context, spec JobSpec) (string, error)
 	return g.cl.Submit(ctx, spec)
 }
 
-// Status implements Grader.
-func (g *RemoteGrader) Status(ctx context.Context, id string) (JobStatus, error) {
-	return g.cl.Status(ctx, id)
-}
-
 // Result implements Grader.
 func (g *RemoteGrader) Result(ctx context.Context, id string) (*JobResult, error) {
 	return g.cl.Result(ctx, id)
 }
-
-// Cancel implements Grader.
-func (g *RemoteGrader) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	return g.cl.Cancel(ctx, id)
-}
-
-// Stream implements Grader.
-func (g *RemoteGrader) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
-	return g.cl.Stream(ctx, id, fn)
-}
-
-// Stats implements Grader.
-func (g *RemoteGrader) Stats(ctx context.Context) (GraderStats, error) {
-	return g.cl.Stats(ctx)
-}
-
-// Close implements Grader (a remote grader holds no resources).
-func (g *RemoteGrader) Close() error { return nil }
 
 // ClusterGrader fans every grading job out across multiple adifod
 // backends: the collapsed fault universe is partitioned into many more

@@ -535,21 +535,3 @@ func FillRandom(cube []logic.V3, src *prng.Source) logic.Vector {
 	}
 	return v
 }
-
-// FillConstant completes a test cube with a constant bit in place of
-// every X; used by tests and as a deterministic alternative to random
-// fill.
-func FillConstant(cube []logic.V3, bit uint8) logic.Vector {
-	v := make(logic.Vector, len(cube))
-	for i, val := range cube {
-		switch val {
-		case logic.Zero:
-			v[i] = 0
-		case logic.One:
-			v[i] = 1
-		default:
-			v[i] = bit & 1
-		}
-	}
-	return v
-}

@@ -77,7 +77,7 @@ func TestPodemC17AllFaults(t *testing.T) {
 		// Any completion of the cube must detect the fault — check
 		// the two constant fills, which bracket the fill space.
 		for _, bit := range []uint8{0, 1} {
-			v := FillConstant(res.Cube, bit)
+			v := fillConstant(res.Cube, bit)
 			if !detects(c, f, v) {
 				t.Fatalf("fault %v: cube %v filled with %d does not detect", f.Name(c), res.Cube, bit)
 			}
@@ -134,7 +134,7 @@ y = NAND(n1, n2)
 			if res.Status != Success {
 				t.Fatalf("fault %v: %v", f.Name(cc), res.Status)
 			}
-			v := FillConstant(res.Cube, 0)
+			v := fillConstant(res.Cube, 0)
 			if !detects(cc, f, v) {
 				t.Fatalf("fault %v: generated vector %s misses", f.Name(cc), v)
 			}
@@ -170,7 +170,7 @@ p = XOR(x1, x2)
 		if res.Status != Success {
 			t.Fatalf("fault %v: %v", f.Name(cc), res.Status)
 		}
-		if !detects(cc, f, FillConstant(res.Cube, 1)) {
+		if !detects(cc, f, fillConstant(res.Cube, 1)) {
 			t.Fatalf("fault %v: vector misses", f.Name(cc))
 		}
 	}
@@ -222,8 +222,8 @@ func TestPodemRandomCircuitsAgreeWithExhaustive(t *testing.T) {
 				if res.Status != Success {
 					t.Fatalf("seed %d fault %v: %v (detectable)", seed, f.Name(c), res.Status)
 				}
-				if !detects(c, f, FillConstant(res.Cube, 0)) ||
-					!detects(c, f, FillConstant(res.Cube, 1)) {
+				if !detects(c, f, fillConstant(res.Cube, 0)) ||
+					!detects(c, f, fillConstant(res.Cube, 1)) {
 					t.Fatalf("seed %d fault %v: cube completion misses", seed, f.Name(c))
 				}
 			} else if res.Status == Success {
@@ -249,11 +249,11 @@ func TestFillRandomPreservesAssignments(t *testing.T) {
 
 func TestFillConstant(t *testing.T) {
 	cube := []logic.V3{logic.One, logic.X, logic.Zero}
-	if got := FillConstant(cube, 0); got.String() != "100" {
-		t.Fatalf("FillConstant 0 = %s", got)
+	if got := fillConstant(cube, 0); got.String() != "100" {
+		t.Fatalf("fillConstant 0 = %s", got)
 	}
-	if got := FillConstant(cube, 1); got.String() != "110" {
-		t.Fatalf("FillConstant 1 = %s", got)
+	if got := fillConstant(cube, 1); got.String() != "110" {
+		t.Fatalf("fillConstant 1 = %s", got)
 	}
 }
 
@@ -326,4 +326,21 @@ func BenchmarkPodem(b *testing.B) {
 			g.Generate(f)
 		}
 	}
+}
+
+// fillConstant completes a test cube with a constant bit in place of
+// every X, so a test can check a cube under both fills.
+func fillConstant(cube []logic.V3, bit uint8) logic.Vector {
+	v := make(logic.Vector, len(cube))
+	for i, val := range cube {
+		switch val {
+		case logic.Zero:
+			v[i] = 0
+		case logic.One:
+			v[i] = 1
+		default:
+			v[i] = bit & 1
+		}
+	}
+	return v
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -261,15 +260,4 @@ func gateTypeByName(op string) (GateType, bool) {
 		return Xnor, true
 	}
 	return 0, false
-}
-
-// SortedSignalNames returns all signal names in the circuit, sorted;
-// used by diagnostics and tests.
-func (c *Circuit) SortedSignalNames() []string {
-	names := make([]string, 0, len(c.Gates))
-	for _, g := range c.Gates {
-		names = append(names, g.Name)
-	}
-	sort.Strings(names)
-	return names
 }

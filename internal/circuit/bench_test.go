@@ -145,16 +145,3 @@ y = nand(a, b)
 		t.Fatal("lower-case nand not recognized")
 	}
 }
-
-func TestSortedSignalNames(t *testing.T) {
-	c, _ := ParseBenchString("c17", c17Bench)
-	names := c.SortedSignalNames()
-	if len(names) != c.NumGates() {
-		t.Fatalf("names = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("names not sorted")
-		}
-	}
-}

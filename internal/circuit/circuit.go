@@ -42,9 +42,6 @@ type Circuit struct {
 	// MaxLevel is the largest entry of Level.
 	MaxLevel int
 
-	// InputIndex maps a PI gate id to its position in Inputs.
-	InputIndex map[int]int
-
 	// isOutput[i] reports whether gate i is observed.
 	isOutput []bool
 
@@ -206,10 +203,6 @@ func (c *Circuit) derive() error {
 			c.MaxLevel = l
 		}
 	}
-	c.InputIndex = make(map[int]int, len(c.Inputs))
-	for i, id := range c.Inputs {
-		c.InputIndex[id] = i
-	}
 	c.isOutput = make([]bool, n)
 	for _, id := range c.Outputs {
 		c.isOutput[id] = true
@@ -255,60 +248,6 @@ func (c *Circuit) ComputeStats() Stats {
 		s.Lines++ // the stem itself
 	}
 	return s
-}
-
-// FanoutCone returns the set of gates reachable from gate g (including
-// g itself), as a sorted slice of gate ids. The fault simulator uses
-// cones to bound event-driven re-simulation; exposing it here also
-// makes it testable in isolation.
-func (c *Circuit) FanoutCone(g int) []int {
-	seen := make(map[int]bool)
-	stack := []int{g}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		for _, fo := range c.Fanout[x] {
-			if !seen[fo.Gate] {
-				stack = append(stack, fo.Gate)
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for x := range seen {
-		out = append(out, x)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// InputCone returns the set of gates in the transitive fanin of g
-// (including g), sorted by gate id.
-func (c *Circuit) InputCone(g int) []int {
-	seen := make(map[int]bool)
-	stack := []int{g}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[x] {
-			continue
-		}
-		seen[x] = true
-		for _, f := range c.Gates[x].Fanin {
-			if !seen[f] {
-				stack = append(stack, f)
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for x := range seen {
-		out = append(out, x)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Controllability holds SCOAP-style combinational controllability
@@ -382,87 +321,4 @@ func (c *Circuit) ComputeControllability() *Controllability {
 		}
 	}
 	return cc
-}
-
-// Observability holds SCOAP-style combinational observability
-// measures: CO[i] estimates the effort to propagate a value change on
-// gate i's output to some observed output. Observed gates have CO 0.
-type Observability struct {
-	CO []int
-}
-
-// ComputeObservability computes SCOAP combinational observability in
-// one reverse-topological pass, given the controllability measures.
-// For a gate g driving gate y through pin p, observing g through y
-// costs CO(y) + (cost of setting y's other inputs non-controlling)
-// + 1; the cheapest fanout path wins. Observed gates cost 0
-// regardless of their fanout.
-func (c *Circuit) ComputeObservability(cc *Controllability) *Observability {
-	const inf = 1 << 30
-	n := len(c.Gates)
-	ob := &Observability{CO: make([]int, n)}
-	for i := range ob.CO {
-		ob.CO[i] = inf
-	}
-	// Reverse topological order: consumers before producers.
-	for i := n - 1; i >= 0; i-- {
-		gi := c.Topo[i]
-		if c.isOutput[gi] {
-			ob.CO[gi] = 0
-		}
-		for _, fo := range c.Fanout[gi] {
-			y := fo.Gate
-			if ob.CO[y] >= inf {
-				continue
-			}
-			yg := &c.Gates[y]
-			side := 0
-			switch yg.Type {
-			case Buf, Not:
-				// No side inputs.
-			case And, Nand:
-				for pin, f := range yg.Fanin {
-					if pin != fo.Pin {
-						side += cc.CC1[f]
-					}
-				}
-			case Or, Nor:
-				for pin, f := range yg.Fanin {
-					if pin != fo.Pin {
-						side += cc.CC0[f]
-					}
-				}
-			case Xor, Xnor:
-				// Any binary values on the side inputs propagate;
-				// charge the cheaper value of each.
-				for pin, f := range yg.Fanin {
-					if pin != fo.Pin {
-						side += min(cc.CC0[f], cc.CC1[f])
-					}
-				}
-			}
-			if cost := ob.CO[y] + side + 1; cost < ob.CO[gi] {
-				ob.CO[gi] = cost
-			}
-		}
-	}
-	return ob
-}
-
-// Observable reports whether gate g structurally reaches an observed
-// output (CO below the internal infinity).
-func (o *Observability) Observable(g int) bool { return o.CO[g] < 1<<30 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -253,25 +253,21 @@ func TestEvalV3ControllingXBehaviour(t *testing.T) {
 
 func TestControllingValue(t *testing.T) {
 	cases := []struct {
-		t    GateType
-		v    logic.V3
-		ok   bool
-		outc logic.V3
+		t  GateType
+		v  logic.V3
+		ok bool
 	}{
-		{And, logic.Zero, true, logic.Zero},
-		{Nand, logic.Zero, true, logic.One},
-		{Or, logic.One, true, logic.One},
-		{Nor, logic.One, true, logic.Zero},
-		{Xor, logic.X, false, logic.X},
-		{Not, logic.X, false, logic.X},
+		{And, logic.Zero, true},
+		{Nand, logic.Zero, true},
+		{Or, logic.One, true},
+		{Nor, logic.One, true},
+		{Xor, logic.X, false},
+		{Not, logic.X, false},
 	}
 	for _, c := range cases {
 		v, ok := c.t.ControllingValue()
 		if ok != c.ok || (ok && v != c.v) {
 			t.Errorf("%v ControllingValue = %v,%v", c.t, v, ok)
-		}
-		if ok && c.t.OutputOnControl() != c.outc {
-			t.Errorf("%v OutputOnControl = %v, want %v", c.t, c.t.OutputOnControl(), c.outc)
 		}
 	}
 }
@@ -286,26 +282,6 @@ func TestInverting(t *testing.T) {
 		if ty.Inverting() {
 			t.Errorf("%v must not be inverting", ty)
 		}
-	}
-}
-
-func TestCones(t *testing.T) {
-	c := buildMux(t)
-	s := c.Inputs[2]
-	ns, _ := c.GateByName("ns")
-	t0, _ := c.GateByName("t0")
-	t1, _ := c.GateByName("t1")
-	y, _ := c.GateByName("y")
-
-	cone := c.FanoutCone(s)
-	want := []int{s, ns, t0, t1, y}
-	if len(cone) != len(want) {
-		t.Fatalf("FanoutCone(s) = %v", cone)
-	}
-	inCone := c.InputCone(t0)
-	// t0's input cone: a, s, ns, t0.
-	if len(inCone) != 4 {
-		t.Fatalf("InputCone(t0) = %v", inCone)
 	}
 }
 
@@ -357,74 +333,5 @@ func TestAddGatePIMisuse(t *testing.T) {
 	b.AddGate("x", PI)
 	if _, err := b.Freeze(); err == nil {
 		t.Fatal("expected error for AddGate(PI)")
-	}
-}
-
-func TestObservabilityMux(t *testing.T) {
-	c := buildMux(t)
-	cc := c.ComputeControllability()
-	ob := c.ComputeObservability(cc)
-	y, _ := c.GateByName("y")
-	if ob.CO[y] != 0 {
-		t.Fatalf("output CO = %d, want 0", ob.CO[y])
-	}
-	t0, _ := c.GateByName("t0")
-	// Observing t0 through OR y: CO(y)=0 + CC0(t1) + 1.
-	t1, _ := c.GateByName("t1")
-	want := cc.CC0[t1] + 1
-	if ob.CO[t0] != want {
-		t.Fatalf("CO(t0) = %d, want %d", ob.CO[t0], want)
-	}
-	// Every gate of the mux is observable.
-	for gi := range c.Gates {
-		if !ob.Observable(gi) {
-			t.Fatalf("gate %s unobservable", c.Gates[gi].Name)
-		}
-	}
-	// Deeper gates cost at least as much as the output.
-	s := c.Inputs[2]
-	if ob.CO[s] <= 0 {
-		t.Fatalf("CO(select) = %d, want positive", ob.CO[s])
-	}
-}
-
-func TestObservabilityUnreachableGate(t *testing.T) {
-	b := NewBuilder("dangling")
-	a := b.AddInput("a")
-	bb := b.AddInput("b")
-	y := b.AddGate("y", And, a, bb)
-	b.AddGate("dead", Or, a, bb) // no fanout, not observed
-	b.MarkOutput(y)
-	c, err := b.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := c.ComputeControllability()
-	ob := c.ComputeObservability(cc)
-	dead, _ := c.GateByName("dead")
-	if ob.Observable(dead) {
-		t.Fatal("dangling gate must be unobservable")
-	}
-	if !ob.Observable(a) {
-		t.Fatal("input observable through y")
-	}
-}
-
-func TestObservabilityXorSidecost(t *testing.T) {
-	b := NewBuilder("xo")
-	a := b.AddInput("a")
-	bb := b.AddInput("b")
-	y := b.AddGate("y", Xor, a, bb)
-	b.MarkOutput(y)
-	c, err := b.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := c.ComputeControllability()
-	ob := c.ComputeObservability(cc)
-	// Observing a through XOR costs CO(y) + min(CC0(b),CC1(b)) + 1 =
-	// 0 + 1 + 1 = 2.
-	if ob.CO[a] != 2 {
-		t.Fatalf("CO(a) = %d, want 2", ob.CO[a])
 	}
 }

@@ -86,23 +86,6 @@ func (t GateType) ControllingValue() (v logic.V3, ok bool) {
 	return logic.X, false
 }
 
-// OutputOnControl returns the gate output value produced when some
-// input carries the controlling value. Only meaningful when
-// ControllingValue reports ok.
-func (t GateType) OutputOnControl() logic.V3 {
-	switch t {
-	case And:
-		return logic.Zero
-	case Nand:
-		return logic.One
-	case Or:
-		return logic.One
-	case Nor:
-		return logic.Zero
-	}
-	return logic.X
-}
-
 // MinFanin returns the minimum legal fanin count for the type.
 func (t GateType) MinFanin() int {
 	switch t {

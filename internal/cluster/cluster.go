@@ -69,8 +69,10 @@ import (
 // Options configures a Coordinator; zero values select sensible
 // defaults.
 type Options struct {
-	// HTTPClient is used for every backend call (nil =
-	// http.DefaultClient).
+	// HTTPClient is used for every backend call. Nil selects a client
+	// of the coordinator's own, whose transport keeps
+	// MaxInFlightPerBackend idle connections per backend; Close closes
+	// them.
 	HTTPClient *http.Client
 	// ProbeTimeout bounds one /v1/stats health probe (default 2s).
 	ProbeTimeout time.Duration
@@ -118,9 +120,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
-	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
 	}
@@ -239,6 +238,10 @@ type Coordinator struct {
 	ctx  context.Context
 	stop context.CancelFunc
 	wg   sync.WaitGroup
+
+	// ownHTTP is the client New built when Options.HTTPClient was nil;
+	// Close closes its idle connections.
+	ownHTTP *http.Client
 }
 
 // New returns a coordinator over the given backend base URLs (e.g.
@@ -248,11 +251,23 @@ func New(urls []string, opts Options) (*Coordinator, error) {
 		return nil, errors.New("cluster: at least one backend URL is required")
 	}
 	opts = opts.withDefaults()
+	var ownHTTP *http.Client
+	if opts.HTTPClient == nil {
+		// One job holds up to MaxInFlightPerBackend calls on each
+		// backend, and the default transport keeps only 2 idle
+		// connections per host: every call past those would dial again.
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = opts.MaxInFlightPerBackend
+		t.MaxIdleConns = max(t.MaxIdleConns, len(urls)*t.MaxIdleConnsPerHost)
+		ownHTTP = &http.Client{Transport: t}
+		opts.HTTPClient = ownHTTP
+	}
 	co := &Coordinator{
-		opts:   opts,
-		logger: opts.Logger,
-		now:    time.Now,
-		nonce:  newNonce(),
+		opts:    opts,
+		logger:  opts.Logger,
+		now:     time.Now,
+		nonce:   newNonce(),
+		ownHTTP: ownHTTP,
 	}
 	seen := make(map[string]bool)
 	for _, u := range urls {
@@ -1393,10 +1408,14 @@ func (co *Coordinator) Stats(ctx context.Context) (service.Stats, error) {
 
 // Close waits for every job on the coordinator's engine to finish
 // (cancel them first for a fast shutdown), then stops the membership
-// re-probe loop.
+// re-probe loop and closes the idle connections of the client New
+// built.
 func (co *Coordinator) Close() error {
 	co.svc.Close()
 	co.stop()
 	co.wg.Wait()
+	if co.ownHTTP != nil {
+		co.ownHTTP.CloseIdleConnections()
+	}
 	return nil
 }

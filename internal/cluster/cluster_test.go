@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path"
@@ -203,6 +204,52 @@ func TestClusterBitIdentical(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestClusterDefaultClientKeepsConnections: with no HTTPClient the
+// coordinator's own transport keeps an idle connection for every call
+// one job holds on a backend, so a backend's dials stay bounded however
+// many jobs run; with the default transport's 2 idle connections per
+// host, every job dialed again. The bound is over all jobs, not "none
+// after job 1", because job 1 need not reach a backend's full
+// concurrency, and it leaves room above the in-flight window because a
+// call can start just before an earlier call's connection is back in
+// the pool.
+func TestClusterDefaultClientKeepsConnections(t *testing.T) {
+	const backends, jobs = 3, 10
+	urls := make([]string, backends)
+	dials := make([]atomic.Int32, backends)
+	for i := range urls {
+		svc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
+		srv := httptest.NewUnstartedServer(svc.Handler())
+		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				dials[i].Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(func() {
+			srv.Close()
+			svc.Close()
+		})
+		urls[i] = srv.URL
+	}
+	co, err := New(urls, Options{Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	spec := service.JobSpec{Circuit: "c17", Mode: "nodrop",
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 256, Seed: 1}}}
+	for range jobs {
+		clusterGrade(t, co, spec)
+	}
+	limit := int32(3 * co.opts.MaxInFlightPerBackend)
+	for i := range dials {
+		if n := dials[i].Load(); n > limit {
+			t.Errorf("backend %d: %d jobs dialed %d connections, want at most %d", i, jobs, n, limit)
 		}
 	}
 }

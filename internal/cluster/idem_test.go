@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/eda-go/adifo/internal/service"
@@ -15,7 +18,42 @@ import (
 // coordinator-minted shard key, so backends never collapse distinct
 // shards into one sub-job).
 func TestClusterCallerIdempotencyKey(t *testing.T) {
-	urls, svcs := newBackends(t, 2)
+	// Each backend holds its sub-job submits until every backend has
+	// received one: a c17 shard is so short that one dispatch loop
+	// could otherwise drain the queue before the other claims a shard.
+	const backends = 2
+	var mu sync.Mutex
+	waiting := backends
+	all := make(chan struct{})
+	urls := make([]string, backends)
+	svcs := make([]*service.Service, backends)
+	for i := range urls {
+		svc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
+		h := svc.Handler()
+		var first sync.Once
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				first.Do(func() {
+					mu.Lock()
+					defer mu.Unlock()
+					if waiting--; waiting == 0 {
+						close(all)
+					}
+				})
+				select {
+				case <-all:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			srv.Close()
+			svc.Close()
+		})
+		urls[i], svcs[i] = srv.URL, svc
+	}
 	co, err := New(urls, Options{Logger: quiet})
 	if err != nil {
 		t.Fatal(err)

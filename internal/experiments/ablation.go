@@ -121,10 +121,3 @@ func variantNames(vs []AblationVariant) []string {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

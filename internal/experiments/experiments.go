@@ -114,12 +114,6 @@ func Prepare(sc gen.SuiteCircuit) (*Setup, error) {
 	}, nil
 }
 
-// Run is the per-order generation result of one circuit.
-type Run struct {
-	Kind   adi.OrderKind
-	Result *tgen.Result
-}
-
 // CircuitRuns bundles a prepared circuit with its generation runs.
 type CircuitRuns struct {
 	Setup *Setup

@@ -202,20 +202,6 @@ func CollapsedUniverse(c *circuit.Circuit) *List {
 	return collapsed
 }
 
-// Classes groups the faults of l (a universe list) into equivalence
-// classes using the same rules as Collapse; exposed for tests and
-// diagnostics. Each class is sorted by universe index; classes are
-// sorted by their first member.
-func Classes(l *List) [][]Fault {
-	collapsed, toRep := Collapse(l)
-	buckets := make([][]Fault, collapsed.Len())
-	for _, f := range l.Faults {
-		r := toRep[f]
-		buckets[r] = append(buckets[r], f)
-	}
-	return buckets
-}
-
 // unionFind is a plain weighted quick-union with path halving.
 type unionFind struct {
 	parent []int

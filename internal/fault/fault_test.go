@@ -172,7 +172,20 @@ z = OR(a, b)
 func TestClassesPartitionUniverse(t *testing.T) {
 	c := parseC17(t)
 	u := Universe(c)
-	classes := Classes(u)
+	collapsed, toRep := Collapse(u)
+	classes := make([][]Fault, collapsed.Len())
+	for _, f := range u.Faults {
+		r, ok := toRep[f]
+		if !ok || r < 0 || r >= len(classes) {
+			t.Fatalf("fault %v has no representative (%d, %v)", f, r, ok)
+		}
+		classes[r] = append(classes[r], f)
+	}
+	for ci, rep := range collapsed.Faults {
+		if toRep[rep] != ci {
+			t.Fatalf("representative %v maps to class %d, want %d", rep, toRep[rep], ci)
+		}
+	}
 	total := 0
 	seen := map[Fault]bool{}
 	for _, cl := range classes {

@@ -51,12 +51,13 @@ func naiveDetects(c *circuit.Circuit, f fault.Fault, v logic.Vector) bool {
 
 func naiveValues(c *circuit.Circuit, f fault.Fault, v logic.Vector, inject bool) []uint8 {
 	val := make([]uint8, c.NumGates())
+	for i, gi := range c.Inputs {
+		val[gi] = v[i] & 1
+	}
 	for _, gi := range c.Topo {
 		g := c.Gates[gi]
-		var out uint8
-		if g.Type == circuit.PI {
-			out = v[c.InputIndex[gi]] & 1
-		} else {
+		out := val[gi]
+		if g.Type != circuit.PI {
 			in := make([]logic.V3, len(g.Fanin))
 			for k, fi := range g.Fanin {
 				in[k] = logic.FromBit(val[fi])

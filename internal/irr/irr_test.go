@@ -14,10 +14,12 @@ import (
 // returns the output bits in c.Outputs order.
 func outputs(c *circuit.Circuit, v logic.Vector) []uint8 {
 	val := make([]logic.V3, c.NumGates())
+	for i, gi := range c.Inputs {
+		val[gi] = logic.FromBit(v[i])
+	}
 	for _, gi := range c.Topo {
 		g := c.Gates[gi]
 		if g.Type == circuit.PI {
-			val[gi] = logic.FromBit(v[c.InputIndex[gi]])
 			continue
 		}
 		in := make([]logic.V3, len(g.Fanin))

@@ -28,7 +28,7 @@ func FuzzJournalRecord(f *testing.F) {
 	}
 	seed(Record{Type: TypeSubmitted, Job: "j1", Kind: "grade", Tenant: "acme", Key: "k-1",
 		Spec: json.RawMessage(`{"circuit":"c17","mode":"drop","patterns":{"exhaustive":true}}`), At: 42})
-	seed(Record{Type: TypeStarted, Job: "j1", At: 43})
+	seed(Record{Type: "started", Job: "j1", At: 43})
 	seed(Record{Type: TypeFinished, Job: "j1", State: "done",
 		Result: json.RawMessage(`{"id":"j1","coverage":1}`), At: 44})
 	seed(Record{Type: TypeFinished, Job: "j2", State: "failed", Error: "boom"})

@@ -1,8 +1,8 @@
 // Package journal is a dependency-free write-ahead log of job
 // lifecycle records: an append-only sequence of length-prefixed,
 // CRC-checksummed JSON payloads across rotated segment files. The job
-// engine appends one record per state transition (submitted, started,
-// finished) and replays the log at startup to reconstruct terminal job
+// engine appends one record when a job is submitted and one when it
+// finishes, and replays the log at startup to reconstruct terminal job
 // history and re-enqueue work that was queued or running at crash
 // time.
 //
@@ -40,12 +40,13 @@ import (
 	"time"
 )
 
-// Record types. A job's life is submitted → started → finished;
-// cancellation and failure are finished records with the matching
-// state, so replay needs no per-type logic to find terminal jobs.
+// Record types. A job's life is submitted → finished; cancellation
+// and failure are finished records with the matching state, so replay
+// needs no per-type logic to find terminal jobs. Readers skip any
+// other type, such as the "started" record older versions wrote when a
+// job began to run.
 const (
 	TypeSubmitted = "submitted"
-	TypeStarted   = "started"
 	TypeFinished  = "finished"
 )
 
@@ -55,7 +56,7 @@ const (
 // path a client submission takes, so the journal records the wire
 // encoding, not internal structs).
 type Record struct {
-	// Type is submitted, started or finished.
+	// Type is submitted or finished.
 	Type string `json:"type"`
 	// Job is the engine job id ("j42").
 	Job string `json:"job"`
@@ -171,9 +172,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 	return j, nil
 }
-
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // segmentName renders a segment index as its file name.
 func segmentName(index int) string { return fmt.Sprintf("%08d.wal", index) }
@@ -296,45 +294,26 @@ func EncodeFrame(rec Record) ([]byte, error) {
 // is poisoned: every later Append returns the same error rather than
 // risking a log with an interior hole.
 func (j *Journal) Append(rec Record) error {
-	ch, err := j.append(rec)
-	if err != nil {
-		return err
-	}
-	if ch == nil { // NoSync: durable enough by configuration
-		return nil
-	}
-	return <-ch
-}
-
-// AppendAsync writes rec and schedules its fsync without waiting for
-// it. Used for records whose loss a crash already tolerates (started:
-// a submitted-but-unfinished job re-enqueues either way).
-func (j *Journal) AppendAsync(rec Record) error {
-	_, err := j.append(rec)
-	return err
-}
-
-func (j *Journal) append(rec Record) (chan error, error) {
 	frame, err := EncodeFrame(rec)
 	if err != nil {
 		j.errs.Add(1)
-		return nil, err
+		return err
 	}
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if j.err != nil {
 		err := j.err
 		j.mu.Unlock()
-		return nil, err
+		return err
 	}
 	if j.size+int64(len(frame)) > j.opts.SegmentBytes && j.size > int64(len(magic)) {
 		if err := j.rotateLocked(); err != nil {
 			j.err = err
 			j.mu.Unlock()
-			return nil, err
+			return err
 		}
 	}
 	if _, err := j.f.Write(frame); err != nil {
@@ -342,14 +321,14 @@ func (j *Journal) append(rec Record) (chan error, error) {
 		j.errs.Add(1)
 		err := j.err
 		j.mu.Unlock()
-		return nil, err
+		return err
 	}
 	j.size += int64(len(frame))
 	j.appends.Add(1)
 	j.appBytes.Add(uint64(len(frame)))
-	if j.opts.NoSync {
+	if j.opts.NoSync { // durable enough by configuration
 		j.mu.Unlock()
-		return nil, nil
+		return nil
 	}
 	ch := make(chan error, 1)
 	j.waiters = append(j.waiters, ch)
@@ -358,7 +337,7 @@ func (j *Journal) append(rec Record) (chan error, error) {
 		go j.syncLoop()
 	}
 	j.mu.Unlock()
-	return ch, nil
+	return <-ch
 }
 
 // syncLoop is the group-commit flusher: it repeatedly takes the
@@ -395,34 +374,6 @@ func (j *Journal) syncLoop() {
 			ch <- err
 		}
 	}
-}
-
-// Sync forces an fsync of the current segment, settling any
-// outstanding async appends.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	if j.closed || j.f == nil {
-		j.mu.Unlock()
-		return nil
-	}
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return err
-	}
-	f := j.f
-	j.mu.Unlock()
-	if j.opts.NoSync {
-		return nil
-	}
-	start := time.Now()
-	err := f.Sync()
-	j.syncs.Add(1)
-	j.syncNanos.Add(int64(time.Since(start)))
-	if err != nil {
-		j.errs.Add(1)
-	}
-	return err
 }
 
 // Close fsyncs and closes the current segment. Later Appends return

@@ -27,12 +27,6 @@ func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	return slog.New(WithTrace(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})))
 }
 
-// NewJSONLogger is NewLogger with JSON output, for deployments that
-// ship logs to a structured pipeline.
-func NewJSONLogger(w io.Writer, level slog.Leveler) *slog.Logger {
-	return slog.New(WithTrace(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})))
-}
-
 // WithTrace wraps a slog handler so every record handled under a traced
 // context gains trace_id and span_id attributes. Records logged without
 // a span on the context pass through unchanged.
@@ -76,18 +70,7 @@ var defaultLogger = NewLogger(os.Stderr, slog.LevelInfo)
 // and benchmarks use so engine diagnostics don't pollute their output.
 func Nop() *slog.Logger { return nopLogger }
 
-var nopLogger = slog.New(nopHandler{})
-
-// nopHandler drops every record. The standard library gained
-// slog.DiscardHandler in Go 1.24; this five-liner keeps the package's
-// floor at the module's own go directive rather than the newest
-// stdlib.
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
-func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
+var nopLogger = slog.New(slog.DiscardHandler)
 
 // Or returns l, or the package default when l is nil — the one-line
 // config normalization every component shares.

@@ -157,9 +157,7 @@ func (f *family) get(values []string, make func() any) any {
 
 // delete drops the series for the given label values; a no-op when the
 // series was never created. The next With for the same values starts a
-// fresh series from zero, so deletion is only sound for label sets
-// whose zero restart is meaningful (gauges tracking live state, or
-// counters whose consumers tolerate resets, as Prometheus ones do).
+// fresh series from zero, so only gauges tracking live state delete.
 func (f *family) delete(values []string) {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s has %d labels, got %d values", f.name, len(f.labels), len(values)))
@@ -190,10 +188,19 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(values, func() any { return &Counter{} }).(*Counter)
 }
 
-// Delete drops the series for the given label values from the
-// exposition, bounding label cardinality when a label value (a tenant,
-// a backend) leaves the system for good.
-func (v *CounterVec) Delete(values ...string) { v.f.delete(values) }
+// Sum returns the total of the series whose label values satisfy keep,
+// or of every series when keep is nil.
+func (v *CounterVec) Sum(keep func(values []string) bool) uint64 {
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	var n uint64
+	for key, m := range v.f.series {
+		if keep == nil || keep(strings.Split(key, seriesKeySep)) {
+			n += m.(*Counter).Value()
+		}
+	}
+	return n
+}
 
 // GaugeVec is a gauge family partitioned by label values.
 type GaugeVec struct{ f *family }
@@ -212,10 +219,6 @@ type HistogramVec struct{ f *family }
 func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.get(values, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
 }
-
-// Delete drops the series for the given label values from the
-// exposition.
-func (v *HistogramVec) Delete(values ...string) { v.f.delete(values) }
 
 // Registry holds named metrics and renders them in Prometheus text
 // exposition format. Families expose in registration order; series

@@ -16,7 +16,7 @@ package prng
 
 // Source is a deterministic xorshift64* generator. The zero value is
 // not usable; construct with New. Source is not safe for concurrent
-// use; give each goroutine its own Source (see Split).
+// use; give each goroutine its own Source.
 type Source struct {
 	state uint64
 }
@@ -34,14 +34,6 @@ func New(seed uint64) *Source {
 		s.Uint64()
 	}
 	return s
-}
-
-// Split derives an independent child generator from s. The child's
-// stream is decorrelated from the parent's by mixing a fresh draw with
-// an odd constant. Use it to hand sub-components their own generators
-// without sharing state.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0xd1342543de82ef95)
 }
 
 // Uint64 returns the next 64 pseudo-random bits.

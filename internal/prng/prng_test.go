@@ -99,20 +99,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(11)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("parent and child produced %d identical draws", same)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(13)
 	const draws = 50000

@@ -12,18 +12,11 @@
 // free; this package provides the post-hoc alternative so the two can
 // be compared (see the steepcurve example and the reordering ablation
 // benchmark).
-//
-// The package also provides reverse-order static compaction, the
-// classic companion transformation: simulate the test set in reverse
-// order with fault dropping and discard vectors that detect nothing
-// new. It is used to strip redundant vectors before reordering.
 package reorder
 
 import (
-	"fmt"
 	"math/bits"
 
-	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
 	"github.com/eda-go/adifo/internal/logic"
@@ -105,48 +98,4 @@ func countAnd(a, b *logic.Bitset) int {
 		n += bits.OnesCount64(a.WordAt(w) & b.WordAt(w))
 	}
 	return n
-}
-
-// Apply materializes a permutation of ps as a new pattern set.
-func Apply(ps *logic.PatternSet, perm []int) *logic.PatternSet {
-	if len(perm) != ps.Len() {
-		panic(fmt.Sprintf("reorder: permutation length %d for %d tests", len(perm), ps.Len()))
-	}
-	out := logic.NewPatternSet(ps.Inputs())
-	for _, u := range perm {
-		out.Append(ps.Get(u))
-	}
-	return out
-}
-
-// ReverseCompact performs reverse-order static compaction: simulate
-// the tests from last to first with fault dropping and keep only the
-// vectors that detect at least one new fault. The kept indices are
-// returned in their original relative order. Reverse order is the
-// classic choice because late ATPG vectors target hard faults and
-// tend to be essential, while early vectors are often covered by the
-// rest of the set.
-func ReverseCompact(fl *fault.List, ps *logic.PatternSet) []int {
-	inc := fsim.NewIncremental(fl, circuit.Compile(fl.Circuit))
-	var keep []int
-	for u := ps.Len() - 1; u >= 0; u-- {
-		if len(inc.SimulateVector(ps.Get(u))) > 0 {
-			keep = append(keep, u)
-		}
-	}
-	// keep is in reverse order; flip it.
-	for i, j := 0, len(keep)-1; i < j; i, j = i+1, j-1 {
-		keep[i], keep[j] = keep[j], keep[i]
-	}
-	return keep
-}
-
-// Select materializes a subset of ps given by indices (in the given
-// order).
-func Select(ps *logic.PatternSet, idx []int) *logic.PatternSet {
-	out := logic.NewPatternSet(ps.Inputs())
-	for _, u := range idx {
-		out.Append(ps.Get(u))
-	}
-	return out
 }

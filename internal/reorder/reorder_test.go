@@ -101,52 +101,6 @@ func coverageCurve(fl *fault.List, ps *logic.PatternSet) []int {
 	return curve
 }
 
-func TestApply(t *testing.T) {
-	_, ps := setup(t, 9)
-	perm := make([]int, ps.Len())
-	for i := range perm {
-		perm[i] = ps.Len() - 1 - i
-	}
-	rev := Apply(ps, perm)
-	for i := 0; i < ps.Len(); i++ {
-		if rev.Get(i).String() != ps.Get(ps.Len()-1-i).String() {
-			t.Fatal("Apply permuted wrongly")
-		}
-	}
-}
-
-func TestApplyPanicsOnBadPerm(t *testing.T) {
-	_, ps := setup(t, 9)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad permutation accepted")
-		}
-	}()
-	Apply(ps, []int{0})
-}
-
-func TestReverseCompactKeepsCoverage(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		fl, ps := setup(t, seed)
-		keep := ReverseCompact(fl, ps)
-		if len(keep) > ps.Len() {
-			t.Fatalf("kept more than available")
-		}
-		for i := 1; i < len(keep); i++ {
-			if keep[i-1] >= keep[i] {
-				t.Fatalf("kept indices not in original order: %v", keep)
-			}
-		}
-		// Compacted set must detect exactly the same faults.
-		full := fsim.Run(fl, ps, fsim.Options{Mode: fsim.Drop})
-		compact := fsim.Run(fl, Select(ps, keep), fsim.Options{Mode: fsim.Drop})
-		if full.DetectedCount() != compact.DetectedCount() {
-			t.Fatalf("seed %d: compaction lost coverage (%d -> %d)",
-				seed, full.DetectedCount(), compact.DetectedCount())
-		}
-	}
-}
-
 func TestQuickGreedyInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		fl, ps := setup(t, seed)

@@ -28,34 +28,18 @@ import (
 
 // Client talks to one adifod server.
 type Client struct {
-	base         string
-	hc           *http.Client
-	noRetryAfter bool
-}
-
-// Option configures a Client.
-type Option func(*Client)
-
-// WithoutRetryAfterWait disables Submit's wait-and-resubmit on
-// "overloaded" rejections; the typed *service.APIError (with its
-// RetryAfter) is returned on the first 429 instead, for callers that
-// own their own backoff policy.
-func WithoutRetryAfterWait() Option {
-	return func(c *Client) { c.noRetryAfter = true }
+	base string
+	hc   *http.Client
 }
 
 // New returns a client for the server at base (e.g.
 // "http://localhost:8417"). httpClient may be nil for
 // http.DefaultClient.
-func New(base string, httpClient *http.Client, opts ...Option) *Client {
+func New(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	c := &Client{base: strings.TrimRight(base, "/"), hc: httpClient}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+	return &Client{base: strings.TrimRight(base, "/"), hc: httpClient}
 }
 
 // decodeError turns a non-2xx response into a *service.APIError when
@@ -220,8 +204,7 @@ func newIdempotencyKey() string {
 // An "overloaded" admission rejection (429) is also retried: the
 // client waits the server's Retry-After (capped at maxRetryAfterWait)
 // and resubmits, so a transient queue-full blip does not surface to
-// every caller. Opt out with WithoutRetryAfterWait to own the backoff
-// policy. Every other typed API error is returned immediately —
+// every caller. Every other typed API error is returned immediately —
 // retrying a spec-level refusal elsewhere cannot help.
 func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (string, error) {
 	if spec.IdempotencyKey == "" {
@@ -243,7 +226,7 @@ func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (string, erro
 		wait := submitBackoff * time.Duration(attempt)
 		var apiErr *service.APIError
 		if errors.As(err, &apiErr) {
-			if c.noRetryAfter || apiErr.Code != service.CodeOverloaded || apiErr.RetryAfter <= 0 {
+			if apiErr.Code != service.CodeOverloaded || apiErr.RetryAfter <= 0 {
 				return "", err
 			}
 			wait = min(time.Duration(apiErr.RetryAfter)*retryAfterUnit, maxRetryAfterWait)
@@ -395,29 +378,4 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(service.Progress
 		return c.Status(ctx, id)
 	}
 	return st, nil
-}
-
-// Wait polls a job until it reaches a terminal state, with the given
-// poll interval (0 means 50ms).
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (service.JobStatus, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State == service.StateDone || st.State == service.StateFailed ||
-			st.State == service.StateCancelled {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
-		}
-	}
 }

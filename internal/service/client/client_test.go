@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/gen"
@@ -38,7 +37,7 @@ func TestClientSubmitWaitResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Wait(ctx, id, time.Millisecond)
+	st, err := cl.Stream(ctx, id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestClientStatsAfterRepeat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st, err := cl.Wait(ctx, id, time.Millisecond); err != nil || st.State != service.StateDone {
+		if st, err := cl.Stream(ctx, id, nil); err != nil || st.State != service.StateDone {
 			t.Fatalf("wait: %v, %+v", err, st)
 		}
 	}
@@ -169,7 +168,7 @@ func TestClientCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := cl.Wait(ctx, id, time.Millisecond); err != nil || st.State != service.StateDone {
+	if st, err := cl.Stream(ctx, id, nil); err != nil || st.State != service.StateDone {
 		t.Fatalf("wait: %v, %+v", err, st)
 	}
 	_, err = cl.Cancel(ctx, id)

@@ -161,14 +161,16 @@ func TestClientSubmitRetryAfterCapped(t *testing.T) {
 	}
 }
 
-// TestClientSubmitRetryAfterOptOut: WithoutRetryAfterWait surfaces the
-// typed overloaded error on the first 429 — the Retry-After backoff
-// policy belongs to the caller, as it did before the client waited.
-func TestClientSubmitRetryAfterOptOut(t *testing.T) {
+// TestClientSubmitOverloadedGivesUp: a server that stays overloaded
+// exhausts the attempt budget, and the caller gets the typed
+// overloaded error with the Retry-After the last 429 carried.
+func TestClientSubmitOverloadedGivesUp(t *testing.T) {
+	defer func(u time.Duration) { retryAfterUnit = u }(retryAfterUnit)
+	retryAfterUnit = time.Millisecond
 	posts, h := overloadedThenAccept(1000, "7")
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	cl := New(srv.URL, srv.Client(), WithoutRetryAfterWait())
+	cl := New(srv.URL, srv.Client())
 	_, err := cl.Submit(context.Background(), service.JobSpec{Circuit: "c17"})
 	if !errors.Is(err, service.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
@@ -180,8 +182,8 @@ func TestClientSubmitRetryAfterOptOut(t *testing.T) {
 	if apiErr.RetryAfter != 7 {
 		t.Errorf("RetryAfter = %d, want 7 (parsed from the header)", apiErr.RetryAfter)
 	}
-	if got := posts.Load(); got != 1 {
-		t.Errorf("server saw %d submit attempts, want 1 (opt-out disables the wait)", got)
+	if got := posts.Load(); got != submitAttempts {
+		t.Errorf("server saw %d submit attempts, want %d", got, submitAttempts)
 	}
 }
 

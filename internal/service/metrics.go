@@ -50,6 +50,13 @@ type serviceMetrics struct {
 	tenantQueueDepth *obs.GaugeVec // tenant
 }
 
+// jobsEnded is the adifo_jobs_total count of one terminal status,
+// summed over every kind, a replayed kind this build does not serve
+// included.
+func (m *serviceMetrics) jobsEnded(state string) uint64 {
+	return m.jobsTotal.Sum(func(kindStatus []string) bool { return kindStatus[1] == state })
+}
+
 // newServiceMetrics registers the engine's metric families on reg and
 // pre-creates every (kind, status) series, so a scrape of a fresh
 // server already exposes the full catalog at zero — dashboards and the

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the engine's side of the write-ahead journal: the
-// appends each lifecycle transition emits, and the recovery pass Open
-// runs before any listener accepts traffic.
+// submitted and finished appends, and the recovery pass Open runs
+// before any listener accepts traffic.
 //
 // The journal stores wire-level JSON for specs and results, not
 // internal structs (see DESIGN.md): a replayed spec re-enters the
@@ -44,22 +44,6 @@ func (s *Service) journalSubmitted(j *job) error {
 		Spec:   spec,
 		At:     s.now().UnixNano(),
 	})
-}
-
-// journalStarted records the queued→running transition. Async: losing
-// it to a crash is harmless (a submitted-but-unfinished job re-enqueues
-// either way), so the run path does not wait on a disk flush.
-func (s *Service) journalStarted(j *job) {
-	if s.jnl == nil {
-		return
-	}
-	if err := s.jnl.AppendAsync(journal.Record{
-		Type: journal.TypeStarted,
-		Job:  j.id,
-		At:   s.now().UnixNano(),
-	}); err != nil {
-		s.logger.Error("journal started append failed", "job", j.id, "err", err)
-	}
 }
 
 // journalFinished records the terminal transition, with the result's
@@ -101,7 +85,6 @@ func (s *Service) journalFinished(j *job, st JobStatus, res any) {
 // replayedJob aggregates one job's records across the whole log.
 type replayedJob struct {
 	submitted journal.Record
-	started   bool
 	finished  *journal.Record
 }
 
@@ -122,10 +105,6 @@ func (s *Service) recover(dir string) error {
 			if _, dup := byID[rec.Job]; !dup {
 				byID[rec.Job] = &replayedJob{submitted: rec}
 				ids = append(ids, rec.Job)
-			}
-		case journal.TypeStarted:
-			if p := byID[rec.Job]; p != nil {
-				p.started = true
 			}
 		case journal.TypeFinished:
 			if p := byID[rec.Job]; p != nil && p.finished == nil {
@@ -205,17 +184,8 @@ func (s *Service) installTerminal(id string, p *replayedJob) {
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.submitted++
 	s.met.jobsSubmitted.With(j.status.Kind).Inc()
 	s.met.jobsTotal.With(j.status.Kind, fin.State).Inc()
-	switch fin.State {
-	case StateDone:
-		s.done++
-	case StateFailed:
-		s.failed++
-	case StateCancelled:
-		s.cancelled++
-	}
 }
 
 // requeue re-enqueues a job that was queued or running at crash time.
@@ -248,8 +218,6 @@ func (s *Service) requeue(id string, p *replayedJob) {
 		}
 		s.jobs[id] = j
 		s.order = append(s.order, id)
-		s.submitted++
-		s.failed++
 		s.met.jobsSubmitted.With(j.status.Kind).Inc()
 		s.met.jobsTotal.With(j.status.Kind, StateFailed).Inc()
 		s.logger.Error("replayed job failed validation", "job", id, "err", err)
@@ -270,7 +238,6 @@ func (s *Service) requeue(id string, p *replayedJob) {
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.submitted++
 	s.replayRequeued++
 	s.wg.Add(1)
 	s.enqueueLocked(j)

@@ -48,6 +48,68 @@ func httpGet(t *testing.T, h http.Handler, path string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
+// TestJournalReplaysStartedRecords: segments written by versions that
+// also journaled a "started" record when a job began to run still
+// replay. A job with submitted and started records reruns to done; a
+// job that also finished serves its journaled result bytes verbatim.
+func TestJournalReplaysStartedRecords(t *testing.T) {
+	spec := JobSpec{Circuit: "c17", Mode: "drop", Patterns: PatternSpec{Random: &RandomSpec{N: 64, Seed: 3}}}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := New(Config{Logger: obs.Nop(), SimWorkers: 2})
+	id, err := live.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, live, id)
+	res, err := live.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := encodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Close()
+
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Now().UnixNano()
+	for _, rec := range []journal.Record{
+		{Type: journal.TypeSubmitted, Job: "j1", Kind: KindGrade, Spec: raw, At: at},
+		{Type: "started", Job: "j1", At: at},
+		{Type: journal.TypeSubmitted, Job: "j2", Kind: KindGrade, Spec: raw, At: at},
+		{Type: "started", Job: "j2", At: at},
+		{Type: journal.TypeFinished, Job: "j2", State: StateDone, Result: result, At: at},
+	} {
+		if err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl.Close()
+
+	s := mustOpen(t, journalCfg(dir))
+	defer s.Close()
+	if s.replayRequeued != 1 {
+		t.Errorf("requeued %d jobs, want 1 (j1)", s.replayRequeued)
+	}
+	if st := waitTerminal(t, s, "j1"); st.State != StateDone {
+		t.Fatalf("j1 after replay: %+v, want a rerun to done", st)
+	}
+	code, body := httpGet(t, s.Handler(), "/v1/jobs/j2/result")
+	if code != http.StatusOK || string(body) != string(result)+"\n" {
+		t.Fatalf("j2 result: status %d, body %q; want the journaled bytes %q", code, body, result)
+	}
+	if st := s.Stats(); st.JobsSubmitted != 2 || st.JobsDone != 2 {
+		t.Errorf("stats after replay: submitted %d, done %d; want 2, 2", st.JobsSubmitted, st.JobsDone)
+	}
+}
+
 // TestJournalRecoveryTerminalBytes runs one job of every kind (plus a
 // failed and a cancelled one) on a journal-backed service, restarts
 // the service on the same directory, and requires the replayed

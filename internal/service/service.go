@@ -398,15 +398,9 @@ type Service struct {
 	schedClosed bool
 	// idem maps tenant-scoped idempotency keys to job ids (rebuilt
 	// from the journal at recovery).
-	idem      map[string]string
-	seq       uint64
-	submitted uint64
-	done      uint64
-	failed    uint64
-	cancelled uint64
-	deduped   uint64
-	rejected  uint64
-	draining  bool
+	idem     map[string]string
+	seq      uint64
+	draining bool
 	// replayRecords and replayRequeued describe the recovery pass, for
 	// the journal replay metrics.
 	replayRecords  uint64
@@ -546,9 +540,6 @@ func (s *Service) Registry() *Registry { return s.reg }
 // elsewhere or register their own instruments alongside the engine's.
 func (s *Service) Metrics() *obs.Registry { return s.metrics }
 
-// Logger returns the service's structured logger.
-func (s *Service) Logger() *slog.Logger { return s.logger }
-
 // Traces exposes the service's trace flight recorder, so embedders
 // (the adifod debug listener, the facade) can mount its /debug/traces
 // handler.
@@ -656,7 +647,6 @@ func (s *Service) SubmitContext(ctx context.Context, spec JobSpec) (string, erro
 	// Drain's wg accounting from here on, but not yet dispatchable.
 	s.mu.Lock()
 	if s.draining {
-		s.rejected++
 		s.mu.Unlock()
 		s.met.jobsRejected.With(reasonDraining).Inc()
 		return "", ErrDraining
@@ -664,14 +654,12 @@ func (s *Service) SubmitContext(ctx context.Context, spec JobSpec) (string, erro
 	ikey := idemCacheKey(spec.Tenant, spec.IdempotencyKey)
 	if ikey != "" {
 		if id, ok := s.idem[ikey]; ok {
-			s.deduped++
 			s.mu.Unlock()
 			s.met.jobsDeduped.Inc()
 			return id, nil
 		}
 	}
 	if err := s.admitLocked(spec.Tenant); err != nil {
-		s.rejected++
 		s.mu.Unlock()
 		return "", err
 	}
@@ -715,7 +703,6 @@ func (s *Service) SubmitContext(ctx context.Context, spec JobSpec) (string, erro
 	// j's context — the dispatcher still dispatches it and run()
 	// performs the cancelled transition.
 	s.mu.Lock()
-	s.submitted++
 	s.enqueueLocked(j)
 	s.evictOldJobsLocked()
 	s.mu.Unlock()
@@ -763,7 +750,7 @@ func (s *Service) newJob(ctx context.Context, id string, spec JobSpec, k jobKind
 
 // admitLocked is the admission check: reject (rather than queue
 // without bound) once the global or per-tenant queued-job budget is
-// spent. Caller holds s.mu and counts the rejection.
+// spent, counting the rejection by reason. Caller holds s.mu.
 func (s *Service) admitLocked(tenant string) error {
 	if s.cfg.MaxQueuedJobs > 0 && s.sched.queued >= s.cfg.MaxQueuedJobs {
 		s.met.jobsRejected.With(reasonOverloaded).Inc()
@@ -1095,33 +1082,24 @@ func (s *Service) follow(ctx context.Context, id string, ch <-chan ProgressEvent
 }
 
 // Stats returns the service counters, including the registry cache
-// hit/miss counters.
+// hit/miss counters. The job counts are the /metrics instruments, each
+// family summed over all its series.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	st := Stats{
+	m := s.met
+	return Stats{
 		Registry:      s.reg.Stats(),
-		JobsSubmitted: s.submitted,
-		JobsDone:      s.done,
-		JobsFailed:    s.failed,
-		JobsCancelled: s.cancelled,
-		JobsDeduped:   s.deduped,
-		JobsRejected:  s.rejected,
+		JobsSubmitted: m.jobsSubmitted.Sum(nil),
+		JobsDone:      m.jobsEnded(StateDone),
+		JobsFailed:    m.jobsEnded(StateFailed),
+		JobsCancelled: m.jobsEnded(StateCancelled),
+		JobsDeduped:   m.jobsDeduped.Value(),
+		JobsRejected:  m.jobsRejected.Sum(nil),
+		JobsRunning:   int(m.jobsRunning.Value()),
+		JobsQueued:    int(m.jobsQueued.Value()),
 		Workers:       s.cfg.SimWorkers,
 		UptimeSeconds: s.now().Sub(s.start).Seconds(),
 		Version:       obs.Version,
 	}
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		switch j.status.State {
-		case StateRunning:
-			st.JobsRunning++
-		case StateQueued:
-			st.JobsQueued++
-		}
-		j.mu.Unlock()
-	}
-	s.mu.Unlock()
-	return st
 }
 
 // Close waits for all submitted jobs to finish, then stops the
@@ -1155,7 +1133,6 @@ func (s *Service) Drain() {
 			s.met.tenantQueueDepth.With(tenantLabel("")).Dec()
 		}
 	}
-	s.rejected += uint64(len(dropped))
 	ids := append([]string(nil), s.order...)
 	s.mu.Unlock()
 	s.met.draining.Set(1)
@@ -1252,11 +1229,12 @@ func (s *Service) run(j *job) {
 	j.timing.QueueWaitSeconds = j.timing.StartedAt.Sub(j.timing.SubmittedAt).Seconds()
 	j.status.Timing = j.timing.Snapshot()
 	kind, wait := j.status.Kind, j.timing.QueueWaitSeconds
-	j.mu.Unlock()
+	// The gauges move under the lock that publishes the state, as in
+	// finish.
 	s.met.jobsQueued.Dec()
 	s.met.jobsRunning.Inc()
+	j.mu.Unlock()
 	s.met.queueWait.With(kind).Observe(wait)
-	s.journalStarted(j)
 
 	// The job's root span: phase and journal spans started under j.tctx
 	// from here on nest beneath it, and ending it (in finish) completes
@@ -1285,10 +1263,10 @@ func (s *Service) run(j *job) {
 
 // finish performs a job's terminal transition — the single path every
 // outcome (done, failed, cancelled-queued, cancelled-running,
-// drain-dropped, panic recovery) goes through: state + timing + result
-// publication under the job lock, the service counters, subscriber
-// close, metric settlement and the journal's finished record. At most
-// one caller wins; later calls are no-ops, so racing finishers (a
+// drain-dropped, panic recovery) goes through: state, timing, result
+// and the job-count instruments under the job lock, then subscriber
+// close, the duration histogram and the journal's finished record. At
+// most one caller wins; later calls are no-ops, so racing finishers (a
 // Cancel against the run goroutine, say) are safe.
 func (s *Service) finish(j *job, state string, result any, cause error) {
 	j.mu.Lock()
@@ -1305,6 +1283,9 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	}
 	started := j.finalizeLocked()
 	kind := j.status.Kind
+	// Count under the lock that publishes the state, so a caller that
+	// has seen it through Status or a stream sees it in Stats too.
+	s.countTerminal(kind, state, started)
 	run := j.timing.RunSeconds
 	st := j.status
 	res := j.result
@@ -1315,23 +1296,9 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	if tctx == nil {
 		tctx = context.Background()
 	}
-
-	// Count before closing the streams: a client that reads Stats once
-	// its stream ends must see this job counted.
-	s.mu.Lock()
-	switch state {
-	case StateDone:
-		s.done++
-	case StateFailed:
-		s.failed++
-	case StateCancelled:
-		s.cancelled++
-	}
-	s.mu.Unlock()
 	for _, sb := range subs {
 		sb.finish()
 	}
-	s.countTerminal(kind, state, started)
 	switch state {
 	case StateDone:
 		s.met.duration.With(kind).Observe(run)

@@ -75,14 +75,14 @@ func checkKind(spec *JobSpec, want string) error {
 // simulation and per-target progress during generation. Non-2xx
 // responses surface as *APIError.
 type RemoteGenerator struct {
-	cl *client.Client
+	remote
 }
 
 // NewRemoteGenerator returns a generator for the adifod server at
 // base (e.g. "http://localhost:8417"). httpClient may be nil for
 // http.DefaultClient.
 func NewRemoteGenerator(base string, httpClient *http.Client) *RemoteGenerator {
-	return &RemoteGenerator{cl: client.New(base, httpClient)}
+	return &RemoteGenerator{remote{client.New(base, httpClient)}}
 }
 
 // Submit posts an atpg job and returns its id. An empty spec kind is
@@ -94,36 +94,10 @@ func (g *RemoteGenerator) Submit(ctx context.Context, spec JobSpec) (string, err
 	return g.cl.Submit(ctx, spec)
 }
 
-// Status polls one job.
-func (g *RemoteGenerator) Status(ctx context.Context, id string) (JobStatus, error) {
-	return g.cl.Status(ctx, id)
-}
-
 // Result fetches the outcome of a finished atpg job.
 func (g *RemoteGenerator) Result(ctx context.Context, id string) (*AtpgResult, error) {
 	return g.cl.ResultAtpg(ctx, id)
 }
-
-// Cancel aborts a job: queued immediately, running at its next
-// barrier (a 64-pattern simulation block, or one ATPG target).
-func (g *RemoteGenerator) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	return g.cl.Cancel(ctx, id)
-}
-
-// Stream delivers progress events until the job reaches a terminal
-// state and returns the final status.
-func (g *RemoteGenerator) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
-	return g.cl.Stream(ctx, id, fn)
-}
-
-// Stats returns the server's counters.
-func (g *RemoteGenerator) Stats(ctx context.Context) (GraderStats, error) {
-	return g.cl.Stats(ctx)
-}
-
-// Close releases the generator (a remote generator holds no
-// resources).
-func (g *RemoteGenerator) Close() error { return nil }
 
 // RemoteOrderer computes ADI fault orders on a running adifod server:
 // the server simulates the spec's vector set U without dropping,
@@ -132,13 +106,13 @@ func (g *RemoteGenerator) Close() error { return nil }
 // ComputeADI + Index.Order run with equal inputs. Non-2xx responses
 // surface as *APIError.
 type RemoteOrderer struct {
-	cl *client.Client
+	remote
 }
 
 // NewRemoteOrderer returns an orderer for the adifod server at base.
 // httpClient may be nil for http.DefaultClient.
 func NewRemoteOrderer(base string, httpClient *http.Client) *RemoteOrderer {
-	return &RemoteOrderer{cl: client.New(base, httpClient)}
+	return &RemoteOrderer{remote{client.New(base, httpClient)}}
 }
 
 // Submit posts an adi_order job and returns its id. An empty spec
@@ -150,32 +124,7 @@ func (o *RemoteOrderer) Submit(ctx context.Context, spec JobSpec) (string, error
 	return o.cl.Submit(ctx, spec)
 }
 
-// Status polls one job.
-func (o *RemoteOrderer) Status(ctx context.Context, id string) (JobStatus, error) {
-	return o.cl.Status(ctx, id)
-}
-
 // Result fetches the outcome of a finished adi_order job.
 func (o *RemoteOrderer) Result(ctx context.Context, id string) (*OrderResult, error) {
 	return o.cl.ResultOrder(ctx, id)
 }
-
-// Cancel aborts a job: queued immediately, running at its next
-// 64-pattern block barrier.
-func (o *RemoteOrderer) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	return o.cl.Cancel(ctx, id)
-}
-
-// Stream delivers per-block progress events until the job reaches a
-// terminal state and returns the final status.
-func (o *RemoteOrderer) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
-	return o.cl.Stream(ctx, id, fn)
-}
-
-// Stats returns the server's counters.
-func (o *RemoteOrderer) Stats(ctx context.Context) (GraderStats, error) {
-	return o.cl.Stats(ctx)
-}
-
-// Close releases the orderer (a remote orderer holds no resources).
-func (o *RemoteOrderer) Close() error { return nil }

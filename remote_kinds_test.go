@@ -241,3 +241,59 @@ func TestUnsupportedKindOnTheWire(t *testing.T) {
 		t.Fatalf("error code = %v, want unsupported_kind envelope", err)
 	}
 }
+
+// TestRemoteFrontEndQueries drives the calls the three remote front
+// ends share (Status, Cancel, Stream, Stats and Close) against one
+// server, one job of each front end's kind.
+func TestRemoteFrontEndQueries(t *testing.T) {
+	ctx := context.Background()
+	g := adifo.NewLocalGrader(adifo.GraderConfig{})
+	defer g.Close()
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	pat := adifo.PatternSpec{Random: &adifo.RandomSpec{N: 64, Seed: 1}}
+	order := &adifo.OrderSpec{Kind: "dynm"}
+	type frontEnd interface {
+		Submit(context.Context, adifo.JobSpec) (string, error)
+		Status(context.Context, string) (adifo.JobStatus, error)
+		Cancel(context.Context, string) (adifo.JobStatus, error)
+		Stream(context.Context, string, func(adifo.ProgressEvent)) (adifo.JobStatus, error)
+		Stats(context.Context) (adifo.GraderStats, error)
+		Close() error
+	}
+	for i, tc := range []struct {
+		kind string
+		fe   frontEnd
+		spec adifo.JobSpec
+	}{
+		{adifo.KindGrade, adifo.NewRemoteGrader(srv.URL, nil), adifo.JobSpec{Circuit: "c17", Mode: "drop", Patterns: pat}},
+		{adifo.KindAtpg, adifo.NewRemoteGenerator(srv.URL, nil), adifo.JobSpec{Circuit: "c17", Patterns: pat, Order: order}},
+		{adifo.KindADIOrder, adifo.NewRemoteOrderer(srv.URL, nil), adifo.JobSpec{Circuit: "c17", Patterns: pat, Order: order}},
+	} {
+		id, err := tc.fe.Submit(ctx, tc.spec)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", tc.kind, err)
+		}
+		st, err := tc.fe.Stream(ctx, id, nil)
+		if err != nil || st.State != adifo.JobDone || st.Kind != tc.kind {
+			t.Fatalf("%s: stream ended %+v, %v", tc.kind, st, err)
+		}
+		if st, err := tc.fe.Status(ctx, id); err != nil || st.ID != id || st.State != adifo.JobDone {
+			t.Errorf("%s: status %+v, %v", tc.kind, st, err)
+		}
+		if _, err := tc.fe.Cancel(ctx, id); !errors.Is(err, adifo.ErrJobFinished) {
+			t.Errorf("%s: cancel of a finished job: %v, want ErrJobFinished", tc.kind, err)
+		}
+		if _, err := tc.fe.Status(ctx, "j999"); !errors.Is(err, adifo.ErrJobNotFound) {
+			t.Errorf("%s: status of an unknown job: %v, want ErrJobNotFound", tc.kind, err)
+		}
+		stats, err := tc.fe.Stats(ctx)
+		if err != nil || stats.JobsSubmitted != uint64(i+1) || stats.JobsDone != uint64(i+1) {
+			t.Errorf("%s: stats %+v, %v; want %d submitted and done", tc.kind, stats, err, i+1)
+		}
+		if err := tc.fe.Close(); err != nil {
+			t.Errorf("%s: close: %v", tc.kind, err)
+		}
+	}
+}
