@@ -281,10 +281,11 @@ func BenchmarkClusterGrade(b *testing.B) {
 // the three backends turned into a straggler: a proxy throttles its
 // progress streams to a trickle while probes, submits and cancels stay
 // fast, so the backend looks healthy and only its shard work drags.
-// The coordinator's work stealing and speculative duplicates are what
-// keep this number near BenchmarkClusterGrade instead of near the
-// straggler's own pace — the gap between the two benchmarks tracks the
-// tail-latency machinery over time.
+// The coordinator's speculative duplicates, launched when each job's
+// straggler timer fires, are what keep this number near
+// BenchmarkClusterGrade instead of near the straggler's own pace — the
+// gap between the two benchmarks tracks the tail-latency machinery
+// over time.
 func BenchmarkClusterGradeStraggler(b *testing.B) {
 	quiet := obs.Nop()
 	urls := make([]string, 3)

@@ -323,12 +323,12 @@ func (g *RemoteGrader) Result(ctx context.Context, id string) (*JobResult, error
 // ClusterGrader fans every grading job out across multiple adifod
 // backends: the collapsed fault universe is partitioned into many more
 // deterministic index-range shards than backends (ShardsPerBackend per
-// healthy backend), the shards feed a work queue that each backend
-// pulls from as it has capacity, and the streamed progress and final
+// healthy backend), the shards feed a work queue that hands each
+// backend work as it has capacity, and the streamed progress and final
 // results are merged into a single JobResult that is bit-identical to
 // an unsharded single-node run. A backend that dies mid-job has its
-// shards retried on survivors; shards stuck behind a straggler are
-// stolen or speculatively duplicated on idle backends (first terminal
+// shards retried on survivors; a shard stuck behind a straggler is
+// speculatively duplicated on a backend with room (first terminal
 // result wins — determinism makes duplicates safe). Health is probed
 // via /v1/stats and flapping backends are excluded. Cancel fans out to
 // every sub-job.

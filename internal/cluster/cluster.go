@@ -8,17 +8,21 @@
 //
 // Placement is a work queue, not a static assignment: the coordinator
 // cuts ShardsPerBackend shards per healthy backend — many more shards
-// than backends — and each backend pulls the next queued shard as its
-// in-flight window (bounded by MaxInFlightPerBackend, scaled by the
-// capacity each backend reports on /v1/stats) opens up. Fast backends
+// than backends — and hands a backend the next queued shard whenever
+// its in-flight window (bounded by MaxInFlightPerBackend, scaled by the
+// capacity each backend reports on /v1/stats) has room. Fast backends
 // therefore finish more shards; a slow backend bounds only its own
-// tail, not the job. When the queue runs dry an idle backend first
-// steals a shard that is still sitting unstarted in a backlogged
-// peer's own queue, then speculatively duplicates the least-progressed
-// running shard — the first attempt to reach a terminal result wins
-// and the loser is cancelled. A background re-probe loop re-admits
-// backends that were unhealthy (or flapping) at submit time, so
-// membership is dynamic over a job's lifetime.
+// tail, not the job. Once the queue is empty, a backend with room
+// speculatively duplicates the least-progressed shard whose only
+// attempt is older than StragglerAfter: the first attempt to reach a
+// terminal result wins and the loser is cancelled. A background
+// re-probe loop re-admits backends that were unhealthy (or flapping)
+// at submit time, so membership is dynamic over a job's lifetime.
+//
+// One goroutine owns each job's placement state: the one running the
+// job's body. It places work, its attempts report their sub-job ids
+// and outcomes to it over a channel, and one timer wakes it when an
+// attempt comes of straggler age.
 //
 // The merge is bit-identical to an unsharded single-node run because
 // dropping decisions are per-fault: a fault drops when its own
@@ -56,6 +60,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +70,10 @@ import (
 	"github.com/eda-go/adifo/internal/service"
 	"github.com/eda-go/adifo/internal/service/client"
 )
+
+// maxShardRetries is how many times one shard may be requeued after
+// lost attempts before the cluster job fails.
+const maxShardRetries = 3
 
 // Options configures a Coordinator; zero values select sensible
 // defaults.
@@ -76,9 +85,6 @@ type Options struct {
 	HTTPClient *http.Client
 	// ProbeTimeout bounds one /v1/stats health probe (default 2s).
 	ProbeTimeout time.Duration
-	// MaxShardRetries is how many times one shard may be resubmitted
-	// after backend failures before the cluster job fails (default 3).
-	MaxShardRetries int
 	// MaxBackendFailures is the consecutive-failure count at which a
 	// backend is considered flapping and excluded from placement until
 	// a probe or sub-job completes on it again (default 3).
@@ -105,13 +111,10 @@ type Options struct {
 	// that re-probes every backend, records its reported capacity, and
 	// re-admits recovered backends into running jobs (default 3s).
 	ReprobeInterval time.Duration
-	// StragglerAfter is how old a shard's sole attempt must be before
-	// an idle backend (with an empty queue) may steal it (no streamed
-	// progress yet — the sub-job is stuck in its backend's queue) or
-	// speculatively duplicate it (progressing, but slowly). The age
-	// gate keeps healthy fast jobs at exactly one attempt per shard:
-	// "no progress" alone also describes a placement that is a few
-	// milliseconds old (default 2s).
+	// StragglerAfter is how old a shard's only attempt must be before a
+	// backend with room, once the queue is empty, may speculatively
+	// duplicate it. The age gate keeps healthy fast jobs at exactly one
+	// attempt per shard (default 2s).
 	StragglerAfter time.Duration
 	// Logger receives placement and retry diagnostics as structured
 	// records with "backend", "shard" and "job" fields. Nil selects the
@@ -122,9 +125,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.MaxShardRetries <= 0 {
-		o.MaxShardRetries = 3
 	}
 	if o.MaxBackendFailures <= 0 {
 		o.MaxBackendFailures = 3
@@ -231,10 +231,10 @@ type Coordinator struct {
 	// sub-job the previous incarnation left on a journal-backed backend.
 	nonce string
 
-	// ctx lives until Close. It ends the re-probe loop and the
-	// pacemakers, and it bounds remote cancels and reclaims: those
-	// wait as long as a loaded backend takes to answer, since a
-	// sub-job they give up on keeps running.
+	// ctx lives until Close. It ends the re-probe loop, and it bounds
+	// remote cancels and reclaims: those wait as long as a loaded
+	// backend takes to answer, since a sub-job they give up on keeps
+	// running.
 	ctx  context.Context
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -338,42 +338,43 @@ func (co *Coordinator) shardKey(jobID string, index, count, attempt int) string 
 }
 
 // attempt is one placement of one shard on one backend. A shard has at
-// most two live attempts: its primary and a speculative duplicate (or
-// the superseded victim of a steal, draining away).
+// most two live attempts: its primary and a speculative duplicate.
+// Apart from progress, only the owning job's loop touches an attempt
+// once it has started.
 type attempt struct {
+	sh          *shard
 	backend     *backend
-	key         string
-	seq         int  // attempt ordinal within the shard, keys the sub-job
-	retry       int  // sh.retries at creation; the span's retry attribute
-	speculative bool // duplicate of a running attempt
-	stolen      bool // claimed away from a backlogged backend
+	key         string // idempotency key of the sub-job
+	retry       int    // sh.retries at creation; the span's retry attribute
+	speculative bool   // duplicate of a running attempt
 	born        time.Time
 
-	// ctx cancels this attempt's outbound calls; cancel is invoked when
-	// the attempt loses (superseded) or the attempt goroutine returns.
+	// ctx bounds this attempt's outbound calls; the loop cancels it
+	// when the attempt's report ends it or a sibling's result
+	// supersedes it.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	remoteID string // sub-job id on the backend; guarded by shard.mu
+	remoteID string // sub-job id on the backend, once reported
+	// superseded marks an attempt the loop gave up on: its shard
+	// settled elsewhere or the job stopped. Its end is bookkeeping,
+	// not a loss.
+	superseded bool
 
-	// progress counts streamed events — the steal heuristic's "has this
-	// sub-job started at all" signal.
+	// progress counts streamed events, written by the attempt's
+	// goroutine: speculation duplicates the least-progressed shard.
 	progress atomic.Int64
-	// superseded marks a lost race: the shard finished (or moved)
-	// elsewhere and this attempt's death is bookkeeping, not a loss.
-	superseded atomic.Bool
 }
 
 // shard is one fault-range sub-job of a cluster job.
 type shard struct {
 	index, count int
 
-	mu         sync.Mutex
-	state      string // queued/running/done/failed/cancelled from the cluster's view
-	attempts   []*attempt
+	state      string     // queued/running/done/failed/cancelled from the cluster's view
+	attempts   []*attempt // started attempts that have not reported their end
 	attemptSeq int
 	retries    int
-	lastFailed string // URL of the backend that most recently lost this shard
+	lastFailed *backend // the backend that most recently lost this shard
 	// backend/remoteID are the latest placement while running and the
 	// winning attempt's once done — diagnostics via Shards.
 	backend  *backend
@@ -396,19 +397,19 @@ type ShardStatus struct {
 }
 
 // cjob is the fan-out of one cluster job: the body its engine job
-// runs.
+// runs. The goroutine running Run owns the placement state: members,
+// queue, inflight, live, remaining, and every shard and attempt.
 type cjob struct {
-	co      *Coordinator
-	spec    service.JobSpec
-	healthy []*backend // the backends that answered the submit's probe
-	shards  []*shard
-	merge   *merger
+	co     *Coordinator
+	spec   service.JobSpec
+	shards []*shard
+	merge  *merger
 
 	// id is the engine job's id and run its handle; tctx carries the
 	// job's root span (plus the engine's recorder) without the job's
-	// cancellation: shard-attempt spans start under it, and outbound
-	// backend calls inject its traceparent. All three are set before
-	// the dispatch loops start and never reassigned.
+	// cancellation: attempt spans start under it, and outbound backend
+	// calls inject its traceparent. Run sets all three before it starts
+	// an attempt.
 	id   string
 	run  *service.Run
 	tctx context.Context
@@ -417,30 +418,35 @@ type cjob struct {
 	// subscribers in block order even when shard streams race.
 	pubMu sync.Mutex
 
-	// aborted marks a cancel or a shard failure fan-out. Attempt triage
-	// consults it so the abort's own remote cancels are not mistaken
-	// for backend drains (and pointlessly retried).
-	aborted atomic.Bool
+	// reports carries attempts' sub-job ids and final outcomes to Run.
+	// offers carries backends the re-probe loop hands over; it has a
+	// slot per backend, so admit never blocks.
+	reports chan report
+	offers  chan *backend
 
-	// smu guards the work-queue state; cond wakes dispatch loops when
-	// the queue, in-flight windows, or shard states change.
-	smu         sync.Mutex
-	cond        *sync.Cond
-	queue       []*shard       // shards awaiting (re)placement
-	inflight    map[string]int // live attempts per backend URL
-	runners     map[string]bool
-	runnerCount int // live dispatch loops
-	holders     int // live goroutines under runnersWg; 0 is terminal
-	remaining   int // shards not yet terminal
-	closed      bool
-	runnersWg   sync.WaitGroup
+	// mu orders the loop's writes of the shard fields Shards reads
+	// (state, backend, remoteID, retries, attemptSeq, err) before
+	// Shards' reads; the loop itself reads them without it.
+	mu sync.Mutex
+
+	members   map[*backend]bool // backends placement may use
+	queue     []*shard          // shards awaiting (re)placement
+	inflight  map[*backend]int  // live attempts per backend
+	live      int               // attempts that have not reported their end
+	remaining int               // shards not yet terminal
 }
 
-// work is one claimed placement: a shard plus the attempt minted for
-// the claiming backend.
-type work struct {
-	sh  *shard
-	att *attempt
+// report is an attempt's message to its job's loop: the sub-job id
+// once the backend accepted the submit, then exactly one final report
+// (id empty) with the result or the reason there is none.
+type report struct {
+	att    *attempt
+	id     string
+	st     service.JobStatus  // the status the sub-job's stream ended with
+	res    *service.JobResult // nil exactly when err is set
+	err    error
+	failed bool // err is the backend failing the sub-job itself
+	submit bool // err came from the submit
 }
 
 // probe checks one backend's liveness with the configured timeout,
@@ -500,7 +506,7 @@ func (co *Coordinator) healthyBackends(ctx context.Context) []*backend {
 
 // reprobeLoop is the dynamic-membership sweep: it periodically probes
 // every backend, refreshing capacity hints and re-admitting backends
-// that were dead (or flapping) into the dispatch of running jobs.
+// that were dead (or flapping) into the placement of running jobs.
 func (co *Coordinator) reprobeLoop() {
 	t := time.NewTicker(co.opts.ReprobeInterval)
 	defer t.Stop()
@@ -533,14 +539,22 @@ func (co *Coordinator) reprobe() {
 	wg.Wait()
 }
 
-// admit attaches a dispatch loop for b to every running job that lacks
-// one — the work-queue half of dynamic membership. Idempotent:
-// startRunner refuses jobs that are finished, not yet started or
-// already served by b.
+// admit offers b to every running job — the work-queue half of dynamic
+// membership. A job's loop adds b to the backends it places on, or
+// merely re-places if b is already one, which also wakes it for a
+// member whose failures the probe just cleared. admit never blocks: a
+// job with a full offer buffer skips this offer and gets the next
+// sweep's, and a job cancelled before it ran never reads its offers.
 func (co *Coordinator) admit(b *backend) {
 	for _, st := range co.svc.Jobs() {
+		if terminalState(st.State) {
+			continue
+		}
 		if j := co.job(st.ID); j != nil {
-			co.startRunner(j, b)
+			select {
+			case j.offers <- b:
+			default:
+			}
 		}
 	}
 }
@@ -591,13 +605,16 @@ func (co *Coordinator) prepare(ctx context.Context, spec service.JobSpec) (servi
 	j := &cjob{
 		co:        co,
 		spec:      spec,
-		healthy:   healthy,
 		merge:     newMerger(count),
-		inflight:  make(map[string]int),
-		runners:   make(map[string]bool),
+		reports:   make(chan report),
+		offers:    make(chan *backend, len(co.backends)),
+		members:   make(map[*backend]bool),
+		inflight:  make(map[*backend]int),
 		remaining: count,
 	}
-	j.cond = sync.NewCond(&j.smu)
+	for _, b := range healthy {
+		j.members[b] = true
+	}
 	for i := 0; i < count; i++ {
 		j.shards = append(j.shards, &shard{index: i, count: count, state: service.StateQueued})
 	}
@@ -605,650 +622,411 @@ func (co *Coordinator) prepare(ctx context.Context, spec service.JobSpec) (servi
 	return j, nil
 }
 
-// Run is the body of a cluster job (service.Body): it starts a
-// dispatch loop per healthy backend, waits until every loop and
-// attempt has returned, and merges the shard results. A cancel of ctx
-// aborts the fan-out.
+// Run is the body of a cluster job (service.Body) and the loop that
+// owns its placement. Each pass places what it can and then waits for
+// one event: an attempt's report, an offered backend, the straggler
+// timer or the job's cancellation. It returns once every shard is
+// terminal and every attempt has reported its end, with the merged
+// result.
 func (j *cjob) Run(ctx context.Context, r *service.Run) (*service.JobResult, error) {
-	co := j.co
 	span := trace.SpanFromContext(ctx)
 	span.SetAttrInt("shards", len(j.shards))
-	span.SetAttrInt("backends", len(j.healthy))
-	// The body holds the job open (holders > 0) while it starts the
-	// dispatch loops, so startRunner admits them.
-	j.smu.Lock()
+	span.SetAttrInt("backends", len(j.members))
 	j.id, j.run, j.tctx = r.ID, r, context.WithoutCancel(ctx)
-	j.holders++
-	j.runnersWg.Add(1)
-	j.smu.Unlock()
-	stop := context.AfterFunc(ctx, func() { co.abortJob(j) })
-	defer stop()
-	for _, b := range j.healthy {
-		co.startRunner(j, b)
-	}
-	j.smu.Lock()
-	j.holders--
-	j.smu.Unlock()
-	j.runnersWg.Done()
-	j.cond.Broadcast()
-
-	// The pacemaker: steal and speculation eligibility turn true with
-	// the mere passage of time (an attempt ages past StragglerAfter
-	// with no event landing — the very situation where no broadcast is
-	// coming), so idle dispatch loops parked in cond.Wait need a
-	// periodic nudge to re-scan for work.
-	co.wg.Add(1)
-	go func() {
-		defer co.wg.Done()
-		period := co.opts.StragglerAfter / 2
-		if period < 10*time.Millisecond {
-			period = 10 * time.Millisecond
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	cancelled := ctx.Done()
+	for {
+		j.place()
+		if j.remaining == 0 && j.live == 0 {
+			break
 		}
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				j.smu.Lock()
-				closed := j.closed
-				j.cond.Broadcast()
-				j.smu.Unlock()
-				if closed {
-					return
-				}
-			case <-co.ctx.Done():
-				return
-			}
+		var straggler <-chan time.Time
+		if d, ok := j.nextStraggler(); ok {
+			timer.Reset(d)
+			straggler = timer.C
 		}
-	}()
-
-	// Once every dispatch loop and attempt has returned, settle
-	// whatever is left (shards stranded with no backend to run them).
-	j.runnersWg.Wait()
-	j.smu.Lock()
-	j.closed = true
-	orphans := j.queue
-	j.queue = nil
-	j.smu.Unlock()
-	for _, sh := range append(orphans, j.shards...) {
-		if j.aborted.Load() {
-			co.settleShard(j, sh, service.StateCancelled, nil)
-		} else {
-			co.settleShard(j, sh, service.StateFailed, errors.New("no healthy backend available"))
+		select {
+		case rep := <-j.reports:
+			j.handle(rep)
+		case b := <-j.offers:
+			j.members[b] = true
+		case <-straggler:
+		case <-cancelled:
+			cancelled = nil
+			j.abort()
 		}
 	}
-	return co.finalize(ctx, j)
+	return j.co.finalize(ctx, j)
 }
 
-// newAttemptLocked mints the next attempt of sh on b. Caller holds
-// sh.mu.
-func (co *Coordinator) newAttemptLocked(j *cjob, sh *shard, b *backend, speculative, stolen bool) *attempt {
+// place hands out work round-robin over the usable members (in
+// configuration order, one claim per backend per round) while their
+// in-flight windows have room. A backend takes the first queued shard
+// it may run — a shard avoids the backend that last lost it while
+// another backend is usable — and, once the queue is empty, a
+// duplicate of the least-progressed straggler. Round-robin keeps a
+// job's shards spread across backends even when a window is larger
+// than ShardsPerBackend. A queue that no usable backend and no live
+// attempt can drain fails.
+func (j *cjob) place() {
+	co := j.co
+	var usable []*backend
+	for _, b := range co.backends {
+		if j.members[b] && !b.flapping(co.opts.MaxBackendFailures) {
+			usable = append(usable, b)
+		}
+	}
+	for claimed := true; claimed; {
+		claimed = false
+		for _, b := range usable {
+			if j.inflight[b] >= co.capacity(b) {
+				continue
+			}
+			sh, speculative := j.claimQueued(b, len(usable) > 1), false
+			if sh == nil && len(j.queue) == 0 {
+				sh, speculative = j.straggler(b), true
+			}
+			if sh != nil {
+				j.start(sh, b, speculative)
+				claimed = true
+			}
+		}
+	}
+	if len(usable) == 0 && j.live == 0 {
+		for _, sh := range j.queue {
+			j.settle(sh, service.StateFailed, errors.New("no healthy backend available"))
+		}
+		j.queue = nil
+	}
+}
+
+// claimQueued removes and returns the first queued shard b may run;
+// avoid says whether a shard passes over the backend that last lost
+// it.
+func (j *cjob) claimQueued(b *backend, avoid bool) *shard {
+	for i, sh := range j.queue {
+		if avoid && sh.lastFailed == b {
+			continue
+		}
+		j.queue = slices.Delete(j.queue, i, i+1)
+		return sh
+	}
+	return nil
+}
+
+// straggler picks the shard b should duplicate: of the running shards
+// whose only attempt is on another backend and older than
+// StragglerAfter, the least-progressed — which prefers an attempt
+// still waiting in a backlogged backend's queue.
+func (j *cjob) straggler(b *backend) *shard {
+	now := j.co.now()
+	var pick *shard
+	var least int64
+	for _, sh := range j.shards {
+		if sh.state != service.StateRunning || len(sh.attempts) != 1 {
+			continue
+		}
+		a := sh.attempts[0]
+		if a.backend == b || now.Sub(a.born) < j.co.opts.StragglerAfter {
+			continue
+		}
+		if p := a.progress.Load(); pick == nil || p < least {
+			pick, least = sh, p
+		}
+	}
+	return pick
+}
+
+// nextStraggler is how long until the next only-attempt comes of
+// straggler age, which no event would announce. Attempts already of
+// age wait for an event that frees a window, and while the queue holds
+// shards nothing is duplicated at all; both report false.
+func (j *cjob) nextStraggler() (time.Duration, bool) {
+	if len(j.queue) > 0 {
+		return 0, false
+	}
+	now := j.co.now()
+	next := time.Duration(math.MaxInt64)
+	for _, sh := range j.shards {
+		if sh.state != service.StateRunning || len(sh.attempts) != 1 {
+			continue
+		}
+		if d := sh.attempts[0].born.Add(j.co.opts.StragglerAfter).Sub(now); d > 0 {
+			next = min(next, d)
+		}
+	}
+	return next, next < math.MaxInt64
+}
+
+// start mints the next attempt of sh on b and runs it in a goroutine
+// of its own, which reports to the loop.
+func (j *cjob) start(sh *shard, b *backend, speculative bool) {
+	co := j.co
 	ctx, cancel := context.WithCancel(j.tctx)
 	att := &attempt{
+		sh:          sh,
 		backend:     b,
 		key:         co.shardKey(j.id, sh.index, sh.count, sh.attemptSeq),
-		seq:         sh.attemptSeq,
 		retry:       sh.retries,
 		speculative: speculative,
-		stolen:      stolen,
 		born:        co.now(),
 		ctx:         ctx,
 		cancel:      cancel,
 	}
-	sh.attemptSeq++
 	sh.attempts = append(sh.attempts, att)
+	j.mu.Lock()
+	sh.attemptSeq++
 	sh.state = service.StateRunning
 	sh.backend = b
-	return att
+	j.mu.Unlock()
+	j.inflight[b]++
+	j.live++
+	if speculative {
+		co.met.shardsSpeculated.Inc()
+		co.logger.InfoContext(j.tctx, "speculating tail shard on idle backend",
+			"job", j.id, "shard", sh.index, "backend", b.url)
+	}
+	labels := pprof.Labels("job", j.id, "shard", fmt.Sprintf("%d/%d", sh.index, sh.count))
+	go pprof.Do(context.Background(), labels, func(context.Context) {
+		j.reports <- j.runAttempt(att)
+	})
 }
 
-// startRunner attaches one dispatch loop for backend b to job j unless
-// the job is finished or b already has one.
-func (co *Coordinator) startRunner(j *cjob, b *backend) {
-	j.smu.Lock()
-	if j.closed || j.holders == 0 || j.runners[b.url] {
-		j.smu.Unlock()
-		return
-	}
-	j.runners[b.url] = true
-	j.runnerCount++
-	j.holders++
-	j.runnersWg.Add(1)
-	j.smu.Unlock()
-	co.wg.Add(1)
-	go func() {
-		defer co.wg.Done()
-		defer func() {
-			j.smu.Lock()
-			j.runners[b.url] = false
-			j.runnerCount--
-			j.holders--
-			j.smu.Unlock()
-			j.runnersWg.Done()
-			j.cond.Broadcast()
-		}()
-		pprof.Do(context.Background(), pprof.Labels("job", j.id, "backend", b.url),
-			func(context.Context) { co.backendLoop(j, b) })
-	}()
+// subSpec is att's sub-job. It carries the attempt's key in place of
+// the caller's: the caller's key already deduped at the engine, and one
+// key on every shard would make a backend dedupe distinct shards into
+// one sub-job.
+func (j *cjob) subSpec(att *attempt) service.JobSpec {
+	sub := j.spec
+	sub.FaultShard = &service.FaultShard{Index: att.sh.index, Count: att.sh.count}
+	sub.IdempotencyKey = att.key
+	return sub
 }
 
-// backendLoop is one backend's dispatch loop: pull the next piece of
-// work, run it in its own goroutine, repeat until the job is done or
-// the backend is struck off. The loop returns only after its attempts
-// have drained.
-func (co *Coordinator) backendLoop(j *cjob, b *backend) {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		wk := co.nextWork(j, b)
-		if wk == nil {
-			return
-		}
-		wg.Add(1)
-		j.smu.Lock()
-		j.holders++
-		j.runnersWg.Add(1)
-		j.smu.Unlock()
-		go func() {
-			defer wg.Done()
-			defer func() {
-				j.smu.Lock()
-				j.inflight[b.url]--
-				j.holders--
-				j.smu.Unlock()
-				j.runnersWg.Done()
-				j.cond.Broadcast()
-			}()
-			pprof.Do(context.Background(),
-				pprof.Labels("job", j.id, "shard", fmt.Sprintf("%d/%d", wk.sh.index, wk.sh.count)),
-				func(context.Context) { co.runAttempt(j, b, wk) })
-		}()
-	}
-}
-
-// nextWork blocks until b can take on more work for j and claims it:
-// a queued shard first, then — only with an empty queue — a steal from
-// a backlogged peer, then a speculative duplicate of the slowest
-// running shard. Returns nil when the job is finished (or b has been
-// struck off) and the loop should exit.
-func (co *Coordinator) nextWork(j *cjob, b *backend) *work {
-	j.smu.Lock()
-	defer j.smu.Unlock()
-	for {
-		if j.closed || b.flapping(co.opts.MaxBackendFailures) {
-			return nil
-		}
-		if j.inflight[b.url] < co.capacity(b) {
-			if wk := co.claimQueuedLocked(j, b); wk != nil {
-				return wk
-			}
-			if len(j.queue) == 0 && !j.aborted.Load() {
-				if wk := co.claimStolenLocked(j, b); wk != nil {
-					return wk
-				}
-				if wk := co.claimSpeculativeLocked(j, b); wk != nil {
-					return wk
-				}
-			}
-		}
-		j.cond.Wait()
-	}
-}
-
-// claimQueuedLocked takes the first queued shard b may run. A shard
-// avoids the backend that most recently lost it while any other
-// dispatch loop is alive. Caller holds j.smu.
-func (co *Coordinator) claimQueuedLocked(j *cjob, b *backend) *work {
-	for i, sh := range j.queue {
-		sh.mu.Lock()
-		if sh.lastFailed == b.url && j.runnerCount > 1 {
-			sh.mu.Unlock()
-			continue
-		}
-		att := co.newAttemptLocked(j, sh, b, false, false)
-		sh.mu.Unlock()
-		copy(j.queue[i:], j.queue[i+1:])
-		j.queue[len(j.queue)-1] = nil
-		j.queue = j.queue[:len(j.queue)-1]
-		j.inflight[b.url]++
-		return &work{sh: sh, att: att}
-	}
-	return nil
-}
-
-// claimStolenLocked steals a shard whose sole attempt sits on a
-// backlogged peer with zero streamed progress: the sub-job is still
-// waiting in that backend's own queue, so moving it to an idle backend
-// loses no work. The victim is cancelled, not duplicated — stealing
-// reassigns queued work, speculation duplicates running work. Caller
-// holds j.smu.
-func (co *Coordinator) claimStolenLocked(j *cjob, b *backend) *work {
-	// Count live (non-superseded) attempts per backend up front.
-	// j.inflight lags reality here: a stolen victim keeps its inflight
-	// slot until its goroutine exits, so a thief scanning in a tight
-	// burst would see a stale backlog and strip a backend bare before
-	// the first victim ever unwinds. Supersede flips synchronously,
-	// so this count cannot double-steal the same backlog.
-	live := make(map[string]int, len(j.inflight))
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		if sh.state == service.StateRunning {
-			for _, a := range sh.attempts {
-				if !a.superseded.Load() {
-					live[a.backend.url]++
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		if sh.state != service.StateRunning || len(sh.attempts) != 1 {
-			sh.mu.Unlock()
-			continue
-		}
-		victim := sh.attempts[0]
-		// Require a genuinely stuck victim: old enough that its first
-		// event should long since have landed, still at zero progress,
-		// and behind a real backlog (≥2 live attempts) on its backend —
-		// otherwise two idle backends would ping-pong fresh placements
-		// between them before the first event can land. The last
-		// zero-progress attempt on a backend is speculation's to
-		// duplicate, not stealing's to cancel.
-		if victim.backend == b || victim.progress.Load() > 0 ||
-			victim.superseded.Load() || live[victim.backend.url] < 2 ||
-			co.now().Sub(victim.born) < co.opts.StragglerAfter {
-			sh.mu.Unlock()
-			continue
-		}
-		victim.superseded.Store(true)
-		rid := victim.remoteID
-		att := co.newAttemptLocked(j, sh, b, false, true)
-		sh.mu.Unlock()
-		victim.cancel()
-		go co.cancelRemote(j.tctx, j, victim.backend, rid, "stolen")
-		co.met.shardsStolen.Inc()
-		co.logger.InfoContext(j.tctx, "shard stolen from backlogged backend",
-			"job", j.id, "shard", sh.index, "from", victim.backend.url, "to", b.url)
-		j.inflight[b.url]++
-		return &work{sh: sh, att: att}
-	}
-	return nil
-}
-
-// claimSpeculativeLocked duplicates the least-progressed running shard
-// on an otherwise idle backend — the MapReduce backup task. The merge
-// is bit-identical, so whichever attempt finishes first yields the
-// same job; the loser is cancelled. At most two live attempts per
-// shard. Caller holds j.smu.
-func (co *Coordinator) claimSpeculativeLocked(j *cjob, b *backend) *work {
-	var pick *shard
-	var pickProgress int64
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		ok := sh.state == service.StateRunning && len(sh.attempts) == 1 &&
-			sh.attempts[0].backend != b && !sh.attempts[0].superseded.Load() &&
-			co.now().Sub(sh.attempts[0].born) >= co.opts.StragglerAfter
-		var p int64
-		if ok {
-			p = sh.attempts[0].progress.Load()
-		}
-		sh.mu.Unlock()
-		if ok && (pick == nil || p < pickProgress) {
-			pick, pickProgress = sh, p
-		}
-	}
-	if pick == nil {
-		return nil
-	}
-	pick.mu.Lock()
-	// Re-validate: the shard may have finished between scan and claim.
-	if pick.state != service.StateRunning || len(pick.attempts) != 1 || pick.attempts[0].backend == b {
-		pick.mu.Unlock()
-		return nil
-	}
-	att := co.newAttemptLocked(j, pick, b, true, false)
-	pick.mu.Unlock()
-	co.met.shardsSpeculated.Inc()
-	co.logger.InfoContext(j.tctx, "speculating tail shard on idle backend",
-		"job", j.id, "shard", pick.index, "backend", b.url)
-	j.inflight[b.url]++
-	return &work{sh: pick, att: att}
-}
-
-// runAttempt drives one attempt: submit the sub-job, stream it, and
-// triage the outcome. One span per attempt on the cluster job's trace.
-func (co *Coordinator) runAttempt(j *cjob, b *backend, wk *work) {
-	sh, att := wk.sh, wk.att
-	defer att.cancel()
-	defer func() {
-		removeAttempt(sh, att)
-		j.cond.Broadcast()
-	}()
+// runAttempt drives one attempt: it submits the sub-job, reports its
+// id, streams it into the merger and fetches its result, and returns
+// the final report. One span per attempt on the cluster job's trace.
+func (j *cjob) runAttempt(att *attempt) (rep report) {
+	sh, b := att.sh, att.backend
+	rep.att = att
 	ctx, span := trace.Start(att.ctx, "shard")
 	defer span.End()
 	span.SetAttrInt("shard", sh.index)
 	span.SetAttr("backend", b.url)
 	span.SetAttrInt("retry", att.retry)
-	if att.stolen {
-		span.SetAttr("steal", "true")
-	}
 	if att.speculative {
 		span.SetAttr("speculate", "true")
 	}
-
-	// The sub-job carries the attempt's key in place of the caller's:
-	// the caller's key already deduped at the engine, and one key on
-	// every shard would make a backend dedupe distinct shards into one
-	// sub-job.
-	sub := j.spec
-	sub.FaultShard = &service.FaultShard{Index: sh.index, Count: sh.count}
-	sub.IdempotencyKey = att.key
-	rid, err := b.cl.Submit(ctx, sub)
-	if err != nil {
-		if att.superseded.Load() || j.aborted.Load() {
-			go co.reclaim(ctx, j, b, sub)
+	defer func() {
+		if rep.err != nil {
+			span.SetStatus(trace.StatusError, rep.err.Error())
+		} else {
+			span.SetStatus(trace.StatusOK, "")
 		}
-		span.SetStatus(trace.StatusError, err.Error())
-		co.attemptLost(ctx, j, b, sh, att, err, true)
-		return
-	}
-	sh.mu.Lock()
-	att.remoteID = rid
-	sh.remoteID = rid
-	sh.mu.Unlock()
-	span.SetAttr("remote_id", rid)
+	}()
 
-	if j.aborted.Load() || att.superseded.Load() {
-		// An abort or supersede that raced this placement may have
-		// missed the sub-job (both snapshot remote ids under sh.mu);
-		// cancel it here so the backend stops and the stream below
-		// terminates.
-		co.cancelRemote(ctx, j, b, rid, "placement-race")
+	rid, err := b.cl.Submit(ctx, j.subSpec(att))
+	if err != nil {
+		rep.err, rep.submit = err, true
+		return rep
 	}
-	st, err := b.cl.Stream(ctx, rid, func(ev service.ProgressEvent) {
+	span.SetAttr("remote_id", rid)
+	j.reports <- report{att: att, id: rid}
+	rep.st, err = b.cl.Stream(ctx, rid, func(ev service.ProgressEvent) {
 		att.progress.Add(1)
 		j.pubMu.Lock()
 		j.publish(j.merge.update(sh.index, ev))
 		j.pubMu.Unlock()
 	})
-	if err == nil {
-		switch st.State {
-		case service.StateDone:
-			res, rerr := b.cl.Result(ctx, rid)
-			if rerr == nil {
-				b.markOK()
-				if co.completeShard(j, sh, att, st, res) {
-					span.SetStatus(trace.StatusOK, "")
-				} else {
-					// A sibling attempt finished first; this result is
-					// the bit-identical duplicate and is dropped.
-					span.SetStatus(trace.StatusOK, "superseded")
-				}
-				return
-			}
-			// Transport failure or a refusal (e.g. the finished job
-			// was evicted before the fetch): the shared triage below
-			// retries what a rerun can recover and fails the rest.
-			err = rerr
-		case service.StateCancelled:
-			if j.aborted.Load() {
-				co.settleShard(j, sh, service.StateCancelled, nil)
-				return
-			}
-			if att.superseded.Load() {
-				// Our own steal/supersede cancel echoing back.
-				return
-			}
-			// The backend cancelled the sub-job on its own — a
-			// graceful drain (SIGTERM) rather than our fan-out. To
-			// the cluster that is a lost shard like any other death:
-			// requeue it for a surviving backend.
-			err = fmt.Errorf("backend %s cancelled sub-job %s (draining?)", b.url, rid)
-		case service.StateFailed:
-			span.SetStatus(trace.StatusError, st.Error)
-			if !att.superseded.Load() {
-				co.failShard(ctx, j, sh, fmt.Errorf("backend %s: %s", b.url, st.Error))
-			}
+	switch {
+	case err != nil:
+	case rep.st.State == service.StateDone:
+		// A refused fetch (the finished sub-job was evicted, say) is a
+		// loss like a transport failure: the loop retries what a rerun
+		// can recover and fails the rest.
+		rep.res, err = b.cl.Result(ctx, rid)
+	case rep.st.State == service.StateFailed:
+		rep.failed = true
+		err = fmt.Errorf("backend %s: %s", b.url, rep.st.Error)
+	case rep.st.State == service.StateCancelled:
+		// Unless the loop cancelled it, the backend cancelled the
+		// sub-job on its own: a graceful drain (SIGTERM), which to the
+		// cluster is a lost shard like any other death.
+		err = fmt.Errorf("backend %s cancelled sub-job %s (draining?)", b.url, rid)
+	default:
+		err = fmt.Errorf("stream of %s on %s ended in non-terminal state %q", rid, b.url, rep.st.State)
+	}
+	rep.err = err
+	return rep
+}
+
+// handle applies one attempt report. An id report records the sub-job
+// and cancels it if the attempt is already superseded. A final report
+// ends the attempt and triages its outcome: a result settles the
+// shard, a failed sub-job fails the job, and any other loss requeues
+// the shard unless a sibling still covers it.
+func (j *cjob) handle(rep report) {
+	co, att := j.co, rep.att
+	sh, b := att.sh, att.backend
+	if rep.id != "" {
+		att.remoteID = rep.id
+		if att.superseded {
+			go co.cancelRemote(j, b, rep.id, "superseded")
 			return
-		default:
-			err = fmt.Errorf("stream of %s on %s ended in non-terminal state %q", rid, b.url, st.State)
 		}
-	}
-	span.SetStatus(trace.StatusError, err.Error())
-	co.attemptLost(ctx, j, b, sh, att, err, false)
-}
-
-// removeAttempt unlinks att from its shard (idempotent) and returns
-// how many live attempts remain.
-func removeAttempt(sh *shard, att *attempt) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, a := range sh.attempts {
-		if a == att {
-			copy(sh.attempts[i:], sh.attempts[i+1:])
-			sh.attempts[len(sh.attempts)-1] = nil
-			sh.attempts = sh.attempts[:len(sh.attempts)-1]
-			break
-		}
-	}
-	return len(sh.attempts)
-}
-
-// attemptLost triages a non-terminal attempt outcome: drop it when a
-// duplicate still covers the shard or the loss is our own supersede,
-// otherwise requeue the shard (bounded by MaxShardRetries). The
-// attempt is unlinked first so two concurrent losses cannot each see
-// the other as a live sibling and orphan the shard.
-func (co *Coordinator) attemptLost(lctx context.Context, j *cjob, b *backend, sh *shard, att *attempt, err error, submitting bool) {
-	siblings := removeAttempt(sh, att)
-	if att.superseded.Load() {
-		// The error is self-inflicted — our own steal or supersede
-		// cancelled this attempt's context — so it says nothing about
-		// the backend's health.
+		j.mu.Lock()
+		sh.remoteID = rep.id
+		j.mu.Unlock()
 		return
 	}
+	att.cancel()
+	j.live--
+	j.inflight[b]--
+	sh.attempts = slices.DeleteFunc(sh.attempts, func(a *attempt) bool { return a == att })
+	switch {
+	case att.superseded:
+		// The loop gave up on this attempt, so its end says nothing
+		// about the backend. A submit it cut off may still have been
+		// accepted.
+		if rep.submit {
+			go co.reclaim(j, att)
+		}
+	case rep.err == nil:
+		b.markOK()
+		j.complete(sh, att, rep)
+	case rep.failed:
+		j.fail(sh, rep.err)
+	default:
+		j.lost(sh, att, rep)
+	}
+}
+
+// lost triages an attempt that ended without a result: the backend's
+// fault unless the backend answered, and a requeue (bounded by
+// maxShardRetries) unless a sibling attempt still covers the shard.
+func (j *cjob) lost(sh *shard, att *attempt, rep report) {
+	co, b, err := j.co, att.backend, rep.err
 	var apiErr *service.APIError
 	isAPI := errors.As(err, &apiErr)
-	if !isAPI && att.ctx.Err() == nil {
-		// A call the abort cut off says nothing about the backend.
+	if !isAPI {
 		b.markFailure()
 	}
-	if isAPI && !submitting && !errors.Is(err, service.ErrNotFound) {
+	if isAPI && !rep.submit && !errors.Is(err, service.ErrNotFound) {
 		// The backend answered but refused mid-flight: not a transport
 		// failure, and retrying elsewhere cannot help a spec-level
 		// refusal. (A refused *submit* is different — draining and
 		// admission-control refusals are backend-local, so the shard
 		// goes back in the queue for another backend.)
-		if siblings > 0 {
-			return
+		if len(sh.attempts) == 0 {
+			j.fail(sh, err)
 		}
-		co.failShard(lctx, j, sh, err)
 		return
 	}
-	if j.aborted.Load() {
-		co.settleShard(j, sh, service.StateCancelled, nil)
-		return
-	}
-	if siblings > 0 {
-		// A live duplicate still covers the shard: drop this attempt
-		// rather than queue a third copy.
-		co.logger.DebugContext(lctx, "shard attempt lost, duplicate continues",
+	if len(sh.attempts) > 0 {
+		co.logger.DebugContext(j.tctx, "shard attempt lost, duplicate continues",
 			"backend", b.url, "job", j.id, "shard", sh.index, "err", err)
 		return
 	}
-	sh.mu.Lock()
-	if terminalState(sh.state) {
-		sh.mu.Unlock()
-		return
-	}
+	sh.lastFailed = b
+	j.mu.Lock()
 	sh.retries++
-	retries := sh.retries
-	sh.lastFailed = b.url
-	if retries > co.opts.MaxShardRetries {
-		sh.mu.Unlock()
-		co.failShard(lctx, j, sh, fmt.Errorf("shard %d/%d: %d retries exhausted, last error: %v",
-			sh.index, sh.count, co.opts.MaxShardRetries, err))
+	sh.state = service.StateQueued
+	j.mu.Unlock()
+	if sh.retries > maxShardRetries {
+		j.fail(sh, fmt.Errorf("shard %d/%d: %d retries exhausted, last error: %v",
+			sh.index, sh.count, maxShardRetries, err))
 		return
 	}
-	sh.state = service.StateQueued
-	sh.mu.Unlock()
 	co.met.shardRetries.Inc()
-	co.logger.WarnContext(lctx, "shard lost, requeueing", "backend", b.url,
+	co.logger.WarnContext(j.tctx, "shard lost, requeueing", "backend", b.url,
 		"job", j.id, "shard", sh.index, "shards", sh.count, "err", err)
-	j.smu.Lock()
 	j.queue = append(j.queue, sh)
-	j.smu.Unlock()
-	j.cond.Broadcast()
 }
 
-// completeShard claims sh's terminal transition for att's result.
-// Returns false when a sibling attempt won the race (the caller's
-// result is the bit-identical duplicate). The winner feeds the merger
-// and cancels the losing attempts.
-func (co *Coordinator) completeShard(j *cjob, sh *shard, att *attempt, st service.JobStatus, res *service.JobResult) bool {
-	type loser struct {
-		att *attempt
-		rid string
-	}
-	sh.mu.Lock()
-	if terminalState(sh.state) {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.state = service.StateDone
-	sh.result = res
-	sh.backend = att.backend
-	sh.remoteID = att.remoteID
-	var losers []loser
-	for _, a := range sh.attempts {
-		if a == att {
-			continue
-		}
-		a.superseded.Store(true)
-		losers = append(losers, loser{att: a, rid: a.remoteID})
-	}
-	sh.mu.Unlock()
+// complete settles sh with att's result, which feeds the merger, and
+// supersedes the losing sibling.
+func (j *cjob) complete(sh *shard, att *attempt, rep report) {
+	co := j.co
+	j.settle(sh, service.StateDone, nil)
+	j.mu.Lock()
+	sh.backend, sh.remoteID = att.backend, att.remoteID
+	j.mu.Unlock()
+	sh.result = rep.res
 	if att.speculative {
 		co.met.speculationWins.Inc()
 		co.logger.InfoContext(j.tctx, "speculative duplicate won",
 			"job", j.id, "shard", sh.index, "backend", att.backend.url)
 	}
-	for _, l := range losers {
-		l.att.cancel()
-		go co.cancelRemote(j.tctx, j, l.att.backend, l.rid, "superseded")
-	}
 	j.pubMu.Lock()
-	j.merge.markDone(sh.index, st)
+	j.merge.markDone(sh.index, rep.st)
 	j.publish(j.merge.collect())
 	j.pubMu.Unlock()
-	co.shardSettled(j)
-	return true
 }
 
-// settleShard claims sh's terminal transition to a failed or cancelled
-// state; false means another caller already settled it. Remaining
-// attempts are superseded and their contexts cancelled (their remote
-// sub-jobs are the abort fan-out's job).
-func (co *Coordinator) settleShard(j *cjob, sh *shard, state string, err error) bool {
-	sh.mu.Lock()
-	if terminalState(sh.state) {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.state = state
-	sh.err = err
-	others := append([]*attempt(nil), sh.attempts...)
-	sh.mu.Unlock()
-	for _, a := range others {
-		a.superseded.Store(true)
-		a.cancel()
-	}
-	co.shardSettled(j)
-	return true
-}
-
-// shardSettled accounts one shard reaching a terminal state; the last
-// one closes the work queue and wakes every dispatch loop to exit.
-func (co *Coordinator) shardSettled(j *cjob) {
-	j.smu.Lock()
+// settle moves sh to a terminal state and supersedes its live
+// attempts. Each superseded sub-job gets a remote cancel, now or once
+// its id is reported, and a submit still in flight is cut off. A done
+// shard's losing sibling is also cut off at once. On a failed or
+// cancelled shard a stream runs on until the backend ends its sub-job,
+// so a stopped job ends only once its sub-jobs have.
+func (j *cjob) settle(sh *shard, state string, err error) {
+	j.mu.Lock()
+	sh.state, sh.err = state, err
+	j.mu.Unlock()
 	j.remaining--
-	if j.remaining <= 0 {
-		j.closed = true
+	why := "abort"
+	if state == service.StateDone {
+		why = "superseded"
 	}
-	j.smu.Unlock()
-	j.cond.Broadcast()
+	for _, a := range sh.attempts {
+		a.superseded = true
+		if a.remoteID == "" || state == service.StateDone {
+			a.cancel()
+		}
+		if a.remoteID != "" {
+			go j.co.cancelRemote(j, a.backend, a.remoteID, why)
+		}
+	}
 }
 
-// failShard records a shard failure and aborts the job: with one shard
+// fail records a shard failure and aborts the job: with one shard
 // unrecoverable the merge can never complete, so every other sub-job
 // is stopped rather than graded to no end.
-func (co *Coordinator) failShard(lctx context.Context, j *cjob, sh *shard, err error) {
-	if !co.settleShard(j, sh, service.StateFailed, err) {
-		return
-	}
-	co.logger.WarnContext(lctx, "shard failed, aborting job",
+func (j *cjob) fail(sh *shard, err error) {
+	j.settle(sh, service.StateFailed, err)
+	j.co.logger.WarnContext(j.tctx, "shard failed, aborting job",
 		"job", j.id, "shard", sh.index, "err", err)
-	co.abortJob(j)
+	j.abort()
 }
 
-// abortJob stops all outstanding work on j: queued shards settle
-// immediately, live attempts' sub-jobs get a remote cancel. Shards
-// with in-flight attempts settle when those attempts observe the
-// cancellation.
-func (co *Coordinator) abortJob(j *cjob) {
-	j.aborted.Store(true)
-	j.smu.Lock()
-	queued := j.queue
-	j.queue = nil
-	j.smu.Unlock()
-	for _, sh := range queued {
-		co.settleShard(j, sh, service.StateCancelled, nil)
-	}
-	type rc struct {
-		b   *backend
-		rid string
-	}
-	var rcs []rc
-	var submitting []*attempt
+// abort settles every shard that is not yet terminal as cancelled.
+func (j *cjob) abort() {
 	for _, sh := range j.shards {
-		sh.mu.Lock()
-		for _, a := range sh.attempts {
-			if a.remoteID != "" {
-				rcs = append(rcs, rc{b: a.backend, rid: a.remoteID})
-			} else {
-				submitting = append(submitting, a)
-			}
+		if !terminalState(sh.state) {
+			j.settle(sh, service.StateCancelled, nil)
 		}
-		sh.mu.Unlock()
 	}
-	for _, r := range rcs {
-		go co.cancelRemote(j.tctx, j, r.b, r.rid, "abort")
-	}
-	// A submit still in flight is cut off rather than waited for;
-	// runAttempt reclaims whatever sub-job the backend may have
-	// accepted.
-	for _, a := range submitting {
-		a.cancel()
-	}
-	j.cond.Broadcast()
+	j.queue = nil
 }
 
 // reclaim cancels the sub-job a cut-off submit may have left running.
-// A submit that fails once its attempt is superseded or its job
-// aborted may still have been accepted, and then nothing would read
-// or cancel the sub-job. Re-sending the same idempotency key returns
-// that sub-job's id, or creates one that is cancelled at once. lctx
-// carries the attempt's trace; the re-send, like cancelRemote, lasts
-// until the backend answers or the coordinator closes.
-func (co *Coordinator) reclaim(lctx context.Context, j *cjob, b *backend, sub service.JobSpec) {
-	rid, err := b.cl.Submit(trace.ContextWithSpan(co.ctx, trace.SpanFromContext(lctx)), sub)
+// A submit that fails once its attempt is superseded may still have
+// been accepted, and then nothing would read or cancel the sub-job.
+// Re-sending the same idempotency key returns that sub-job's id, or
+// creates one that is cancelled at once. The re-send carries the job's
+// trace and, like cancelRemote, lasts until the backend answers or the
+// coordinator closes.
+func (co *Coordinator) reclaim(j *cjob, att *attempt) {
+	b := att.backend
+	rid, err := b.cl.Submit(trace.ContextWithSpan(co.ctx, trace.SpanFromContext(j.tctx)), j.subSpec(att))
 	if err != nil {
-		co.logger.WarnContext(lctx, "reclaiming a cut-off sub-job failed", "backend", b.url,
-			"job", j.id, "shard", sub.FaultShard.Index, "err", err)
+		co.logger.WarnContext(j.tctx, "reclaiming a cut-off sub-job failed", "backend", b.url,
+			"job", j.id, "shard", att.sh.index, "err", err)
 		return
 	}
-	co.cancelRemote(lctx, j, b, rid, "reclaim")
+	co.cancelRemote(j, b, rid, "reclaim")
 }
 
 // cancelRemote cancels one sub-job, logging failures with the job's
@@ -1256,20 +1034,17 @@ func (co *Coordinator) reclaim(lctx context.Context, j *cjob, b *backend, sub se
 // work nobody will read, and the log line is the only witness. Benign
 // refusals — the sub-job already finished or was evicted — are not
 // failures.
-func (co *Coordinator) cancelRemote(lctx context.Context, j *cjob, b *backend, rid, why string) {
-	if rid == "" {
-		return
-	}
+func (co *Coordinator) cancelRemote(j *cjob, b *backend, rid, why string) {
 	if _, err := b.cl.Cancel(co.ctx, rid); err != nil &&
 		!errors.Is(err, service.ErrFinished) && !errors.Is(err, service.ErrNotFound) {
-		co.logger.WarnContext(lctx, "cancelling sub-job failed", "backend", b.url,
+		co.logger.WarnContext(j.tctx, "cancelling sub-job failed", "backend", b.url,
 			"job", j.id, "remote_id", rid, "reason", why, "err", err)
 	}
 }
 
-// finalize runs once every dispatch loop and attempt has returned: a
-// failed shard fails the job, a cancel cancels it, and otherwise the
-// shard results merge into the job's result.
+// finalize runs once every shard is terminal and every attempt has
+// reported its end: a failed shard fails the job, a cancel cancels it,
+// and otherwise the shard results merge into the job's result.
 func (co *Coordinator) finalize(ctx context.Context, j *cjob) (*service.JobResult, error) {
 	var failed error
 	cancelled := ctx.Err() != nil
@@ -1277,7 +1052,6 @@ func (co *Coordinator) finalize(ctx context.Context, j *cjob) (*service.JobResul
 	// per-shard copies would double its memory for no reader.
 	results := make([]*service.JobResult, len(j.shards))
 	for i, sh := range j.shards {
-		sh.mu.Lock()
 		switch sh.state {
 		case service.StateFailed:
 			if failed == nil {
@@ -1287,7 +1061,6 @@ func (co *Coordinator) finalize(ctx context.Context, j *cjob) (*service.JobResul
 			cancelled = true
 		}
 		results[i], sh.result = sh.result, nil
-		sh.mu.Unlock()
 	}
 	switch {
 	case failed != nil:
@@ -1329,10 +1102,11 @@ func (co *Coordinator) Shards(id string) ([]ShardStatus, error) {
 	if j == nil {
 		return nil, service.ErrNotFound
 	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	out := make([]ShardStatus, len(j.shards))
 	for i, sh := range j.shards {
-		sh.mu.Lock()
-		st := ShardStatus{
+		out[i] = ShardStatus{
 			Index:    sh.index,
 			Count:    sh.count,
 			RemoteID: sh.remoteID,
@@ -1341,13 +1115,11 @@ func (co *Coordinator) Shards(id string) ([]ShardStatus, error) {
 			Attempts: sh.attemptSeq,
 		}
 		if sh.backend != nil {
-			st.Backend = sh.backend.url
+			out[i].Backend = sh.backend.url
 		}
 		if sh.err != nil {
-			st.Error = sh.err.Error()
+			out[i].Error = sh.err.Error()
 		}
-		sh.mu.Unlock()
-		out[i] = st
 	}
 	return out, nil
 }

@@ -192,8 +192,8 @@ func TestClusterBitIdentical(t *testing.T) {
 				checkServedBytes(t, co, res)
 				// The work queue over-partitions: ShardsPerBackend (default
 				// 4) shards per healthy backend, and on an all-healthy run
-				// every shard completes its single attempt with no steals
-				// or speculation.
+				// every shard completes its single attempt with no
+				// speculation.
 				shards, err := co.Shards(res.ID)
 				if err != nil || len(shards) != 4*n {
 					t.Fatalf("shards: %v, %v (want %d)", shards, err, 4*n)
@@ -426,9 +426,9 @@ func TestClusterFlappingExcluded(t *testing.T) {
 	defer dsrv.Close()
 
 	// The healthy backends hold their sub-job submits until the dying
-	// backend has accepted a shard: a c17 job is so short that they
-	// could otherwise drain the whole queue before its dispatch loop
-	// claims one, and it would never fail.
+	// backend has accepted a shard: a c17 job is so short that it
+	// could otherwise end before the dying backend fails, whatever the
+	// placement order.
 	urls := make([]string, 2)
 	for i := range urls {
 		svc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
@@ -499,6 +499,137 @@ func TestClusterFlappingExcluded(t *testing.T) {
 	series := `adifo_cluster_backend_exclusions_total{backend="` + dsrv.URL + `"}`
 	if got := seriesValue(t, exp, series); got < 1 {
 		t.Errorf("%s = %v, want >= 1", series, got)
+	}
+}
+
+// TestClusterReadmitsRecoveredBackend: a backend that is down when a
+// job is submitted and recovers mid-job is re-admitted into that job's
+// placement by the re-probe loop.
+func TestClusterReadmitsRecoveredBackend(t *testing.T) {
+	spec := service.JobSpec{Circuit: "c17", Mode: "nodrop",
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 256, Seed: 9}}}
+	want := canonical(t, referenceResult(t, spec))
+
+	// B answers 503 to every request until the test flips it up.
+	var up atomic.Bool
+	bSubmitted := make(chan struct{})
+	var bFirst sync.Once
+	bsvc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
+	bh := bsvc.Handler()
+	bsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !up.Load() {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			bFirst.Do(func() { close(bSubmitted) })
+		}
+		bh.ServeHTTP(w, r)
+	}))
+	// A holds its second sub-job submit until B has received one, so
+	// the job cannot finish on A alone. The hold ends with the test
+	// too: a handler that has not read its body never sees the client
+	// give up.
+	var aPosts atomic.Int32
+	asvc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
+	ah := asvc.Handler()
+	asrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && aPosts.Add(1) == 2 {
+			select {
+			case <-bSubmitted:
+			case <-t.Context().Done():
+				return
+			}
+		}
+		ah.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		asrv.Close()
+		bsrv.Close()
+		asvc.Close()
+		bsvc.Close()
+	})
+
+	co, err := New([]string{asrv.URL, bsrv.URL}, Options{
+		Logger:                quiet,
+		MaxInFlightPerBackend: 1,
+		ReprobeInterval:       20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ctx, stop := context.WithTimeout(context.Background(), 20*time.Second)
+	defer stop()
+	svc := co.Service()
+	id, err := svc.SubmitContext(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.Store(true)
+	st, err := svc.Stream(ctx, id, nil)
+	if err != nil {
+		svc.Cancel(id) //nolint:errcheck // frees the held submit so Close returns
+		t.Fatalf("stream: %v (the recovered backend was never re-admitted)", err)
+	}
+	if st.State != service.StateDone {
+		t.Fatalf("cluster job %s: %s", st.State, st.Error)
+	}
+	res, err := svc.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(t, res); got != want {
+		t.Fatalf("result after re-admission diverges\n got: %s\nwant: %s", got, want)
+	}
+	shards, err := co.Shards(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 4 {
+		t.Fatalf("job used %d shards, want 4 (cut for the one backend healthy at submit)", len(shards))
+	}
+	onB := 0
+	for _, sh := range shards {
+		if sh.Backend == bsrv.URL {
+			onB++
+		}
+	}
+	if onB == 0 {
+		t.Fatalf("no shard ran on the re-admitted backend: %+v", shards)
+	}
+}
+
+// TestClusterFailsWhenEveryBackendIsLost: a job whose every backend dies
+// mid-job fails with "no healthy backend available" rather than
+// waiting for a backend that never comes back.
+func TestClusterFailsWhenEveryBackendIsLost(t *testing.T) {
+	urls := make([]string, 2)
+	for i := range urls {
+		srv := httptest.NewServer(newDyingBackend())
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	co, err := New(urls, Options{Logger: quiet, MaxBackendFailures: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	ctx, stop := context.WithTimeout(context.Background(), 20*time.Second)
+	defer stop()
+	svc := co.Service()
+	id, err := svc.SubmitContext(ctx, service.JobSpec{Circuit: "c17", Mode: "nodrop",
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 256, Seed: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Stream(ctx, id, nil)
+	if err != nil {
+		svc.Cancel(id) //nolint:errcheck // lets Close return
+		t.Fatalf("stream: %v (the job hung with every backend lost)", err)
+	}
+	if st.State != service.StateFailed || !strings.Contains(st.Error, "no healthy backend available") {
+		t.Fatalf("cluster job ended %s (%q), want failed with \"no healthy backend available\"", st.State, st.Error)
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 // shards into one sub-job).
 func TestClusterCallerIdempotencyKey(t *testing.T) {
 	// Each backend holds its sub-job submits until every backend has
-	// received one: a c17 shard is so short that one dispatch loop
-	// could otherwise drain the queue before the other claims a shard.
+	// received one, so every backend pulls a shard whatever the
+	// placement order: a c17 shard is so short that one backend could
+	// otherwise drain the queue.
 	const backends = 2
 	var mu sync.Mutex
 	waiting := backends

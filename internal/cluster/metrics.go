@@ -9,19 +9,16 @@ import "github.com/eda-go/adifo/internal/obs"
 // re-placed after a backend death, backends excluded from placement,
 // and the cost of the final merge.
 type clusterMetrics struct {
-	reg *obs.Registry
-
 	probeSeconds     *obs.HistogramVec // backend
 	shardRetries     *obs.Counter
 	exclusions       *obs.CounterVec // backend
 	mergeSeconds     *obs.Histogram
-	shardsStolen     *obs.Counter
 	shardsSpeculated *obs.Counter
 	speculationWins  *obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
-	m := &clusterMetrics{reg: reg}
+	m := &clusterMetrics{}
 	m.probeSeconds = reg.HistogramVec("adifo_cluster_probe_seconds",
 		"Health-probe round-trip time per backend (failed probes observe the timeout).",
 		nil, "backend")
@@ -32,8 +29,6 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 		"backend")
 	m.mergeSeconds = reg.Histogram("adifo_cluster_merge_seconds",
 		"Time to merge all shard results into the final JobResult.", nil)
-	m.shardsStolen = reg.Counter("adifo_cluster_shards_stolen_total",
-		"Shards stolen from a backlogged backend before their sub-job made progress.")
 	m.shardsSpeculated = reg.Counter("adifo_cluster_shards_speculated_total",
 		"Speculative duplicate attempts launched on idle backends for slow shards.")
 	m.speculationWins = reg.Counter("adifo_cluster_speculation_wins_total",

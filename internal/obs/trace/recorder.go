@@ -9,40 +9,23 @@ import (
 	"time"
 )
 
-// RecorderOptions sizes a flight recorder; zero values select sensible
-// defaults.
-type RecorderOptions struct {
-	// Capacity is the recency ring: how many recently completed traces
-	// are retained regardless of duration (default 128).
-	Capacity int
-	// SlowestPerKind additionally pins the N slowest completed traces
+// A Recorder's retention bounds.
+const (
+	// ringCapacity is the recency ring: how many recently completed
+	// traces are retained regardless of duration.
+	ringCapacity = 128
+	// slowestPerKind additionally pins the N slowest completed traces
 	// per kind — the flight-recorder part: a slow job stays inspectable
-	// long after the ring has cycled past it (default 8).
-	SlowestPerKind int
-	// MaxActive bounds traces that have spans recorded but no finished
+	// long after the ring has cycled past it.
+	slowestPerKind = 8
+	// maxActive bounds traces that have spans recorded but no finished
 	// root yet; beyond it the oldest active trace is evicted and its
-	// spans counted as dropped (default 256).
-	MaxActive int
-	// MaxSpansPerTrace bounds one trace's span buffer; further spans
-	// are dropped, not buffered (default 512).
-	MaxSpansPerTrace int
-}
-
-func (o RecorderOptions) withDefaults() RecorderOptions {
-	if o.Capacity <= 0 {
-		o.Capacity = 128
-	}
-	if o.SlowestPerKind <= 0 {
-		o.SlowestPerKind = 8
-	}
-	if o.MaxActive <= 0 {
-		o.MaxActive = 256
-	}
-	if o.MaxSpansPerTrace <= 0 {
-		o.MaxSpansPerTrace = 512
-	}
-	return o
-}
+	// spans counted as dropped.
+	maxActive = 256
+	// maxSpansPerTrace bounds one trace's span buffer; further spans
+	// are dropped, not buffered.
+	maxSpansPerTrace = 512
+)
 
 // SpanData is one finished span as the recorder retains and serves it.
 type SpanData struct {
@@ -124,8 +107,6 @@ type activeTrace struct {
 // completed traces are retained in a recency ring plus a
 // slowest-N-per-kind set. All methods are safe for concurrent use.
 type Recorder struct {
-	opts RecorderOptions
-
 	mu       sync.Mutex
 	active   map[TraceID]*activeTrace
 	seq      uint64
@@ -138,9 +119,8 @@ type Recorder struct {
 }
 
 // NewRecorder returns a ready flight recorder.
-func NewRecorder(opts RecorderOptions) *Recorder {
+func NewRecorder() *Recorder {
 	return &Recorder{
-		opts:   opts.withDefaults(),
 		active: make(map[TraceID]*activeTrace),
 		slow:   make(map[string][]*TraceData),
 		byID:   make(map[string]*TraceData),
@@ -167,14 +147,14 @@ func (r *Recorder) endSpan(id TraceID, data *SpanData, root bool) {
 			r.dropped++
 			return
 		}
-		if len(r.active) >= r.opts.MaxActive {
+		if len(r.active) >= maxActive {
 			r.evictOldestActiveLocked()
 		}
 		at = &activeTrace{seq: r.seq}
 		r.seq++
 		r.active[id] = at
 	}
-	if !root && len(at.spans) >= r.opts.MaxSpansPerTrace {
+	if !root && len(at.spans) >= maxSpansPerTrace {
 		// The root span is always kept (it carries the trace's
 		// identity); only its children are subject to the buffer bound.
 		r.dropped++
@@ -225,7 +205,7 @@ func (r *Recorder) completeLocked(id TraceID, at *activeTrace, root *SpanData) {
 	// Recency ring.
 	td.inRing = true
 	r.ring = append(r.ring, td)
-	if len(r.ring) > r.opts.Capacity {
+	if len(r.ring) > ringCapacity {
 		old := r.ring[0]
 		r.ring = r.ring[1:]
 		old.inRing = false
@@ -240,7 +220,7 @@ func (r *Recorder) completeLocked(id TraceID, at *activeTrace, root *SpanData) {
 	}
 	set := r.slow[kind]
 	i := sort.Search(len(set), func(i int) bool { return set[i].DurationSecs >= td.DurationSecs })
-	if len(set) < r.opts.SlowestPerKind {
+	if len(set) < slowestPerKind {
 		set = append(set, nil)
 		copy(set[i+1:], set[i:])
 		set[i] = td

@@ -31,7 +31,7 @@ func endTrace(rec *Recorder, kind string, d time.Duration) TraceID {
 }
 
 func TestRecorderCompletesOnRoot(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{})
+	rec := NewRecorder()
 	id := endTrace(rec, "grade", 10*time.Millisecond)
 
 	td, ok := rec.Trace(id.String())
@@ -59,10 +59,10 @@ func TestRecorderCompletesOnRoot(t *testing.T) {
 }
 
 func TestRecorderRingEviction(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{Capacity: 4, SlowestPerKind: 1})
+	rec := NewRecorder()
 	var first TraceID
 	var slowest TraceID
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringCapacity+4; i++ {
 		d := time.Duration(i+1) * time.Millisecond
 		id := endTrace(rec, "grade", d)
 		if i == 0 {
@@ -77,10 +77,10 @@ func TestRecorderRingEviction(t *testing.T) {
 		t.Error("slowest trace missing")
 	}
 	got := rec.Traces()
-	// 4 ring entries; the slowest is already in the ring (it is also
-	// the newest), so no extra pinned summary.
-	if len(got) != 4 {
-		t.Fatalf("Traces() = %d summaries, want 4", len(got))
+	// ringCapacity ring entries; the slowest pins are already in the
+	// ring (they are also the newest), so no extra pinned summary.
+	if len(got) != ringCapacity {
+		t.Fatalf("Traces() = %d summaries, want %d", len(got), ringCapacity)
 	}
 	if got[0].TraceID != slowest.String() {
 		t.Errorf("summaries not newest-first: got %s first", got[0].TraceID)
@@ -88,9 +88,9 @@ func TestRecorderRingEviction(t *testing.T) {
 }
 
 func TestRecorderSlowestPinSurvivesRing(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{Capacity: 2, SlowestPerKind: 2})
+	rec := NewRecorder()
 	slow := endTrace(rec, "atpg", time.Second)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < ringCapacity+3; i++ {
 		endTrace(rec, "atpg", time.Millisecond)
 	}
 	if _, ok := rec.Trace(slow.String()); !ok {
@@ -108,12 +108,12 @@ func TestRecorderSlowestPinSurvivesRing(t *testing.T) {
 }
 
 func TestRecorderMaxActiveEviction(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{MaxActive: 2})
-	// Three traces accumulate spans but never see a root end.
-	ids := []TraceID{NewTraceID(), NewTraceID(), NewTraceID()}
-	for _, id := range ids {
+	rec := NewRecorder()
+	// One trace more than the bound accumulates spans but never sees a
+	// root end.
+	for range maxActive + 1 {
 		rec.startSpan()
-		rec.endSpan(id, &SpanData{SpanID: NewSpanID().String(), Name: "floating"}, false)
+		rec.endSpan(NewTraceID(), &SpanData{SpanID: NewSpanID().String(), Name: "floating"}, false)
 	}
 	st := rec.Stats()
 	if st.SpansDropped == 0 {
@@ -122,9 +122,9 @@ func TestRecorderMaxActiveEviction(t *testing.T) {
 }
 
 func TestRecorderSpanCap(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{MaxSpansPerTrace: 3})
+	rec := NewRecorder()
 	id := NewTraceID()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpansPerTrace+8; i++ {
 		rec.startSpan()
 		rec.endSpan(id, &SpanData{SpanID: NewSpanID().String(), Name: fmt.Sprintf("c%d", i)}, false)
 	}
@@ -134,8 +134,8 @@ func TestRecorderSpanCap(t *testing.T) {
 	if !ok {
 		t.Fatal("trace missing")
 	}
-	if len(td.Spans) != 4 { // 3 children kept + root always kept
-		t.Fatalf("spans = %d, want 4 (cap 3 + root)", len(td.Spans))
+	if len(td.Spans) != maxSpansPerTrace+1 { // the capped children + root always kept
+		t.Fatalf("spans = %d, want %d (cap %d + root)", len(td.Spans), maxSpansPerTrace+1, maxSpansPerTrace)
 	}
 	var hasRoot bool
 	for _, sp := range td.Spans {
@@ -149,7 +149,7 @@ func TestRecorderSpanCap(t *testing.T) {
 }
 
 func TestTreeNesting(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{})
+	rec := NewRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	rctx, root := Start(ctx, "job.grade", Root())
 	c1ctx, c1 := Start(rctx, "simulate")
@@ -183,7 +183,7 @@ func TestTreeNesting(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{})
+	rec := NewRecorder()
 	id := endTrace(rec, "order", 5*time.Millisecond)
 
 	h := rec.Handler()

@@ -61,7 +61,7 @@ func TestParseTraceparentSpec(t *testing.T) {
 }
 
 func TestStartParentage(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{})
+	rec := NewRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 
 	rctx, root := Start(ctx, "root", Root())
@@ -115,7 +115,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 }
 
 func TestEndIdempotentAndPostEndMutationIgnored(t *testing.T) {
-	rec := NewRecorder(RecorderOptions{})
+	rec := NewRecorder()
 	ctx := WithRecorder(context.Background(), rec)
 	_, sp := Start(ctx, "once", Root())
 	sp.End()

@@ -203,9 +203,9 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	do := func(method, path, body string) (int, []byte) {
+	do := func(method, url, body string) (int, []byte) {
 		t.Helper()
-		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,39 +244,11 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, s, failedID)
-	// A queued-forever job for "not_done": fill both default slots
-	// first... simpler: submit and query result immediately on a big
-	// enough job that it cannot have finished.
-	slowID, err := s.Submit(JobSpec{Circuit: "irs1238", Mode: "nodrop",
-		Patterns: PatternSpec{Random: &RandomSpec{N: 1 << 14, Seed: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type envelope struct {
-		Name   string          `json:"name"`
-		Status int             `json:"status"`
-		Body   json.RawMessage `json:"body"`
-	}
-	var envelopes []envelope
-	record := func(name, method, path, body string) {
-		code, raw := do(method, path, body)
-		envelopes = append(envelopes, envelope{Name: name, Status: code, Body: json.RawMessage(bytes.TrimSpace(raw))})
-	}
-	record("invalid_request", http.MethodPost, "/v1/jobs", `{"circuit":"c17","patterns":{"exhaustive":true}}`)
-	record("unsupported_kind_unknown", http.MethodPost, "/v1/jobs",
-		`{"kind":"mine_bitcoin","circuit":"c17","mode":"drop","patterns":{"exhaustive":true}}`)
-	record("unsupported_kind_disabled", http.MethodPost, "/v1/jobs",
-		`{"kind":"atpg","circuit":"c17","patterns":{"exhaustive":true},"order":{"kind":"dynm"}}`)
-	record("not_found", http.MethodGet, "/v1/jobs/j999", "")
-	record("not_done", http.MethodGet, "/v1/jobs/"+slowID+"/result", "")
-	record("cancelled", http.MethodGet, "/v1/jobs/"+cancelledID+"/result", "")
-	record("finished", http.MethodDelete, "/v1/jobs/"+doneID, "")
-	record("job_failed", http.MethodGet, "/v1/jobs/"+failedID+"/result", "")
 
 	// The overloaded envelope needs a deterministically full queue: a
 	// dedicated one-slot, one-queued-job service whose slot is pinned
-	// by a running job, so the bound in the message is fixed.
+	// by a running job, so the bound in the message is fixed. The job
+	// queued behind it cannot finish first, which "not_done" needs.
 	tight := New(Config{Logger: obs.Nop(), SimWorkers: 1, MaxConcurrentJobs: 1,
 		MaxQueuedJobs: 1, Kinds: []string{KindGrade}})
 	defer tight.Close()
@@ -292,6 +264,28 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	type envelope struct {
+		Name   string          `json:"name"`
+		Status int             `json:"status"`
+		Body   json.RawMessage `json:"body"`
+	}
+	var envelopes []envelope
+	record := func(name, method, url, body string) {
+		code, raw := do(method, url, body)
+		envelopes = append(envelopes, envelope{Name: name, Status: code, Body: json.RawMessage(bytes.TrimSpace(raw))})
+	}
+	record("invalid_request", http.MethodPost, srv.URL+"/v1/jobs", `{"circuit":"c17","patterns":{"exhaustive":true}}`)
+	record("unsupported_kind_unknown", http.MethodPost, srv.URL+"/v1/jobs",
+		`{"kind":"mine_bitcoin","circuit":"c17","mode":"drop","patterns":{"exhaustive":true}}`)
+	record("unsupported_kind_disabled", http.MethodPost, srv.URL+"/v1/jobs",
+		`{"kind":"atpg","circuit":"c17","patterns":{"exhaustive":true},"order":{"kind":"dynm"}}`)
+	record("not_found", http.MethodGet, srv.URL+"/v1/jobs/j999", "")
+	record("not_done", http.MethodGet, tightSrv.URL+"/v1/jobs/"+queuedID+"/result", "")
+	record("cancelled", http.MethodGet, srv.URL+"/v1/jobs/"+cancelledID+"/result", "")
+	record("finished", http.MethodDelete, srv.URL+"/v1/jobs/"+doneID, "")
+	record("job_failed", http.MethodGet, srv.URL+"/v1/jobs/"+failedID+"/result", "")
+
 	{
 		req, err := http.NewRequest(http.MethodPost, tightSrv.URL+"/v1/jobs",
 			strings.NewReader(`{"circuit":"c17","mode":"drop","patterns":{"random":{"n":64,"seed":4}}}`))
@@ -317,6 +311,4 @@ func TestGoldenErrorEnvelopes(t *testing.T) {
 	tight.Cancel(runningID)
 
 	checkGolden(t, "error_envelopes_v1.json", marshalCanonical(t, envelopes))
-
-	s.Cancel(slowID)
 }

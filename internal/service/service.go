@@ -74,10 +74,6 @@ type Config struct {
 	// deduplicate across the restart. Empty disables durability (the
 	// pre-journal in-memory behavior).
 	JournalDir string
-	// JournalNoSync skips the per-append fsync (records still reach
-	// the OS immediately). Tests and benchmarks only: a machine crash
-	// can lose acknowledged records.
-	JournalNoSync bool
 	// MaxQueuedJobs bounds the total queued (accepted, not yet
 	// running) jobs across all tenants; submits beyond it are rejected
 	// with ErrOverloaded (default 4096, negative = unbounded).
@@ -504,7 +500,7 @@ func OpenWithGrade(cfg Config, grade GradeFunc) (*Service, error) {
 	}
 	s.schedCond = sync.NewCond(&s.mu)
 	s.start = s.now()
-	s.traces = trace.NewRecorder(trace.RecorderOptions{})
+	s.traces = trace.NewRecorder()
 	s.met = newServiceMetrics(s.metrics, s)
 	// A pruned tenant's gauge label leaves the exposition with it, so
 	// /metrics cardinality tracks live tenants, not every tenant name
@@ -518,7 +514,7 @@ func OpenWithGrade(cfg Config, grade GradeFunc) (*Service, error) {
 		// an empty new one — and recovery can itself journal (a
 		// replayed spec that no longer validates is recorded as
 		// failed).
-		jnl, err := journal.Open(cfg.JournalDir, journal.Options{NoSync: cfg.JournalNoSync})
+		jnl, err := journal.Open(cfg.JournalDir, journal.Options{})
 		if err != nil {
 			return nil, err
 		}
