@@ -194,14 +194,10 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			ids[k] = id
 		}
 		for _, id := range ids {
-			// Block on the progress channel close instead of polling, so
-			// the harness does not steal CPU from the simulation workers
-			// it is measuring.
-			if ch, cancel, ok := svc.Subscribe(id); ok {
-				for range ch {
-				}
-				cancel()
-			}
+			// Block on the progress stream instead of polling, so the
+			// harness does not steal CPU from the simulation workers it
+			// is measuring.
+			svc.Stream(context.Background(), id, nil)
 			st, ok := svc.Status(id)
 			if !ok {
 				b.Fatalf("job %s vanished", id)

@@ -477,7 +477,7 @@ func genTests(o options, out io.Writer) error {
 	fmt.Fprintf(out, "order       %v, U %d vectors\n", kind, u.Len())
 	printGenSummary(out, o.limit, len(res.Tests), res.Detected(), fl.Len(), res.Coverage(),
 		res.AVE(), res.AtpgCalls, res.Backtracks, func(i int) (string, int) {
-			return vectorString(res.Tests[i]), res.TargetOf[i]
+			return res.Tests[i].String(), res.TargetOf[i]
 		})
 	return nil
 }
@@ -579,20 +579,6 @@ func printTrace(out io.Writer, traceID string) {
 		return
 	}
 	fmt.Fprintf(out, "trace       %s\n", traceID)
-}
-
-// vectorString renders a test vector as a bit string, matching the
-// wire encoding of AtpgResult.Tests.
-func vectorString(v adifo.Vector) string {
-	b := make([]byte, len(v))
-	for i, bit := range v {
-		if bit != 0 {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
 }
 
 // orderRemote runs the order verb as a remote adi_order job over the

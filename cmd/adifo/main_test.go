@@ -360,7 +360,7 @@ func TestGenStopMatchesPaper(t *testing.T) {
 	res := experiments.RunCircuit(setup).Runs[adifo.Dynm]
 	var want []string
 	for i, v := range res.Tests {
-		want = append(want, fmt.Sprintf("t%-4d %s (for f%d)", i, vectorString(v), res.TargetOf[i]))
+		want = append(want, fmt.Sprintf("t%-4d %s (for f%d)", i, v.String(), res.TargetOf[i]))
 	}
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("gen -stop 0.9 printed %d tests, the paper run has %d:\n%s", len(got), len(want), b.String())

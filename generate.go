@@ -2,7 +2,6 @@ package adifo
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/eda-go/adifo/internal/reorder"
 	"github.com/eda-go/adifo/internal/tgen"
@@ -47,7 +46,8 @@ func WithBacktrackLimit(n int) GenOption {
 // fault, random fill, fault dropping by simulation, no dynamic
 // compaction — exactly the paper's experimental flow where the fault
 // order is the only lever. order must be a permutation of
-// [0, fl.Len()), typically Index.Order(kind).
+// [0, fl.Len()), typically Index.Order(kind); any other order is an
+// error.
 //
 // ctx is polled before every ATPG target: a cancelled run returns the
 // tests generated so far, with a consistent coverage curve, together
@@ -57,26 +57,7 @@ func GenerateTests(ctx context.Context, fl *FaultList, order []int, opts ...GenO
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if err := checkPermutation(order, fl.Len()); err != nil {
-		return nil, err
-	}
 	return tgen.GenerateContext(ctx, fl, order, cfg.opts)
-}
-
-// checkPermutation validates a fault order at the facade boundary, so
-// external callers get an error instead of the internal panic.
-func checkPermutation(order []int, n int) error {
-	if len(order) != n {
-		return fmt.Errorf("adifo: order has %d entries, fault list has %d", len(order), n)
-	}
-	seen := make([]bool, n)
-	for _, fi := range order {
-		if fi < 0 || fi >= n || seen[fi] {
-			return fmt.Errorf("adifo: order is not a permutation of [0,%d)", n)
-		}
-		seen[fi] = true
-	}
-	return nil
 }
 
 // AVE computes the paper's steepness metric from a cumulative coverage

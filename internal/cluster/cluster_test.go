@@ -131,7 +131,8 @@ func canonical(t *testing.T, r *service.JobResult) string {
 
 func clusterGrade(t *testing.T, co *Coordinator, spec service.JobSpec) *service.JobResult {
 	t.Helper()
-	ctx := context.Background()
+	ctx, stop := context.WithTimeout(context.Background(), time.Minute)
+	defer stop()
 	svc := co.Service()
 	id, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
@@ -148,6 +149,7 @@ func clusterGrade(t *testing.T, co *Coordinator, spec service.JobSpec) *service.
 		lastBlock = ev.Block
 	})
 	if err != nil {
+		svc.Cancel(id) //nolint:errcheck // frees held submits so Close returns
 		t.Fatalf("cluster stream: %v", err)
 	}
 	if st.State != service.StateDone {
@@ -428,7 +430,8 @@ func TestClusterFlappingExcluded(t *testing.T) {
 	// The healthy backends hold their sub-job submits until the dying
 	// backend has accepted a shard: a c17 job is so short that it
 	// could otherwise end before the dying backend fails, whatever the
-	// placement order.
+	// placement order. The hold ends with the test too: a handler that
+	// has not read its body never sees the client give up.
 	urls := make([]string, 2)
 	for i := range urls {
 		svc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
@@ -438,6 +441,8 @@ func TestClusterFlappingExcluded(t *testing.T) {
 				select {
 				case <-dying.accepted:
 				case <-r.Context().Done():
+					return
+				case <-t.Context().Done():
 					return
 				}
 			}
@@ -465,13 +470,20 @@ func TestClusterFlappingExcluded(t *testing.T) {
 
 	// The dying backend is now flapping: the next job must be sharded
 	// across the two survivors only, without probing timeouts.
+	ctx, stop := context.WithTimeout(context.Background(), 20*time.Second)
+	defer stop()
 	svc := co.Service()
-	id, err := svc.SubmitContext(context.Background(), spec)
+	id, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := svc.Stream(context.Background(), id, nil); err != nil || st.State != service.StateDone {
-		t.Fatalf("second job: %+v, %v", st, err)
+	st, err := svc.Stream(ctx, id, nil)
+	if err != nil {
+		svc.Cancel(id) //nolint:errcheck // lets Close return
+		t.Fatalf("second job: %v", err)
+	}
+	if st.State != service.StateDone {
+		t.Fatalf("second job: %+v", st)
 	}
 	shards, err := co.Shards(id)
 	if err != nil {
@@ -843,15 +855,9 @@ func TestClusterCancel(t *testing.T) {
 	}
 	for i, svc := range svcs {
 		for _, js := range svc.Jobs() {
-			ch, unsubscribe, _ := svc.Subscribe(js.ID)
-			for open := true; open; {
-				select {
-				case _, open = <-ch:
-				case <-wctx.Done():
-					t.Fatalf("backend %d sub-job %s never ended", i, js.ID)
-				}
+			if _, err := svc.Stream(wctx, js.ID, nil); err != nil {
+				t.Fatalf("backend %d sub-job %s never ended: %v", i, js.ID, err)
 			}
-			unsubscribe()
 			if st, _ := svc.Status(js.ID); st.State != service.StateDone && st.State != service.StateCancelled {
 				t.Fatalf("backend %d sub-job %s ended %s, want done or cancelled", i, js.ID, st.State)
 			}
@@ -943,17 +949,11 @@ func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
 	case <-wctx.Done():
 		t.Fatalf("sub-job %s, whose submit response was cut off, never received a cancel", rid)
 	}
-	ch, unsubscribe, ok := svc.Subscribe(rid)
-	if !ok {
+	switch _, err := svc.Stream(wctx, rid, nil); {
+	case errors.Is(err, service.ErrNotFound):
 		t.Fatalf("backend lost sub-job %s", rid)
-	}
-	defer unsubscribe()
-	for open := true; open; {
-		select {
-		case _, open = <-ch:
-		case <-wctx.Done():
-			t.Fatalf("sub-job %s never ended", rid)
-		}
+	case err != nil:
+		t.Fatalf("sub-job %s never ended", rid)
 	}
 	if st, _ := svc.Status(rid); st.State != service.StateCancelled {
 		t.Fatalf("sub-job %s ended %s, want cancelled", rid, st.State)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/eda-go/adifo/internal/service"
 )
@@ -21,7 +22,8 @@ func TestClusterCallerIdempotencyKey(t *testing.T) {
 	// Each backend holds its sub-job submits until every backend has
 	// received one, so every backend pulls a shard whatever the
 	// placement order: a c17 shard is so short that one backend could
-	// otherwise drain the queue.
+	// otherwise drain the queue. The hold ends with the test too: a
+	// handler that has not read its body never sees the client give up.
 	const backends = 2
 	var mu sync.Mutex
 	waiting := backends
@@ -45,6 +47,8 @@ func TestClusterCallerIdempotencyKey(t *testing.T) {
 				case <-all:
 				case <-r.Context().Done():
 					return
+				case <-t.Context().Done():
+					return
 				}
 			}
 			h.ServeHTTP(w, r)
@@ -60,7 +64,8 @@ func TestClusterCallerIdempotencyKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	ctx := context.Background()
+	ctx, stop := context.WithTimeout(context.Background(), 20*time.Second)
+	defer stop()
 
 	spec := service.JobSpec{
 		Circuit:        "c17",
@@ -81,7 +86,8 @@ func TestClusterCallerIdempotencyKey(t *testing.T) {
 		t.Fatalf("caller key did not dedupe: %s vs %s", id1, id2)
 	}
 	if _, err := svc.Stream(ctx, id1, nil); err != nil {
-		t.Fatal(err)
+		svc.Cancel(id1) //nolint:errcheck // frees the held submits so Close returns
+		t.Fatalf("stream: %v (a backend never received a sub-job)", err)
 	}
 
 	// The fan-out ran exactly once: one sub-job per shard across the

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"github.com/eda-go/adifo/internal/obs"
@@ -59,8 +60,8 @@ func waitState(t *testing.T, s *Service, id, want string) JobStatus {
 }
 
 // TestCancelRunningJob cancels a job mid-simulation and checks it
-// reaches the cancelled terminal state with its subscribers closed,
-// having simulated only a prefix of the vectors.
+// reaches the cancelled terminal state with its stream ended, having
+// simulated only a prefix of the vectors.
 func TestCancelRunningJob(t *testing.T) {
 	s := New(Config{Logger: obs.Nop()})
 	defer s.Close()
@@ -68,31 +69,27 @@ func TestCancelRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, unsub, ok := s.Subscribe(id)
-	if !ok {
-		t.Fatal("subscribe failed")
-	}
-	defer unsub()
-	// Wait for the first block barrier so the job is provably running.
-	if _, open := <-ch; !open {
+	ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	events := 0
+	// Cancel at the first block barrier, when the job is provably
+	// running.
+	_, err = s.Stream(ctx, id, func(ProgressEvent) {
+		events++
+		if events != 1 {
+			return
+		}
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatalf("cancel running job: %v", err)
+		}
+	})
+	if events == 0 {
 		t.Fatal("job finished before the first progress event; slowSpec is not slow enough")
 	}
-	if _, err := s.Cancel(id); err != nil {
-		t.Fatalf("cancel running job: %v", err)
+	// The stream must end (terminal transition).
+	if err != nil {
+		t.Fatalf("stream not ended after cancel: %v", err)
 	}
-	// The subscriber channel must close (terminal transition).
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case _, open := <-ch:
-			if !open {
-				goto closed
-			}
-		case <-deadline:
-			t.Fatal("subscriber channel not closed after cancel")
-		}
-	}
-closed:
 	st := waitState(t, s, id, StateCancelled)
 	if st.VectorsUsed >= 1<<16 {
 		t.Fatalf("cancelled job simulated all %d vectors", st.VectorsUsed)

@@ -254,16 +254,17 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleStream writes one JSON line per progress event as the job runs
 // and a final JobStatus line when it reaches a terminal state
 // (including cancellation, whose final line reads state "cancelled").
-// The subscription precedes the response header, so a client that has
-// the header misses no event.
+// The follower is registered before the response header is written, so
+// a client that has the header misses no event; the handler's own
+// goroutine drains it.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ch, cancel, ok := s.Subscribe(id)
-	if !ok {
+	j := s.lookup(id)
+	if j == nil {
 		s.writeError(w, http.StatusNotFound, CodeNotFound, ErrNotFound)
 		return
 	}
-	defer cancel()
+	f := j.follow()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -276,13 +277,10 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	// A failed write ends the stream: stop cuts follow short.
+	// A failed write ends the stream: stop cuts drain short.
 	ctx, stop := context.WithCancel(r.Context())
 	defer stop()
-	st, err := s.follow(ctx, id, ch, func(ev ProgressEvent) {
-		if ctx.Err() != nil {
-			return
-		}
+	st, err := j.drain(ctx, f, func(ev ProgressEvent) {
 		if err := enc.Encode(ev); err != nil {
 			s.met.writeErrors.Inc()
 			s.logger.Warn("encoding stream event failed", "job", id, "err", err)

@@ -80,7 +80,7 @@ func (atpgKind) run(s *Service, j *job) (any, error) {
 	}
 	out.Tests = make([]string, len(gres.Tests))
 	for i, v := range gres.Tests {
-		out.Tests[i] = vectorString(v)
+		out.Tests[i] = v.String()
 	}
 
 	j.mu.Lock()

@@ -198,8 +198,7 @@ type Run struct {
 }
 
 // Publish records one block's progress on the job's status and
-// delivers it, stamped with the job's id and kind, to every
-// subscriber.
+// queues it, stamped with the job's id and kind, for every stream.
 func (r *Run) Publish(ev ProgressEvent) { r.j.publishBlock(ev) }
 
 // Phase starts the stopwatch of one Timing.Phases entry, with a span

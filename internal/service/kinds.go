@@ -194,20 +194,6 @@ func (s *Service) jobWorkers(j *job) int {
 	return s.cfg.SimWorkers
 }
 
-// vectorString renders an input vector as the wire's bit-string form
-// ("0110"), the inverse of the PatternSpec.Vectors encoding.
-func vectorString(v logic.Vector) string {
-	b := make([]byte, len(v))
-	for i, bit := range v {
-		if bit != 0 {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
-}
-
 // unsupportedKindError builds the typed rejection for an unknown or
 // disabled kind.
 func unsupportedKindError(kind string, serving []string) error {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"github.com/eda-go/adifo/internal/obs"
 	"reflect"
@@ -201,8 +202,8 @@ func TestAtpgJobMatchesLibrary(t *testing.T) {
 			t.Fatalf("%v: %d tests, library generated %d", kind, len(res.Tests), len(want.Tests))
 		}
 		for i, v := range want.Tests {
-			if res.Tests[i] != vectorString(v) {
-				t.Fatalf("%v: test %d = %s, library generated %s", kind, i, res.Tests[i], vectorString(v))
+			if res.Tests[i] != v.String() {
+				t.Fatalf("%v: test %d = %s, library generated %s", kind, i, res.Tests[i], v)
 			}
 		}
 		if !reflect.DeepEqual(res.TargetOf, want.TargetOf) || !reflect.DeepEqual(res.Curve, want.Curve) {
@@ -234,13 +235,8 @@ func TestAtpgProgressStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, ok := s.Subscribe(id)
-	if !ok {
-		t.Fatal("Subscribe failed")
-	}
-	defer cancel()
 	var blockEvents, targetEvents int
-	for ev := range ch {
+	_, err = s.Stream(context.Background(), id, func(ev ProgressEvent) {
 		if ev.Kind != KindAtpg {
 			t.Fatalf("event kind %q, want %q", ev.Kind, KindAtpg)
 		}
@@ -253,14 +249,17 @@ func TestAtpgProgressStream(t *testing.T) {
 		default:
 			blockEvents++
 		}
+	})
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	st := waitTerminal(t, s, id)
 	if st.State != StateDone {
 		t.Fatalf("job ended %q: %s", st.State, st.Error)
 	}
-	// A slow consumer may miss events, but with a buffered channel and
-	// a fast test we expect to see both phases; the terminal status is
-	// authoritative either way.
+	// The stream opens after the submit and may miss the first events,
+	// but a fast test expects to see both phases; the terminal status
+	// is authoritative either way.
 	if blockEvents == 0 && targetEvents == 0 {
 		t.Fatal("saw no progress events at all")
 	}

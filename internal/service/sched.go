@@ -29,7 +29,7 @@ type tenantQueue struct {
 	name  string
 	queue []*job
 	// pass is the tenant's virtual time: each dispatch advances it by
-	// stride = 1/weight, so the dispatcher's pick-minimum-pass rule
+	// stride = 1/weight, so pop's pick-minimum-pass rule
 	// interleaves tenants in proportion to their weights.
 	pass   float64
 	stride float64

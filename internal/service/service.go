@@ -15,6 +15,11 @@
 // cancellation, progress streaming and LRU registry machinery; each
 // kind supplies validate/run/result hooks.
 //
+// The engine starts no goroutine of its own beyond the jobs it runs: a
+// job starts when it is submitted or when a running job frees its pool
+// slot, and a progress stream is drained by the goroutine that reads
+// it (the Stream caller, or the /stream handler).
+//
 // Everything a job shares is read-only: circuits, fault lists and
 // compiled forms are immutable after construction, good values are
 // written once under the registry lock, and per-job drop state lives in
@@ -358,7 +363,6 @@ var (
 type Service struct {
 	cfg    Config
 	reg    *Registry
-	sem    chan struct{}
 	wg     sync.WaitGroup
 	logger *slog.Logger
 
@@ -383,15 +387,13 @@ type Service struct {
 	// GradeFunc).
 	grade GradeFunc
 
-	// schedCond signals the dispatcher goroutine that sched gained
-	// work (or schedClosed was set). It shares mu.
-	schedCond *sync.Cond
-
-	mu          sync.Mutex
-	jobs        map[string]*job
-	order       []string // job ids in submission order
-	sched       *scheduler
-	schedClosed bool
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // job ids in submission order
+	sched *scheduler
+	// running counts the pool slots in use, at most
+	// Config.MaxConcurrentJobs.
+	running int
 	// idem maps tenant-scoped idempotency keys to job ids (rebuilt
 	// from the journal at recovery).
 	idem     map[string]string
@@ -444,7 +446,7 @@ type job struct {
 	// job's result; the result endpoint serves it verbatim so a
 	// restart is byte-invisible to clients.
 	rawResult []byte
-	subs      []*subscriber
+	followers []*follower
 }
 
 // New returns a ready service. It panics if Config.JournalDir is set
@@ -489,7 +491,6 @@ func OpenWithGrade(cfg Config, grade GradeFunc) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		reg:     NewRegistry(cfg.CircuitCache, cfg.GoodCache),
-		sem:     make(chan struct{}, cfg.MaxConcurrentJobs),
 		jobs:    make(map[string]*job),
 		sched:   newScheduler(),
 		idem:    make(map[string]string),
@@ -498,7 +499,6 @@ func OpenWithGrade(cfg Config, grade GradeFunc) (*Service, error) {
 		now:     time.Now,
 		grade:   grade,
 	}
-	s.schedCond = sync.NewCond(&s.mu)
 	s.start = s.now()
 	s.traces = trace.NewRecorder()
 	s.met = newServiceMetrics(s.metrics, s)
@@ -523,8 +523,12 @@ func OpenWithGrade(cfg Config, grade GradeFunc) (*Service, error) {
 			jnl.Close()
 			return nil, err
 		}
+		// Recovery fills s.jobs without s.mu, so the jobs it queued
+		// start only once it is over.
+		s.mu.Lock()
+		s.startLocked()
+		s.mu.Unlock()
 	}
-	go s.dispatch()
 	return s, nil
 }
 
@@ -640,7 +644,7 @@ func (s *Service) SubmitContext(ctx context.Context, spec JobSpec) (string, erro
 
 	// Phase 1 (under mu): dedupe, admission, id + idempotency-key
 	// reservation, registration. The job is visible to Status and to
-	// Drain's wg accounting from here on, but not yet dispatchable.
+	// Drain's wg accounting from here on, but not yet queued.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -694,15 +698,15 @@ func (s *Service) SubmitContext(ctx context.Context, spec JobSpec) (string, erro
 		}
 	}
 
-	// Phase 3 (under mu): count and enqueue; the dispatcher takes it
-	// from here. A Cancel or Drain that raced phase 2 only cancelled
-	// j's context — the dispatcher still dispatches it and run()
-	// performs the cancelled transition.
+	// Phase 3 (under mu): count, enqueue, and start it if a slot is
+	// free. A Cancel or Drain that raced phase 2 only cancelled j's
+	// context — the job still starts and run() performs the cancelled
+	// transition.
 	s.mu.Lock()
 	s.enqueueLocked(j)
 	s.evictOldJobsLocked()
+	s.startLocked()
 	s.mu.Unlock()
-	s.schedCond.Signal()
 	return id, nil
 }
 
@@ -764,7 +768,7 @@ func (s *Service) admitLocked(tenant string) error {
 }
 
 // enqueueLocked puts j on its tenant queue and settles the queue
-// gauges. Caller holds s.mu and signals schedCond after unlocking.
+// gauges. Caller holds s.mu.
 func (s *Service) enqueueLocked(j *job) {
 	tq := s.sched.tenantFor(j.tenant, s.cfg.TenantLimits)
 	s.sched.enqueue(tq, j)
@@ -773,35 +777,30 @@ func (s *Service) enqueueLocked(j *job) {
 	s.met.tenantQueueDepth.With(tenantLabel(j.tenant)).Inc()
 }
 
-// dispatch is the scheduler loop, one goroutine per service: acquire a
-// pool slot, pick the next job across tenant queues by weighted fair
-// order, run it. It exits when the scheduler is closed (Drain or
-// Close) and all queues are empty.
-func (s *Service) dispatch() {
-	for {
-		s.sem <- struct{}{}
-		s.mu.Lock()
-		for s.sched.queued == 0 && !s.schedClosed {
-			s.schedCond.Wait()
-		}
-		if s.sched.queued == 0 {
-			s.mu.Unlock()
-			<-s.sem
-			return
-		}
+// startLocked starts queued jobs, picked across tenant queues in
+// weighted fair order, while a pool slot is free. It runs wherever a
+// job is queued or a slot frees: Submit, the end of run, and the end
+// of Open's journal recovery. Caller holds s.mu.
+func (s *Service) startLocked() {
+	for s.running < s.cfg.MaxConcurrentJobs && s.sched.queued > 0 {
 		j := s.sched.pop()
 		s.met.tenantQueueDepth.With(tenantLabel(j.tenant)).Dec()
-		s.mu.Unlock()
+		s.running++
 		go s.run(j)
 	}
 }
 
+// lookup returns job id, nil if it is unknown or evicted.
+func (s *Service) lookup(id string) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id]
+}
+
 // Status returns the current status of a job.
 func (s *Service) Status(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookup(id)
+	if j == nil {
 		return JobStatus{}, false
 	}
 	j.mu.Lock()
@@ -812,9 +811,7 @@ func (s *Service) Status(id string) (JobStatus, bool) {
 // Body returns the Body a GradeFunc supplied for job id: nil for an
 // unknown id or a job the local simulator runs.
 func (s *Service) Body(id string) Body {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	j := s.lookup(id)
 	if j == nil {
 		return nil
 	}
@@ -851,10 +848,8 @@ func (s *Service) ResultAny(id string) (any, error) {
 // result endpoint serves those verbatim so a restart is byte-invisible
 // to polling clients.
 func (s *Service) result(id string) (any, []byte, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookup(id)
+	if j == nil {
 		return nil, nil, ErrNotFound
 	}
 	j.mu.Lock()
@@ -886,7 +881,7 @@ func (s *Service) Result(id string) (*JobResult, error) {
 
 // Cancel aborts a job. A queued job transitions to cancelled
 // immediately; a running job is interrupted at its next block barrier
-// and transitions shortly after (poll Status or consume Subscribe to
+// and transitions shortly after (poll Status or follow Stream to
 // observe the terminal state). Cancel is idempotent on already
 // cancelled jobs. It returns ErrNotFound for unknown ids and
 // ErrFinished for jobs that already completed or failed; the returned
@@ -899,8 +894,8 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 		return JobStatus{}, ErrNotFound
 	}
 	// Winning the dequeue makes this Cancel the owner of the terminal
-	// transition: the dispatcher can no longer claim the job, so the
-	// slot it would have used is never consumed.
+	// transition: startLocked can no longer start the job, so the slot
+	// it would have used is never consumed.
 	dequeued := s.sched.remove(j)
 	if dequeued {
 		s.met.tenantQueueDepth.With(tenantLabel(j.tenant)).Dec()
@@ -927,154 +922,93 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 		return st, ErrFinished
 	}
 	// Cancelled already, running (stops within one block; the run
-	// goroutine performs the terminal transition), or in the brief
-	// submit/dispatch windows where the dispatcher will hand it to
-	// run(), which observes the cancelled context immediately.
+	// goroutine performs the terminal transition), or in the submit
+	// window before it is queued, after which run() observes the
+	// cancelled context as soon as a slot starts it.
 	return st, nil
 }
 
-// Subscribe returns a channel of a job's progress events and a cancel
-// function. Every event the job publishes after the call arrives, in
-// order: events queue until the consumer reads them. The channel closes
-// once the job is terminal and the queue drained (immediately for an
-// already-finished job). A caller that stops reading before the close
-// must call cancel, which abandons the queue.
-func (s *Service) Subscribe(id string) (<-chan ProgressEvent, func(), bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	ch := make(chan ProgressEvent)
-	j.mu.Lock()
-	if terminal(j.status.State) {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}, true
-	}
-	sb := newSubscriber()
-	j.subs = append(j.subs, sb)
-	j.mu.Unlock()
-	go sb.pump(ch)
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			close(sb.stop)
-			sb.finish()
-			j.mu.Lock()
-			j.subs = slices.DeleteFunc(j.subs, func(x *subscriber) bool { return x == sb })
-			j.mu.Unlock()
-		})
-	}
-	return ch, cancel, true
-}
-
-// subscriber queues one Subscribe caller's events without loss. A job
-// publishes a bounded number of events (one per block, plus one per
-// ATPG target), so the queue, formally unbounded, is bounded by the
-// job. A drop-on-full channel would lose blocks whenever the consumer
-// falls behind the job, as a cluster's merged feed does when a shard
-// rerun catches up in one burst.
-type subscriber struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
+// follower is one Stream's queue of a job's progress events. The job
+// appends to it under j.mu and never waits on the reader; the reader's
+// own goroutine drains it. A job publishes a bounded number of events
+// (one per block, plus one per ATPG target), so the queue, formally
+// unbounded, is bounded by the job. A drop-on-full channel would lose
+// blocks whenever the reader falls behind the job, as a cluster's
+// merged feed does when a shard rerun catches up in one burst.
+type follower struct {
 	queue []ProgressEvent
-	done  bool          // terminal: nothing more will be queued
-	stop  chan struct{} // closed on cancel: the consumer is gone
+	done  bool          // the job is terminal: nothing more will be queued
+	wake  chan struct{} // capacity 1: queue or done changed since the last drain
 }
 
-func newSubscriber() *subscriber {
-	sb := &subscriber{stop: make(chan struct{})}
-	sb.cond = sync.NewCond(&sb.mu)
-	return sb
-}
-
-// push appends one event to the queue; a no-op once the feed is
-// terminal.
-func (sb *subscriber) push(ev ProgressEvent) {
-	sb.mu.Lock()
-	if !sb.done {
-		sb.queue = append(sb.queue, ev)
+// wakeUp tells the reader that its follower changed, without blocking
+// when a wake-up is already pending. Called with j.mu held.
+func (f *follower) wakeUp() {
+	select {
+	case f.wake <- struct{}{}:
+	default:
 	}
-	sb.mu.Unlock()
-	sb.cond.Signal()
 }
 
-// finish marks the feed terminal; the pump drains what is already
-// queued and then closes the consumer channel.
-func (sb *subscriber) finish() {
-	sb.mu.Lock()
-	sb.done = true
-	sb.mu.Unlock()
-	sb.cond.Broadcast()
-}
-
-// next blocks until an event is queued or the feed is terminal and
-// drained.
-func (sb *subscriber) next() (ProgressEvent, bool) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	for len(sb.queue) == 0 && !sb.done {
-		sb.cond.Wait()
+// follow registers a follower for every event j publishes from now on;
+// on a job that is already terminal it starts done.
+func (j *job) follow() *follower {
+	f := &follower{wake: make(chan struct{}, 1)}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if terminal(j.status.State) {
+		f.done = true
+	} else {
+		j.followers = append(j.followers, f)
 	}
-	if len(sb.queue) == 0 {
-		return ProgressEvent{}, false
-	}
-	ev := sb.queue[0]
-	sb.queue = sb.queue[1:]
-	return ev, true
+	return f
 }
 
-// pump moves queued events into ch at the consumer's pace, so a
-// publisher never waits on a consumer. On cancel it abandons the
-// queue instead of blocking on a send nobody will receive.
-func (sb *subscriber) pump(ch chan<- ProgressEvent) {
-	defer close(ch)
+// drain calls fn (when non-nil) with every event queued on f, in
+// order, and returns j's final status once it is terminal. fn runs
+// outside j.mu on the caller's goroutine. ctx ends the wait and
+// unregisters f; it does not touch the job.
+func (j *job) drain(ctx context.Context, f *follower, fn func(ProgressEvent)) (JobStatus, error) {
+	defer func() {
+		j.mu.Lock()
+		j.followers = slices.DeleteFunc(j.followers, func(x *follower) bool { return x == f })
+		j.mu.Unlock()
+	}()
 	for {
-		ev, ok := sb.next()
-		if !ok {
-			return
-		}
-		select {
-		case ch <- ev:
-		case <-sb.stop:
-			return
-		}
-	}
-}
-
-// Stream calls fn (when non-nil) with every progress event of job id,
-// in order, until the job reaches a terminal state, and returns its
-// final status. ctx aborts the subscription, not the job.
-func (s *Service) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
-	ch, cancel, ok := s.Subscribe(id)
-	if !ok {
-		return JobStatus{}, ErrNotFound
-	}
-	defer cancel()
-	return s.follow(ctx, id, ch, fn)
-}
-
-// follow is Stream on a subscription the caller already holds.
-func (s *Service) follow(ctx context.Context, id string, ch <-chan ProgressEvent, fn func(ProgressEvent)) (JobStatus, error) {
-	for {
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case ev, open := <-ch:
-			if !open {
-				st, ok := s.Status(id)
-				if !ok {
-					return JobStatus{}, ErrNotFound
-				}
-				return st, nil
+		j.mu.Lock()
+		evs, done, st := f.queue, f.done, j.status
+		f.queue = nil
+		j.mu.Unlock()
+		for _, ev := range evs {
+			if ctx.Err() != nil {
+				return JobStatus{}, ctx.Err()
 			}
 			if fn != nil {
 				fn(ev)
 			}
 		}
+		if done {
+			return st, nil
+		}
+		select {
+		case <-f.wake:
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		}
 	}
+}
+
+// Stream calls fn (when non-nil) with every progress event job id
+// publishes after the call, in order, on the calling goroutine, and
+// returns the job's final status once it is terminal — at once, with
+// no event, for a job that already is. ctx aborts the stream, not the
+// job.
+func (s *Service) Stream(ctx context.Context, id string, fn func(ProgressEvent)) (JobStatus, error) {
+	j := s.lookup(id)
+	if j == nil {
+		return JobStatus{}, ErrNotFound
+	}
+	return j.drain(ctx, j.follow(), fn)
 }
 
 // Stats returns the service counters, including the registry cache
@@ -1098,13 +1032,10 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Close waits for all submitted jobs to finish, then stops the
-// dispatcher goroutine. Jobs submitted after Close are accepted but
-// not dispatched; use Drain for an orderly shutdown that rejects them.
-func (s *Service) Close() {
-	s.wg.Wait()
-	s.closeScheduler()
-}
+// Close waits for all submitted jobs to finish. The engine has no
+// goroutine of its own to stop, so a job submitted after Close still
+// runs; use Drain for an orderly shutdown that rejects new jobs.
+func (s *Service) Close() { s.wg.Wait() }
 
 // Drain shuts the service down gracefully: Submit rejects new jobs
 // with ErrDraining from the moment Drain is called, every queued job
@@ -1112,10 +1043,10 @@ func (s *Service) Close() {
 // metric's drain reason, so a shutdown's collateral is visible, not
 // silent — every running job is cancelled at its next 64-pattern block
 // barrier (their streams end with the cancelled status), and Drain
-// returns once all job goroutines have finished and the dispatcher has
-// been stopped. On a journal-backed service the drops are journaled as
-// cancelled, so a restart does not resurrect them. Idempotent:
-// concurrent and repeated calls all wait for the same quiescent state.
+// returns once all job goroutines have finished. On a journal-backed
+// service the drops are journaled as cancelled, so a restart does not
+// resurrect them. Idempotent: concurrent and repeated calls all wait
+// for the same quiescent state.
 func (s *Service) Drain() {
 	s.mu.Lock()
 	s.draining = true
@@ -1144,19 +1075,9 @@ func (s *Service) Drain() {
 		s.Cancel(id)
 	}
 	s.wg.Wait()
-	s.closeScheduler()
 	if s.jnl != nil {
 		s.jnl.Close()
 	}
-}
-
-// closeScheduler stops the dispatcher goroutine once its queues are
-// empty. Idempotent.
-func (s *Service) closeScheduler() {
-	s.mu.Lock()
-	s.schedClosed = true
-	s.mu.Unlock()
-	s.schedCond.Broadcast()
 }
 
 // evictOldJobsLocked drops the oldest finished jobs once the retained
@@ -1188,14 +1109,14 @@ func (s *Service) evictOldJobsLocked() {
 	s.order = kept
 }
 
-// run executes one dispatched job: it claims the running state, hands
+// run executes one started job: it claims the running state, hands
 // the body to the job's kind, and performs the terminal transition the
-// kind's outcome calls for. The dispatcher acquired the pool slot;
-// run releases it. A context error from the kind means the job was
-// cancelled at a barrier; any other error fails the job. The body runs
-// under pprof labels (kind, job), so CPU profiles attribute simulator
-// and generator samples to the job that spent them — worker goroutines
-// spawned inside inherit the labels.
+// kind's outcome calls for. startLocked took the pool slot; run frees
+// it and starts the next queued job. A context error from the kind
+// means the job was cancelled at a barrier; any other error fails the
+// job. The body runs under pprof labels (kind, job), so CPU profiles
+// attribute simulator and generator samples to the job that spent them
+// — worker goroutines spawned inside inherit the labels.
 func (s *Service) run(j *job) {
 	defer s.wg.Done()
 	defer func() {
@@ -1203,11 +1124,16 @@ func (s *Service) run(j *job) {
 			s.finish(j, StateFailed, nil, fmt.Errorf("internal error: %v", p))
 		}
 	}()
-	defer func() { <-s.sem }()
+	defer func() {
+		s.mu.Lock()
+		s.running--
+		s.startLocked()
+		s.mu.Unlock()
+	}()
 
-	// A job cancelled after the dispatcher claimed it (or in the
-	// submit windows before it was enqueued) reaches here with its
-	// context already cancelled; transition it without working.
+	// A job cancelled after startLocked popped it (or in the submit
+	// window before it was enqueued) reaches here with its context
+	// already cancelled; transition it without working.
 	if j.ctx.Err() != nil {
 		s.finish(j, StateCancelled, nil, nil)
 		return
@@ -1260,10 +1186,10 @@ func (s *Service) run(j *job) {
 // finish performs a job's terminal transition — the single path every
 // outcome (done, failed, cancelled-queued, cancelled-running,
 // drain-dropped, panic recovery) goes through: state, timing, result
-// and the job-count instruments under the job lock, then subscriber
-// close, the duration histogram and the journal's finished record. At
-// most one caller wins; later calls are no-ops, so racing finishers (a
-// Cancel against the run goroutine, say) are safe.
+// and the job-count instruments under the job lock, where its streams
+// end too, then the duration histogram and the journal's finished
+// record. At most one caller wins; later calls are no-ops, so racing
+// finishers (a Cancel against the run goroutine, say) are safe.
 func (s *Service) finish(j *job, state string, result any, cause error) {
 	j.mu.Lock()
 	if terminal(j.status.State) {
@@ -1285,15 +1211,15 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	run := j.timing.RunSeconds
 	st := j.status
 	res := j.result
-	subs := j.subs
-	j.subs = nil
+	for _, f := range j.followers {
+		f.done = true
+		f.wakeUp()
+	}
+	j.followers = nil
 	tctx := j.tctx
 	j.mu.Unlock()
 	if tctx == nil {
 		tctx = context.Background()
-	}
-	for _, sb := range subs {
-		sb.finish()
 	}
 	switch state {
 	case StateDone:
@@ -1379,7 +1305,7 @@ func (j *job) publish(p fsim.Progress) {
 }
 
 // publishBlock records one block's progress on the status and
-// delivers it to every subscriber.
+// queues it for every stream.
 func (j *job) publishBlock(ev ProgressEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -1412,11 +1338,12 @@ func (j *job) publishGen(p tgen.Progress) {
 }
 
 // send stamps ev with the job's identity and queues it for every
-// subscriber; queueing never blocks. Called with j.mu held.
+// stream; queueing never blocks. Called with j.mu held.
 func (j *job) send(ev ProgressEvent) {
 	ev.JobID, ev.Kind, ev.State = j.id, j.status.Kind, StateRunning
-	for _, sb := range j.subs {
-		sb.push(ev)
+	for _, f := range j.followers {
+		f.queue = append(f.queue, ev)
+		f.wakeUp()
 	}
 }
 

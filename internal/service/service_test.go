@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"github.com/eda-go/adifo/internal/obs"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -286,14 +288,11 @@ func TestSubscribeStreamsBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, ok := s.Subscribe(id)
-	if !ok {
-		t.Fatal("subscribe failed")
-	}
-	defer cancel()
 	var events []ProgressEvent
-	for ev := range ch {
+	if _, err := s.Stream(context.Background(), id, func(ev ProgressEvent) {
 		events = append(events, ev)
+	}); err != nil {
+		t.Fatalf("stream: %v", err)
 	}
 	st := waitDone(t, s, id)
 	if st.State != StateDone {
@@ -310,15 +309,36 @@ func TestSubscribeStreamsBlocks(t *testing.T) {
 			t.Fatalf("bad event %+v", ev)
 		}
 	}
-	// Subscribing after completion yields an immediately closed channel.
-	ch2, cancel2, ok := s.Subscribe(id)
-	if !ok {
-		t.Fatal("late subscribe failed")
+	// Streaming a finished job returns its status with no event.
+	late := 0
+	st, err = s.Stream(context.Background(), id, func(ProgressEvent) { late++ })
+	if err != nil || st.State != StateDone || late != 0 {
+		t.Fatalf("late stream: %+v, %v, %d events; want the done status and no event", st, err, late)
 	}
-	defer cancel2()
-	if _, open := <-ch2; open {
-		t.Fatal("late subscription channel must start closed")
+}
+
+// TestSubmitAfterCloseRuns: Close only waits for the jobs, so a job
+// submitted after it still runs to done, even once every goroutine New
+// and Close left behind has exited.
+func TestSubmitAfterCloseRuns(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Logger: obs.Nop()})
+	s.Close()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Close", runtime.NumGoroutine()-before)
+		}
 	}
+	id, err := s.Submit(JobSpec{Circuit: "c17", Mode: "nodrop", Patterns: PatternSpec{Exhaustive: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	if st, err := s.Stream(ctx, id, nil); err != nil || st.State != StateDone {
+		t.Fatalf("job submitted after Close: %+v, %v; want done", st, err)
+	}
+	s.Close()
 }
 
 // TestConcurrentJobsBounded floods a 2-slot pool with jobs and checks

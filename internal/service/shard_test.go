@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"github.com/eda-go/adifo/internal/obs"
 	"strings"
 	"testing"
@@ -89,11 +90,7 @@ func TestSubmitWorkersValidation(t *testing.T) {
 // waitResult waits for a job's terminal state via its progress feed.
 func waitResult(t *testing.T, s *Service, id string) *JobResult {
 	t.Helper()
-	if ch, cancel, ok := s.Subscribe(id); ok {
-		for range ch {
-		}
-		cancel()
-	}
+	s.Stream(context.Background(), id, nil)
 	res, err := s.Result(id)
 	if err != nil {
 		t.Fatalf("job %s: %v", id, err)

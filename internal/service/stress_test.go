@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"github.com/eda-go/adifo/internal/obs"
 	"math/rand"
@@ -54,19 +55,17 @@ func TestEngineMixedKindsStress(t *testing.T) {
 				ids = append(ids, id)
 				mu.Unlock()
 
-				// A third of the jobs get a subscriber that drains its
+				// A third of the jobs get a stream that drains their
 				// feed; a third get cancelled at a random point.
 				switch rng.Intn(3) {
 				case 0:
-					if ch, cancel, ok := s.Subscribe(id); ok {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							defer cancel()
-							for range ch {
-							}
-						}()
-					}
+					wg.Add(1)
+					go func(id string) {
+						defer wg.Done()
+						if _, err := s.Stream(context.Background(), id, nil); err != nil {
+							t.Errorf("stream %s: %v", id, err)
+						}
+					}(id)
 				case 1:
 					delay := time.Duration(rng.Intn(3)) * time.Millisecond
 					wg.Add(1)

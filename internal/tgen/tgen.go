@@ -152,10 +152,13 @@ func AVE(curve []int) float64 {
 }
 
 // Generate runs the flow over fl in the given fault order. The order
-// must be a permutation of [0, fl.Len()). It is GenerateContext
-// without cancellation.
+// must be a permutation of [0, fl.Len()); Generate panics on any other.
+// It is GenerateContext without cancellation.
 func Generate(fl *fault.List, order []int, opts Options) *Result {
-	r, _ := GenerateContext(context.Background(), fl, order, opts)
+	r, err := GenerateContext(context.Background(), fl, order, opts)
+	if err != nil {
+		panic(err)
+	}
 	return r
 }
 
@@ -164,10 +167,11 @@ func Generate(fl *fault.List, order []int, opts Options) *Result {
 // fault's worth of work (one PODEM call plus one incremental fault
 // simulation). On cancellation it returns the partial result — every
 // test generated so far, with a consistent coverage curve — together
-// with ctx.Err(); the error is nil on a completed run.
+// with ctx.Err(); the error is nil on a completed run. An order that
+// is not a permutation of [0, fl.Len()) returns no result and an error.
 func GenerateContext(ctx context.Context, fl *fault.List, order []int, opts Options) (*Result, error) {
 	if err := checkPermutation(order, fl.Len()); err != nil {
-		panic(fmt.Sprintf("tgen: %v", err))
+		return nil, fmt.Errorf("tgen: %w", err)
 	}
 	start := time.Now()
 

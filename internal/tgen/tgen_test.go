@@ -1,6 +1,7 @@
 package tgen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -217,6 +218,8 @@ func TestOrderedGenerationUsesADIOrders(t *testing.T) {
 	}
 }
 
+// TestGeneratePanicsOnBadOrder: an order that is not a permutation is
+// an error from GenerateContext and a panic from Generate.
 func TestGeneratePanicsOnBadOrder(t *testing.T) {
 	fl := c17Faults(t)
 	cases := [][]int{
@@ -224,6 +227,9 @@ func TestGeneratePanicsOnBadOrder(t *testing.T) {
 		append(identityOrder(fl.Len()-1), 0), // duplicate
 	}
 	for _, order := range cases {
+		if r, err := GenerateContext(context.Background(), fl, order, Options{}); err == nil || r != nil {
+			t.Fatalf("GenerateContext(%v) = %v, %v; want no result and an error", order, r, err)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
