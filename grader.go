@@ -244,7 +244,10 @@ func (g *LocalGrader) Stats(_ context.Context) (GraderStats, error) {
 }
 
 // Close implements Grader: it waits for all submitted jobs to finish
-// (cancel them first for a fast shutdown).
+// (cancel them first for a fast shutdown), then closes the journal of
+// a grader opened with a JournalDir. A Submit after Close still runs
+// on a grader without a journal, and fails on one with a journal,
+// which can no longer make the job durable.
 func (g *LocalGrader) Close() error {
 	g.svc.Close()
 	return nil

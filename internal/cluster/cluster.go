@@ -9,10 +9,9 @@
 // Placement is a work queue, not a static assignment: the coordinator
 // cuts ShardsPerBackend shards per healthy backend — many more shards
 // than backends — and hands a backend the next queued shard whenever
-// its in-flight window (bounded by MaxInFlightPerBackend, scaled by the
-// capacity each backend reports on /v1/stats) has room. Fast backends
-// therefore finish more shards; a slow backend bounds only its own
-// tail, not the job. Once the queue is empty, a backend with room
+// its in-flight window of MaxInFlightPerBackend sub-jobs has room. Fast
+// backends therefore finish more shards; a slow backend bounds only its
+// own tail, not the job. Once the queue is empty, a backend with room
 // speculatively duplicates the least-progressed shard whose only
 // attempt is older than StragglerAfter: the first attempt to reach a
 // terminal result wins and the loser is cancelled. A background
@@ -39,10 +38,17 @@
 // byte for byte, so whichever attempt finishes first yields the same
 // merged job.
 //
-// Backend health is probed via /v1/stats; a backend that keeps failing
-// (flapping) is excluded from placement once its consecutive failure
-// count reaches Options.MaxBackendFailures, until a probe or sub-job
-// succeeds on it again.
+// The coordinator learns about its backends from one probe, a sweep
+// that asks a set of them for /v1/stats concurrently. Submit sweeps
+// the backends that are not flapping, and those that answer become the
+// job's members; the re-probe loop sweeps every backend and offers each
+// one that answers to the running jobs; Stats sweeps every backend and
+// sums the answers. Health is one count per backend of the consecutive
+// calls it did not answer, probes and sub-job transport errors alike;
+// any answer resets it, and a call that failed because its caller gave
+// up counts as nothing. A backend whose count reaches
+// Options.MaxBackendFailures is flapping: it is excluded from placement
+// until a probe or sub-job succeeds on it again.
 //
 // Every cluster job is a job of the coordinator's own service engine
 // (Coordinator.Service): the engine owns ids, retention, idempotency,
@@ -83,10 +89,12 @@ type Options struct {
 	// MaxInFlightPerBackend idle connections per backend; Close closes
 	// them.
 	HTTPClient *http.Client
-	// ProbeTimeout bounds one /v1/stats health probe (default 2s).
+	// ProbeTimeout bounds one sweep of /v1/stats health probes, which
+	// run concurrently (default 2s).
 	ProbeTimeout time.Duration
-	// MaxBackendFailures is the consecutive-failure count at which a
-	// backend is considered flapping and excluded from placement until
+	// MaxBackendFailures is the count of consecutive calls a backend
+	// did not answer, probes and sub-job transport errors alike, at
+	// which it is considered flapping and excluded from placement until
 	// a probe or sub-job completes on it again (default 3).
 	MaxBackendFailures int
 	// MaxRetainedJobs bounds how many finished cluster jobs (and their
@@ -100,16 +108,16 @@ type Options struct {
 	// strands at most 1/(K·N) of the fault universe per in-flight slot
 	// — at the cost of more sub-jobs and more merge tracks.
 	ShardsPerBackend int
-	// MaxInFlightPerBackend caps how many sub-jobs of one cluster job
-	// run concurrently on a single backend (default: ShardsPerBackend,
-	// so the whole queue streams at once when every backend is
-	// healthy and the queue only backs up under failures or skew).
-	// Backends reporting fewer workers than their largest peer get a
-	// proportionally smaller window (see capacity).
+	// MaxInFlightPerBackend is the in-flight window of every backend:
+	// how many sub-jobs of one cluster job run concurrently on it
+	// (default: ShardsPerBackend, so the whole queue streams at once
+	// when every backend is healthy and the queue only backs up under
+	// failures or skew).
 	MaxInFlightPerBackend int
 	// ReprobeInterval is the period of the background membership sweep
-	// that re-probes every backend, records its reported capacity, and
-	// re-admits recovered backends into running jobs (default 3s).
+	// that probes every backend, counts its health, and offers each one
+	// that answers to the running jobs, which re-admits recovered
+	// backends (default 3s).
 	ReprobeInterval time.Duration
 	// StragglerAfter is how old a shard's only attempt must be before a
 	// backend with room, once the queue is empty, may speculatively
@@ -145,62 +153,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// backend is one adifod server plus its health bookkeeping. failures
-// counts consecutive transport-level failures; any completed sub-job
-// or successful probe resets it. workers/load are the capacity hints
-// from the backend's most recent /v1/stats answer.
+// backend is one adifod server plus its health: failures counts the
+// consecutive calls it did not answer (see Coordinator.record).
 type backend struct {
 	url string
 	cl  *client.Client
 
 	mu       sync.Mutex
 	failures int
-	alive    bool
-	workers  int
-	load     int // queued + running jobs at last probe
-}
-
-func (b *backend) markFailure() {
-	b.mu.Lock()
-	b.failures++
-	b.mu.Unlock()
-}
-
-func (b *backend) markOK() {
-	b.mu.Lock()
-	b.failures = 0
-	b.mu.Unlock()
-}
-
-// markProbe records a probe outcome: success resets the failure count
-// (a backend that answers its stats endpoint is admittable again, even
-// if it was flapping) and reports whether this probe observed a
-// dead-to-alive transition.
-func (b *backend) markProbe(ok bool) (recovered bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		recovered = !b.alive
-		b.alive = true
-		b.failures = 0
-		return recovered
-	}
-	b.alive = false
-	b.failures++
-	return false
-}
-
-// setHints records the backend's self-reported capacity.
-func (b *backend) setHints(workers, load int) {
-	b.mu.Lock()
-	b.workers, b.load = workers, load
-	b.mu.Unlock()
-}
-
-func (b *backend) hints() (workers, load int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.workers, b.load
 }
 
 // flapping reports whether the backend has hit the consecutive-failure
@@ -449,64 +409,84 @@ type report struct {
 	submit bool // err came from the submit
 }
 
-// probe checks one backend's liveness with the configured timeout,
-// records the round-trip in the per-backend probe histogram (a dead
-// backend observes the timeout it cost the sweep), and on success
-// refreshes the backend's capacity hints.
-func (co *Coordinator) probe(ctx context.Context, b *backend) error {
+// probe is the one sweep: it asks every backend in bs for /v1/stats
+// concurrently, under one ProbeTimeout for the whole sweep, and returns
+// the answers in bs order, nil for each backend that failed. Each
+// round trip is observed on the probe histogram (a dead backend
+// observes the timeout it cost the sweep) and recorded on the
+// backend's health, except a failure because ctx ended: the caller
+// gave up, the backend did not fail.
+func (co *Coordinator) probe(ctx context.Context, bs []*backend) []*service.Stats {
 	pctx, cancel := context.WithTimeout(ctx, co.opts.ProbeTimeout)
 	defer cancel()
-	start := co.now()
-	st, err := b.cl.Stats(pctx)
-	co.met.probeSeconds.With(b.url).Observe(co.now().Sub(start).Seconds())
-	if err == nil {
-		b.setHints(st.Workers, st.JobsQueued+st.JobsRunning)
-	}
-	return err
-}
-
-// exclude counts and logs one placement decision that passed over a
-// flapping backend.
-func (co *Coordinator) exclude(b *backend) {
-	co.met.exclusions.With(b.url).Inc()
-	co.logger.Debug("backend excluded from placement (flapping)", "backend", b.url)
-}
-
-// healthyBackends probes every backend concurrently (one ProbeTimeout
-// bounds the whole sweep, not each dead backend in turn) and returns
-// the live, non-flapping ones in configuration order.
-func (co *Coordinator) healthyBackends(ctx context.Context) []*backend {
-	ok := make([]bool, len(co.backends))
+	out := make([]*service.Stats, len(bs))
 	var wg sync.WaitGroup
-	for i, b := range co.backends {
-		if b.flapping(co.opts.MaxBackendFailures) {
-			co.exclude(b)
-			continue
-		}
+	for i, b := range bs {
 		wg.Add(1)
-		go func(i int, b *backend) {
+		go func() {
 			defer wg.Done()
-			if err := co.probe(ctx, b); err != nil {
-				b.markFailure()
-				co.logger.Warn("backend unhealthy", "backend", b.url, "err", err)
+			start := co.now()
+			st, err := b.cl.Stats(pctx)
+			if err != nil && ctx.Err() != nil {
 				return
 			}
-			ok[i] = true
-		}(i, b)
+			co.met.probeSeconds.With(b.url).Observe(co.now().Sub(start).Seconds())
+			co.record(b, err)
+			if err == nil {
+				out[i] = &st
+			}
+		}()
 	}
 	wg.Wait()
+	return out
+}
+
+// record counts the outcome of one call to b: a failure adds one to
+// its failure count and an answer resets it. It logs the transitions
+// only: the first failure after an answer, and an answer that clears
+// failures.
+func (co *Coordinator) record(b *backend, err error) {
+	b.mu.Lock()
+	was := b.failures
+	if err != nil {
+		b.failures++
+	} else {
+		b.failures = 0
+	}
+	b.mu.Unlock()
+	switch {
+	case err != nil && was == 0:
+		co.logger.Warn("backend unhealthy", "backend", b.url, "err", err)
+	case err == nil && was > 0:
+		co.logger.Info("backend recovered", "backend", b.url, "failures", was)
+	}
+}
+
+// healthyBackends picks a new job's members: it sweeps the backends
+// that are not flapping, counting each one it skips as an exclusion,
+// and returns those that answered in configuration order.
+func (co *Coordinator) healthyBackends(ctx context.Context) []*backend {
+	var ask []*backend
+	for _, b := range co.backends {
+		if b.flapping(co.opts.MaxBackendFailures) {
+			co.met.exclusions.With(b.url).Inc()
+			continue
+		}
+		ask = append(ask, b)
+	}
 	var out []*backend
-	for i, b := range co.backends {
-		if ok[i] {
-			out = append(out, b)
+	for i, st := range co.probe(ctx, ask) {
+		if st != nil {
+			out = append(out, ask[i])
 		}
 	}
 	return out
 }
 
 // reprobeLoop is the dynamic-membership sweep: it periodically probes
-// every backend, refreshing capacity hints and re-admitting backends
-// that were dead (or flapping) into the placement of running jobs.
+// every backend and offers each one that answers to the running jobs,
+// which re-admits backends that were dead (or flapping) into their
+// placement.
 func (co *Coordinator) reprobeLoop() {
 	t := time.NewTicker(co.opts.ReprobeInterval)
 	defer t.Stop()
@@ -521,22 +501,11 @@ func (co *Coordinator) reprobeLoop() {
 }
 
 func (co *Coordinator) reprobe() {
-	var wg sync.WaitGroup
-	for _, b := range co.backends {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			if err := co.probe(co.ctx, b); err != nil {
-				b.markProbe(false)
-				return
-			}
-			if b.markProbe(true) {
-				co.logger.Info("backend recovered, readmitting", "backend", b.url)
-			}
-			co.admit(b)
-		}(b)
+	for i, st := range co.probe(co.ctx, co.backends) {
+		if st != nil {
+			co.admit(co.backends[i])
+		}
 	}
-	wg.Wait()
 }
 
 // admit offers b to every running job — the work-queue half of dynamic
@@ -557,33 +526,6 @@ func (co *Coordinator) admit(b *backend) {
 			}
 		}
 	}
-}
-
-// capacity is the in-flight window the coordinator keeps open on b:
-// the configured cap, scaled by the workers b reported relative to the
-// best-provisioned peer, and shaved when b already carries a standing
-// backlog of its own. Backends with no hints yet (never probed, or an
-// older server not reporting workers) get the full cap.
-func (co *Coordinator) capacity(b *backend) int {
-	cap := co.opts.MaxInFlightPerBackend
-	w, load := b.hints()
-	if w <= 0 {
-		return cap
-	}
-	maxW := w
-	for _, x := range co.backends {
-		if xw, _ := x.hints(); xw > maxW {
-			maxW = xw
-		}
-	}
-	c := (cap*w + maxW - 1) / maxW
-	if load > w && c > 1 {
-		c--
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // prepare is the engine's GradeFunc, called by Submit once the spec
@@ -681,7 +623,7 @@ func (j *cjob) place() {
 	for claimed := true; claimed; {
 		claimed = false
 		for _, b := range usable {
-			if j.inflight[b] >= co.capacity(b) {
+			if j.inflight[b] >= co.opts.MaxInFlightPerBackend {
 				continue
 			}
 			sh, speculative := j.claimQueued(b, len(usable) > 1), false
@@ -894,7 +836,7 @@ func (j *cjob) handle(rep report) {
 			go co.reclaim(j, att)
 		}
 	case rep.err == nil:
-		b.markOK()
+		co.record(b, nil)
 		j.complete(sh, att, rep)
 	case rep.failed:
 		j.fail(sh, rep.err)
@@ -911,7 +853,7 @@ func (j *cjob) lost(sh *shard, att *attempt, rep report) {
 	var apiErr *service.APIError
 	isAPI := errors.As(err, &apiErr)
 	if !isAPI {
-		b.markFailure()
+		co.record(b, err)
 	}
 	if isAPI && !rep.submit && !errors.Is(err, service.ErrNotFound) {
 		// The backend answered but refused mid-flight: not a transport
@@ -1124,31 +1066,14 @@ func (co *Coordinator) Shards(id string) ([]ShardStatus, error) {
 	return out, nil
 }
 
-// Stats sums the service counters of every reachable backend, fetched
-// concurrently so a dead backend costs one ProbeTimeout in total, not
-// per backend; it contributes nothing rather than failing the
-// aggregate. Uptime and version are the coordinator's own.
+// Stats sums the service counters of every backend that answers one
+// sweep, so a dead backend costs one ProbeTimeout in total and
+// contributes nothing rather than failing the aggregate. Uptime and
+// version are the coordinator's own.
 func (co *Coordinator) Stats(ctx context.Context) (service.Stats, error) {
-	stats := make([]*service.Stats, len(co.backends))
-	var wg sync.WaitGroup
-	for i, b := range co.backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, co.opts.ProbeTimeout)
-			defer cancel()
-			st, err := b.cl.Stats(pctx)
-			if err != nil {
-				co.logger.Warn("fetching backend stats failed", "backend", b.url, "err", err)
-				return
-			}
-			stats[i] = &st
-		}(i, b)
-	}
-	wg.Wait()
 	own := co.svc.Stats()
 	out := service.Stats{UptimeSeconds: own.UptimeSeconds, Version: own.Version}
-	for _, st := range stats {
+	for _, st := range co.probe(ctx, co.backends) {
 		if st == nil {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"maps"
 	"net"
 	"net/http"
@@ -505,8 +506,8 @@ func TestClusterFlappingExcluded(t *testing.T) {
 		t.Fatalf("second job diverges\n got: %s\nwant: %s", got, want)
 	}
 
-	// Every skip of the flapping backend — during placement and during
-	// probing — lands on its exclusion counter.
+	// The second submit skipped the flapping backend without probing
+	// it, and that skip lands on its exclusion counter.
 	exp := scrapeRegistry(t, svc.Metrics())
 	series := `adifo_cluster_backend_exclusions_total{backend="` + dsrv.URL + `"}`
 	if got := seriesValue(t, exp, series); got < 1 {
@@ -642,6 +643,73 @@ func TestClusterFailsWhenEveryBackendIsLost(t *testing.T) {
 	}
 	if st.State != service.StateFailed || !strings.Contains(st.Error, "no healthy backend available") {
 		t.Fatalf("cluster job ended %s (%q), want failed with \"no healthy backend available\"", st.State, st.Error)
+	}
+}
+
+// TestClusterCancelledCallsKeepBackendsUsable: a submit or a Stats
+// call whose caller already gave up fails its probes because of the
+// caller, not the backends, so it must not count against them. Three
+// such submits would otherwise make every backend flapping under the
+// default MaxBackendFailures, and a live submit would then find no
+// healthy backend.
+func TestClusterCancelledCallsKeepBackendsUsable(t *testing.T) {
+	spec := service.JobSpec{Circuit: "c17", Mode: "nodrop",
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 256, Seed: 4}}}
+	want := canonical(t, referenceResult(t, spec))
+	urls, _ := newBackends(t, 2)
+	co, err := New(urls, Options{Logger: quiet, ReprobeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	svc := co.Service()
+	for range 3 {
+		_, _ = svc.SubmitContext(gone, spec)
+	}
+	for range 3 {
+		_, _ = co.Stats(gone)
+	}
+	exp := scrapeRegistry(t, svc.Metrics())
+	if got := seriesValue(t, exp, "adifo_cluster_probe_seconds_count"); got != 0 {
+		t.Errorf("adifo_cluster_probe_seconds_count = %v after calls whose caller gave up, want 0", got)
+	}
+	if got := seriesValue(t, exp, "adifo_cluster_backend_exclusions_total"); got != 0 {
+		t.Errorf("adifo_cluster_backend_exclusions_total = %v after calls whose caller gave up, want 0", got)
+	}
+	if got := canonical(t, clusterGrade(t, co, spec)); got != want {
+		t.Fatalf("live job diverges\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestClusterReprobeLogsTransitions: the re-probe sweep logs a
+// backend's health only when it changes. Backends that never failed
+// log nothing, and a dead backend logs one "unhealthy" line per
+// outage, not one per sweep.
+func TestClusterReprobeLogsTransitions(t *testing.T) {
+	urls, _ := newBackends(t, 2)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	var logs bytes.Buffer
+	co, err := New(append(urls, dead.URL), Options{
+		Logger:          obs.NewLogger(&logs, slog.LevelDebug),
+		ReprobeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	co.reprobe()
+	co.reprobe()
+	out := logs.String()
+	if strings.Contains(out, "recovered") {
+		t.Errorf("backends that never failed logged a recovery:\n%s", out)
+	}
+	if n := strings.Count(out, `msg="backend unhealthy"`); n != 1 || !strings.Contains(out, dead.URL) {
+		t.Errorf("two sweeps over a dead backend logged %d unhealthy lines, want 1 naming %s:\n%s", n, dead.URL, out)
 	}
 }
 
@@ -1052,7 +1120,7 @@ func TestClusterErrorsContract(t *testing.T) {
 		t.Fatalf("summed backend stats JobsDone = %d, want 8", st.JobsDone)
 	}
 	if st.Workers <= 0 {
-		t.Fatalf("summed backend stats Workers = %d, want > 0 (capacity hints feed placement)", st.Workers)
+		t.Fatalf("summed backend stats Workers = %d, want > 0 (backends report their workers)", st.Workers)
 	}
 	// Every other field is the sum over the backends too, except the
 	// coordinator's own uptime and version.

@@ -15,8 +15,8 @@ import (
 // contributes its final counters). Shard reruns and speculative
 // duplicates replay identical per-block stats (grading is
 // deterministic), so a track tolerates multiple concurrent reporters:
-// replayed blocks below the frontier only fill holes, and the merged
-// feed never regresses and never double-counts. The engine stamps the
+// replayed blocks below the frontier are ignored, and the merged feed
+// never regresses and never double-counts. The engine stamps the
 // job's id and kind on every merged event it publishes.
 type merger struct {
 	mu      sync.Mutex
@@ -56,24 +56,18 @@ func (m *merger) update(i int, ev service.ProgressEvent) []service.ProgressEvent
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := &m.tracks[i]
-	st := blockStat{vectorsUsed: ev.VectorsUsed, detected: ev.Detected, active: ev.Active}
 	if ev.Block < t.blocksDone {
 		// A duplicate attempt (speculation, or a rerun after a death)
-		// replaying blocks another attempt already reported. The stats
-		// are bit-identical, so it may fill a gap-filled hole with the
-		// authentic value, but must not touch the frontier: regressing
-		// last/blocksDone would let later gap-fills inherit stale
-		// counters.
-		if _, ok := t.hist[ev.Block]; !ok && ev.Block >= m.emitted {
-			t.hist[ev.Block] = st
-		}
-		return m.collectLocked()
+		// replaying a block below the frontier. Every such block is
+		// already merged or in hist, reported or gap-filled, so the
+		// replay is ignored; regressing last/blocksDone would let later
+		// gap-fills inherit stale counters.
+		return nil
 	}
 	for b := t.blocksDone; b < ev.Block; b++ {
-		if _, ok := t.hist[b]; !ok {
-			t.hist[b] = t.last
-		}
+		t.hist[b] = t.last
 	}
+	st := blockStat{vectorsUsed: ev.VectorsUsed, detected: ev.Detected, active: ev.Active}
 	t.hist[ev.Block] = st
 	t.last = st
 	t.blocksDone = ev.Block + 1

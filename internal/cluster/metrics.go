@@ -6,7 +6,7 @@ import "github.com/eda-go/adifo/internal/obs"
 // machinery — the part of the cluster that is invisible in results
 // (merges are bit-identical no matter how many retries it took) and
 // therefore only observable here: probe latency per backend, shards
-// re-placed after a backend death, backends excluded from placement,
+// re-placed after a backend death, flapping backends skipped at submit,
 // and the cost of the final merge.
 type clusterMetrics struct {
 	probeSeconds     *obs.HistogramVec // backend
@@ -25,7 +25,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	m.shardRetries = reg.Counter("adifo_cluster_shard_retries_total",
 		"Shards re-placed on another backend after a loss (death, drain, eviction).")
 	m.exclusions = reg.CounterVec("adifo_cluster_backend_exclusions_total",
-		"Times a flapping backend was passed over during placement or probing.",
+		"Times a submit skipped a flapping backend when it picked a job's backends.",
 		"backend")
 	m.mergeSeconds = reg.Histogram("adifo_cluster_merge_seconds",
 		"Time to merge all shard results into the final JobResult.", nil)

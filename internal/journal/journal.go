@@ -12,7 +12,8 @@
 // previous one — so the per-record cost under load is a fraction of a
 // disk flush. A crash can lose at most the suffix of records whose
 // Append had not yet returned; it can never corrupt the prefix, and
-// replay stops cleanly at the first truncated or corrupt record.
+// replay ends a segment cleanly at its first truncated or corrupt
+// record.
 //
 // On-disk format: each segment file starts with an 8-byte magic
 // ("ADIWAL1\n") followed by frames of
@@ -21,8 +22,10 @@
 //
 // Open always starts a fresh segment (numbered after the highest
 // existing one), so past segments are immutable from the moment a
-// process starts and a torn final frame can only ever sit at the tail
-// of the newest segment.
+// process starts. A torn final frame sits at the tail of the segment
+// whose process crashed, and segments written by later processes
+// follow it: replay reads every segment, each up to its first bad
+// frame.
 package journal
 
 import (

@@ -166,6 +166,52 @@ func TestReopenStartsNewSegment(t *testing.T) {
 	}
 }
 
+// TestTornSegmentEndsOnlyItself: a crash leaves a torn frame header at
+// the tail of segment 1, and the next process writes segment 2. Replay
+// must deliver every record of both segments and report the tear.
+func TestTornSegmentEndsOnlyItself(t *testing.T) {
+	dir := t.TempDir()
+	var want []Record
+	j1, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		want = append(want, testRecord(i))
+		if err := j1.Append(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j1.Close()
+	segs, _ := segments(dir)
+	f, err := os.OpenFile(segs[0].path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("xyz")); err != nil { // a frame header cut short
+		t.Fatal(err)
+	}
+	f.Close()
+	j2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < 5; i++ {
+		want = append(want, testRecord(i))
+		if err := j2.Append(want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j2.Close()
+	recs, res := replayAll(t, dir)
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("replayed %d records, want the %d of both segments", len(recs), len(want))
+	}
+	if !res.Truncated || res.Segments != 2 {
+		t.Fatalf("ReplayResult = %+v, want 2 segments, truncated", res)
+	}
+}
+
 // TestTruncatedTail chops bytes off the final segment and checks
 // replay keeps the whole prefix and stops cleanly.
 func TestTruncatedTail(t *testing.T) {

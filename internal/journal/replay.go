@@ -75,16 +75,18 @@ type ReplayResult struct {
 	Records int
 	// Segments is the number of segment files visited.
 	Segments int
-	// Truncated reports that the scan ended at a torn or corrupt
-	// record instead of a clean end of log.
+	// Truncated reports that at least one segment ended at a torn or
+	// corrupt record instead of a clean end.
 	Truncated bool
 }
 
 // Replay scans every segment in dir in order and calls fn for each
-// well-formed record. It stops cleanly — without error — at the first
-// truncated or corrupt record, since everything after a torn frame is
-// untrustworthy. An error from fn aborts the scan and is returned.
-// A missing directory is an empty log.
+// well-formed record. A truncated or corrupt record ends its own
+// segment cleanly, without error: the rest of that segment is
+// untrustworthy, but every later segment was written by a later
+// process, which started a fresh one, so the scan goes on with the
+// next segment. An error from fn aborts the scan and is returned. A
+// missing directory is an empty log.
 func Replay(dir string, fn func(Record) error) (ReplayResult, error) {
 	var res ReplayResult
 	segs, err := segments(dir)
@@ -97,10 +99,7 @@ func Replay(dir string, fn func(Record) error) (ReplayResult, error) {
 			return res, err
 		}
 		res.Segments++
-		if truncated {
-			res.Truncated = true
-			return res, nil
-		}
+		res.Truncated = res.Truncated || truncated
 	}
 	return res, nil
 }

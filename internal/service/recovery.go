@@ -119,7 +119,7 @@ func (s *Service) recover(dir string) error {
 	}
 	s.replayRecords = uint64(res.Records)
 	if res.Truncated {
-		s.logger.Warn("journal tail truncated or corrupt; replaying the clean prefix",
+		s.logger.Warn("journal segment tail truncated or corrupt; replaying each segment up to its first bad frame",
 			"dir", dir, "records", res.Records)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -316,6 +317,101 @@ func TestJournalIdempotencyAcrossRestart(t *testing.T) {
 	}
 	if otherID == id {
 		t.Fatalf("key deduped across tenants: both got %s", id)
+	}
+}
+
+// TestJournalTornSegmentKeepsLaterJobs: a crash tears the frame header
+// at the tail of the first process's segment, and the second process
+// runs a job to done in a segment of its own. After a third open that
+// job must still be done with identical result bytes, its idempotency
+// key must still dedupe to its id, and a new submit must get an id
+// past it.
+func TestJournalTornSegmentKeepsLaterJobs(t *testing.T) {
+	dir := t.TempDir()
+	spec := func(key string, seed uint64) JobSpec {
+		return JobSpec{Circuit: "c17", Mode: "drop", Tenant: "acme", IdempotencyKey: key,
+			Patterns: PatternSpec{Random: &RandomSpec{N: 64, Seed: seed}}}
+	}
+	a := mustOpen(t, journalCfg(dir))
+	early, err := a.Submit(spec("early", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, a, early)
+	a.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments after the first process: %v, %v; want one", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("xyz")); err != nil { // a frame header cut short
+		t.Fatal(err)
+	}
+	f.Close()
+
+	b := mustOpen(t, journalCfg(dir))
+	late, err := b.Submit(spec("late", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, b, late); st.State != StateDone {
+		t.Fatalf("late job: %+v, want done", st)
+	}
+	_, want := httpGet(t, b.Handler(), "/v1/jobs/"+late+"/result")
+	b.Close()
+
+	c := mustOpen(t, journalCfg(dir))
+	defer c.Close()
+	if st, ok := c.Status(late); !ok || st.State != StateDone {
+		t.Fatalf("late job %s after the third open: known %v, state %q; want done", late, ok, st.State)
+	}
+	if code, got := httpGet(t, c.Handler(), "/v1/jobs/"+late+"/result"); code != http.StatusOK || string(got) != string(want) {
+		t.Fatalf("late job's replayed result (HTTP %d) differs\n live: %s\nreplay: %s", code, want, got)
+	}
+	if again, err := c.Submit(spec("late", 2)); err != nil || again != late {
+		t.Fatalf("resubmitting the late job's key returned %q, %v; want %s", again, err, late)
+	}
+	fresh, err := c.Submit(spec("fresh", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parseJobID(fresh) <= parseJobID(late) {
+		t.Fatalf("new submit got id %s, want one past %s", fresh, late)
+	}
+	waitTerminal(t, c, fresh)
+}
+
+// TestCloseClosesJournal: Close waits for the jobs, then closes the
+// journal. A job done before Close is served byte-identically from
+// the reopened directory, and a Submit after Close fails, because it
+// cannot make the job durable, and leaves no job behind.
+func TestCloseClosesJournal(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Circuit: "c17", Mode: "drop",
+		Patterns: PatternSpec{Random: &RandomSpec{N: 64, Seed: 5}}}
+	a := mustOpen(t, journalCfg(dir))
+	id, err := a.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, a, id)
+	_, want := httpGet(t, a.Handler(), "/v1/jobs/"+id+"/result")
+	a.Close()
+	if late, err := a.Submit(spec); !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("Submit after Close = %q, %v; want an error wrapping journal.ErrClosed", late, err)
+	}
+	if n := len(a.Jobs()); n != 1 {
+		t.Errorf("%d jobs after a refused submit, want 1", n)
+	}
+	a.Close()
+
+	b := mustOpen(t, journalCfg(dir))
+	defer b.Close()
+	if code, got := httpGet(t, b.Handler(), "/v1/jobs/"+id+"/result"); code != http.StatusOK || string(got) != string(want) {
+		t.Fatalf("replayed result (HTTP %d) differs\n live: %s\nreplay: %s", code, want, got)
 	}
 }
 

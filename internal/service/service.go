@@ -337,9 +337,8 @@ type Stats struct {
 	JobsRunning  int    `json:"jobs_running"`
 	JobsQueued   int    `json:"jobs_queued"`
 	// Workers is the server's configured per-job shard worker bound
-	// (Config.SimWorkers) — a capacity hint cluster coordinators use to
-	// weight placement across heterogeneous backends. Omitted by old
-	// servers; 0 means unknown.
+	// (Config.SimWorkers). A cluster coordinator's Stats sums it over
+	// its backends. Omitted by old servers; 0 means unknown.
 	Workers int `json:"workers,omitempty"`
 	// UptimeSeconds is the service's age; Version the build version —
 	// the same values the adifo_uptime_seconds and adifo_build_info
@@ -1032,10 +1031,19 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Close waits for all submitted jobs to finish. The engine has no
-// goroutine of its own to stop, so a job submitted after Close still
-// runs; use Drain for an orderly shutdown that rejects new jobs.
-func (s *Service) Close() { s.wg.Wait() }
+// Close waits for all submitted jobs to finish, then closes the
+// journal of a journal-backed service. The engine has no goroutine of
+// its own to stop, so on a service without a journal a job submitted
+// after Close still runs; on a journal-backed one such a Submit fails,
+// because it cannot make the job durable, and leaves no job. Use Drain
+// for an orderly shutdown that rejects new jobs. Idempotent, and safe
+// after Drain.
+func (s *Service) Close() {
+	s.wg.Wait()
+	if s.jnl != nil {
+		s.jnl.Close()
+	}
+}
 
 // Drain shuts the service down gracefully: Submit rejects new jobs
 // with ErrDraining from the moment Drain is called, every queued job
@@ -1074,10 +1082,7 @@ func (s *Service) Drain() {
 		// already out of the way.
 		s.Cancel(id)
 	}
-	s.wg.Wait()
-	if s.jnl != nil {
-		s.jnl.Close()
-	}
+	s.Close()
 }
 
 // evictOldJobsLocked drops the oldest finished jobs once the retained

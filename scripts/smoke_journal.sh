@@ -5,9 +5,14 @@
 # that (a) the finished job's /result bytes are identical across the
 # crash, (b) the in-flight jobs rerun to completion under their
 # original ids, and (c) an idempotency key used before the crash still
-# dedupes after it. This is the check that the write-ahead journal
-# survives a real kill -9 of a released binary, not just an in-process
-# test double.
+# dedupes after it. It then crashes twice more over a torn frame:
+# after a SIGKILL it appends a frame header cut short to the newest
+# segment, restarts, runs one more job to completion, SIGKILLs and
+# restarts again, and checks that (d) that job's result bytes and (e)
+# its idempotency key survive, since a torn frame ends only its own
+# segment. This is the check that the write-ahead journal survives a
+# real kill -9 of a released binary, not just an in-process test
+# double.
 #
 # Usage: scripts/smoke_journal.sh
 #   JOURNAL_DIR overrides the journal directory (CI sets it to a
@@ -122,6 +127,43 @@ replayed=$(grep -E '^adifo_journal_replayed_records_total ' "$metrics" | awk '{p
 }
 ls "$JOURNAL_DIR"/*.wal >/dev/null || {
   echo "no journal segments in $JOURNAL_DIR" >&2
+  exit 1
+}
+
+# A second crash tears the frame header the daemon was writing, and
+# the restarted daemon appends a segment after the torn one.
+kill -9 "$daemon"
+wait "$daemon" 2>/dev/null || true
+newest=$(ls "$JOURNAL_DIR"/*.wal | sort | tail -n 1)
+printf 'xyz' >> "$newest"
+start_daemon
+
+late_spec='{"circuit":"c17","mode":"ndetect","n":2,"tenant":"smoke","idempotency_key":"smoke-late","patterns":{"random":{"n":256,"seed":5}}}'
+late=$(submit "$late_spec")
+wait_done "$late"
+late_pre=$(mktemp)
+curl -fsS "$base/v1/jobs/$late/result" > "$late_pre"
+
+kill -9 "$daemon"
+wait "$daemon" 2>/dev/null || true
+start_daemon
+
+# (d) The job finished after the torn frame answers byte-identically.
+late_post=$(mktemp)
+curl -fsS "$base/v1/jobs/$late/result" > "$late_post" || {
+  echo "job $late, finished after a torn frame, is gone after the next crash" >&2
+  exit 1
+}
+cmp -s "$late_pre" "$late_post" || {
+  echo "result bytes of $late changed across the crash:" >&2
+  diff "$late_pre" "$late_post" >&2 || true
+  exit 1
+}
+
+# (e) Its idempotency key still names it.
+dup=$(submit "$late_spec")
+[ "$dup" = "$late" ] || {
+  echo "idempotency key smoke-late lost across crash: resubmit got $dup, want $late" >&2
   exit 1
 }
 
