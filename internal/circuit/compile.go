@@ -4,9 +4,10 @@ package circuit
 // that the simulators execute. Where Circuit stores one Gate struct
 // per node (name, type, fanin slice), Compiled lays the same netlist
 // out as parallel CSR arrays indexed by gate id, plus a levelized
-// evaluation order, so the simulation inner loops touch nothing but
-// dense int32/uint8 arrays: no per-gate pointer chasing, no interface
-// values, and fanin/fanout walks that are contiguous in memory.
+// evaluation order and the fanout-free region tables, so the
+// simulation inner loops touch nothing but dense int32/uint8 arrays:
+// no per-gate pointer chasing, no interface values, and fanin/fanout
+// walks that are contiguous in memory.
 //
 // Gate ids are unchanged from the source circuit — fault sites, value
 // arrays and results stay indexable by the same integers — only the
@@ -57,6 +58,19 @@ type Compiled struct {
 	Inputs  []int32
 	Outputs []int32
 
+	// Fanout-free regions. A stem is a gate with other than exactly one
+	// fanout connection (connections, not sinks: a gate feeding two
+	// pins of one sink is a stem) or an observed gate. Every other gate
+	// has a single fanout path, and its region is the stem that path
+	// reaches first. Root[g] is that stem (g itself for a stem);
+	// Succ[g] is the single fanout gate of a non-stem g, -1 for a stem;
+	// SuccSlot[g] is the absolute Fanin slot of Succ[g] that g drives,
+	// -1 for a stem. The stem-region fault kernel traces each region's
+	// faults to its stem along Succ.
+	Root     []int32
+	Succ     []int32
+	SuccSlot []int32
+
 	// MaxLevel is the largest entry of Level; MaxFanin the widest gate.
 	MaxLevel int
 	MaxFanin int
@@ -91,6 +105,9 @@ func Compile(c *Circuit) *Compiled {
 		Output:      make([]bool, n),
 		Inputs:      make([]int32, len(c.Inputs)),
 		Outputs:     make([]int32, len(c.Outputs)),
+		Root:        make([]int32, n),
+		Succ:        make([]int32, n),
+		SuccSlot:    make([]int32, n),
 		MaxLevel:    c.MaxLevel,
 	}
 
@@ -138,6 +155,20 @@ func Compile(c *Circuit) *Compiled {
 		lvl := cc.Level[gi]
 		cc.Order[cursor[lvl]] = int32(gi)
 		cursor[lvl]++
+	}
+
+	// Regions in one reverse pass: a gate's single fanout sits at a
+	// higher level, so its root is final before the gate is visited.
+	for i := n - 1; i >= 0; i-- {
+		g := cc.Order[i]
+		if fo := c.Fanout[g]; len(fo) == 1 && !cc.Output[g] {
+			s := int32(fo[0].Gate)
+			cc.Root[g] = cc.Root[s]
+			cc.Succ[g] = s
+			cc.SuccSlot[g] = cc.FaninStart[s] + int32(fo[0].Pin)
+		} else {
+			cc.Root[g], cc.Succ[g], cc.SuccSlot[g] = g, -1, -1
+		}
 	}
 
 	for i, g := range c.Inputs {

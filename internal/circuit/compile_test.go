@@ -114,6 +114,87 @@ func verifyCompiled(t *testing.T, c *circuit.Circuit) {
 			t.Fatalf("Outputs[%d] = %d, want %d", i, cc.Outputs[i], g)
 		}
 	}
+	verifyRegions(t, c, cc)
+}
+
+// verifyRegions checks Root, Succ and SuccSlot against a naive
+// derivation from the per-gate fanout lists: a stem is a gate with
+// other than one fanout connection or an observed gate, and a non-stem
+// gate's root is found by following single fanouts until a stem.
+func verifyRegions(t *testing.T, c *circuit.Circuit, cc *circuit.Compiled) {
+	t.Helper()
+	n := c.NumGates()
+	if len(cc.Root) != n || len(cc.Succ) != n || len(cc.SuccSlot) != n {
+		t.Fatalf("region tables sized %d/%d/%d, want %d",
+			len(cc.Root), len(cc.Succ), len(cc.SuccSlot), n)
+	}
+	stem := func(g int) bool { return len(c.Fanout[g]) != 1 || c.IsOutput(g) }
+	for g := 0; g < n; g++ {
+		if stem(g) {
+			if int(cc.Root[g]) != g || cc.Succ[g] != -1 || cc.SuccSlot[g] != -1 {
+				t.Fatalf("stem %s: Root %d, Succ %d, SuccSlot %d; want %d, -1, -1",
+					c.Gates[g].Name, cc.Root[g], cc.Succ[g], cc.SuccSlot[g], g)
+			}
+			continue
+		}
+		s := c.Fanout[g][0].Gate
+		if int(cc.Succ[g]) != s {
+			t.Fatalf("gate %s: Succ %d, want %d", c.Gates[g].Name, cc.Succ[g], s)
+		}
+		slot := -1
+		for p, f := range c.Gates[s].Fanin {
+			if f == g {
+				slot = int(cc.FaninStart[s]) + p
+			}
+		}
+		if int(cc.SuccSlot[g]) != slot || int(cc.Fanin[slot]) != g {
+			t.Fatalf("gate %s: SuccSlot %d, want %d", c.Gates[g].Name, cc.SuccSlot[g], slot)
+		}
+		r := s
+		for !stem(r) {
+			r = c.Fanout[r][0].Gate
+		}
+		if int(cc.Root[g]) != r {
+			t.Fatalf("gate %s: Root %d, want %d", c.Gates[g].Name, cc.Root[g], r)
+		}
+	}
+}
+
+// TestCompileRegionCorners pins the stem rule on a netlist with every
+// corner of it: a NAND fed twice by one input (two connections to one
+// sink make a stem), an observed gate with one fanout connection, a
+// primary input with one fanout connection (inside a region) and a
+// dead gate (no fanout, not observed: a stem of its own).
+func TestCompileRegionCorners(t *testing.T) {
+	b := circuit.NewBuilder("corners")
+	a := b.AddInput("a")
+	bi := b.AddInput("b")
+	ci := b.AddInput("c")
+	d := b.AddInput("d")
+	n1 := b.AddGate("n1", circuit.Nand, a, a)
+	n2 := b.AddGate("n2", circuit.And, n1, bi)
+	n3 := b.AddGate("n3", circuit.Or, n2, ci)
+	n4 := b.AddGate("n4", circuit.Not, n3)
+	n5 := b.AddGate("n5", circuit.Xor, n4, d)
+	dead := b.AddGate("dead", circuit.And, ci, d)
+	b.MarkOutput(n2)
+	b.MarkOutput(n5)
+	c, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyCompiled(t, c)
+
+	cc := circuit.Compile(c)
+	want := map[int]int{a: a, bi: n2, ci: ci, d: d, n1: n2, n2: n2, n3: n5, n4: n5, n5: n5, dead: dead}
+	for g, r := range want {
+		if int(cc.Root[g]) != r {
+			t.Errorf("Root[%s] = %s, want %s", c.Gates[g].Name, c.Gates[cc.Root[g]].Name, c.Gates[r].Name)
+		}
+	}
+	if cc.SuccSlot[bi] != cc.FaninStart[n2]+1 {
+		t.Errorf("SuccSlot[b] = %d, want pin 1 of n2 (%d)", cc.SuccSlot[bi], cc.FaninStart[n2]+1)
+	}
 }
 
 func TestCompileBenchCircuits(t *testing.T) {

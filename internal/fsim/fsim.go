@@ -1,12 +1,15 @@
 // Package fsim implements good-machine and stuck-at fault simulation
 // using PPSFP (parallel-pattern single-fault propagation): good-machine
-// values are computed once per pattern block, then each fault is
-// injected in turn and only its fanout cone is re-evaluated, level by
-// level. One kernel (kernel.go) does all of it on the compiled circuit
-// form (circuit.Compile), width-generic over the block types in
-// internal/circuit: the sequential reference Run, the Incremental
-// simulator and the cached Good values use scalar 64-pattern blocks,
-// the parallel runner picks 64-, 256- or 512-pattern blocks.
+// values are computed once per pattern block, then faults are injected
+// against them and only fanout cones are re-evaluated, level by level.
+// One kernel (kernel.go) does all of it on the compiled circuit form
+// (circuit.Compile), width-generic over the block types in
+// internal/circuit. The sequential reference Run walks one cone per
+// fault on scalar 64-pattern blocks. The parallel runner simulates by
+// fanout-free region (region.go): each region's faults are traced to
+// its stem, and one cone walk from the stem serves them all, on 64-,
+// 256- or 512-pattern blocks. The Incremental simulator and the
+// cached Good values use scalar blocks.
 //
 // Three modes cover everything the paper needs:
 //

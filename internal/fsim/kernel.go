@@ -5,31 +5,41 @@ import (
 	"github.com/eda-go/adifo/internal/fault"
 )
 
-// kern is the width-generic PPSFP cone engine: it re-simulates
-// single-fault fanout cones against one block of good values, where a
-// block carries 64·Lanes() patterns (64 for W1, 256 for W4, 512 for
-// W8). Every lane is an independent 64-pattern slice, so the detection
-// word it computes for a given lane is identical at every width — the
-// wide instantiations only amortize the per-gate queue and mark
-// traffic over more patterns.
+// kern is the width-generic PPSFP cone engine. It simulates faults
+// against one block of good values, where a block carries
+// 64·Lanes() patterns (64 for W1, 256 for W4, 512 for W8), either one
+// fault at a time (propagate, the sequential reference) or one
+// fanout-free region at a time (region, the parallel runner): each
+// region's faults are traced to its stem, and one cone walk from the
+// stem serves them all. Every lane is an independent 64-pattern
+// slice, so the detection word it computes for a given lane is
+// identical at every width and in both forms — the wide
+// instantiations only amortize the per-gate queue and mark traffic
+// over more patterns.
 //
 // All storage is arena-style and reused across faults and blocks:
-// epoch-stamped value/queue marks make the per-fault reset O(1), and a
+// epoch-stamped value/queue marks make the per-walk reset O(1), and a
 // kern performs zero allocations in the steady state (level buckets
-// stop growing once the deepest cones have been walked once). Not safe
-// for concurrent use; the parallel runner gives each worker its own.
+// and the region scratch stop growing once the deepest cones and the
+// largest regions have been seen once). Not safe for concurrent use;
+// the parallel runner gives each worker its own.
 type kern[B circuit.Block[B]] struct {
 	cc   *circuit.Compiled
 	good []B // good-machine values; shared read-only or owned (simGood)
 
-	fval  []B      // faulty value of touched gates
+	// fval holds the faulty value of the gates a walk touched, and
+	// between walks a region's memoized path masks (region.go).
+	fval  []B
 	vmark []uint32 // epoch stamp: fval[g] valid iff vmark[g] == epoch
-	qmark []uint32 // epoch stamp: gate already queued this fault
+	qmark []uint32 // epoch stamp: gate already queued this walk
 	epoch uint32
 
 	buckets   [][]int32 // per-level pending gates
-	usedLevel []int32   // levels with non-empty buckets this fault
+	usedLevel []int32   // levels with non-empty buckets this walk
 	in        []B       // gathered fanin scratch, sized to the widest gate
+
+	chain []int32 // region scratch: gates climbed towards the stem
+	local []B     // region scratch: per-fault masks of the current region
 }
 
 // newKern returns a kernel over cc. With ownGood the kernel allocates
@@ -94,8 +104,39 @@ func (k *kern[B]) enqueueFanout(g int32) {
 // returns the detection block: bit i of lane l set iff pattern 64l+i
 // of the block detects f at some observed output. The caller is
 // responsible for masking each lane with its block's valid-pattern
-// mask.
+// mask. It is the per-fault reference walk; the parallel runner
+// simulates by region instead (region.go).
 func (k *kern[B]) propagate(f fault.Fault) B {
+	return k.walk(int32(f.Gate), k.faulty(f))
+}
+
+// faulty returns the value of fault f's site gate in the faulty
+// machine, before any propagation: the stuck value for a stem fault;
+// for a branch fault, the site evaluated with pin f.Pin stuck (the
+// driver's other fanout branches are healthy).
+func (k *kern[B]) faulty(f fault.Fault) B {
+	var stuck B
+	if f.SA == 1 {
+		stuck = stuck.Not()
+	}
+	if f.Pin == fault.StemPin {
+		return stuck
+	}
+	cc := k.cc
+	site := int32(f.Gate)
+	lo, hi := cc.FaninStart[site], cc.FaninStart[site+1]
+	in := k.in[:hi-lo]
+	for p, fi := range cc.Fanin[lo:hi] {
+		in[p] = k.good[fi]
+	}
+	in[f.Pin] = stuck
+	return in[0].EvalPins(cc.Type[site], in)
+}
+
+// walk forces gate site to nv against the current good values,
+// re-simulates its fanout cone and returns the lanes in which some
+// observed output differs from the good machine.
+func (k *kern[B]) walk(site int32, nv B) B {
 	cc := k.cc
 	k.epoch++
 	for _, lvl := range k.usedLevel {
@@ -103,26 +144,7 @@ func (k *kern[B]) propagate(f fault.Fault) B {
 	}
 	k.usedLevel = k.usedLevel[:0]
 
-	var det, stuck B
-	if f.SA == 1 {
-		stuck = stuck.Not()
-	}
-	site := int32(f.Gate)
-
-	var nv B
-	if f.Pin == fault.StemPin {
-		nv = stuck
-	} else {
-		// Branch fault: only the site gate sees the stuck value on pin
-		// f.Pin; the driver's other fanout branches are healthy.
-		lo, hi := cc.FaninStart[site], cc.FaninStart[site+1]
-		in := k.in[:hi-lo]
-		for p, fi := range cc.Fanin[lo:hi] {
-			in[p] = k.good[fi]
-		}
-		in[f.Pin] = stuck
-		nv = in[0].EvalPins(cc.Type[site], in)
-	}
+	var det B
 	diff := nv.Xor(k.good[site])
 	if diff.IsZero() {
 		return det

@@ -93,15 +93,16 @@ type ParallelOptions struct {
 
 // RunParallelWith simulates every fault of fl against ps under the
 // given options with a pool of workers, in any of the three modes.
-// Results are bit-for-bit identical to the sequential Run: workers
-// simulate one block batch independently over disjoint shards of the
-// active list, then synchronize at the barrier where detections are
-// merged, per-vector ndet counters are summed and the shared active
-// list is compacted (drop reconciliation). Dropping decisions are
-// per-fault — a fault drops when its own detection count crosses the
-// mode threshold, counted in vector order — so neither the worker
-// shard layout, the active-list iteration order, nor the kernel block
-// width changes which vectors count; only when the bookkeeping
+// Results are bit-for-bit identical to the sequential Run, although
+// the workers simulate by fanout-free region where Run walks one cone
+// per fault: workers simulate one block batch independently over
+// disjoint shards of the active list, then synchronize at the barrier
+// where detections are merged, per-vector ndet counters are summed and
+// the shared active list is compacted (drop reconciliation). Dropping
+// decisions are per-fault — a fault drops when its own detection count
+// crosses the mode threshold, counted in vector order — so neither the
+// worker shard layout, the active-list iteration order, nor the kernel
+// block width changes which vectors count; only when the bookkeeping
 // happens.
 //
 // fl is never mutated and may be shared (cached) across concurrent
@@ -153,12 +154,14 @@ func RunParallelCtx(ctx context.Context, fl *fault.List, ps *logic.PatternSet, p
 
 // pickLanes maps the configured block width to a lane count. The
 // automatic choice (BlockWidth 0) is mode-aware: NoDrop walks every
-// fault's cone for every pattern, so the widest block the pattern
-// count justifies amortizes the walk 4–8×; in the dropping modes most
-// faults drop early and a wide block makes them pay full-width
-// propagation for patterns they never reach — measured up to 2×
-// slower on the large suite circuits — so they stay scalar unless the
-// caller overrides.
+// region's stem cone for every pattern, so the widest block the
+// pattern count justifies amortizes the walk 4–8×; in the dropping
+// modes most faults drop early and a wide block makes the survivors
+// pay full-width passes and stem walks for patterns they never reach.
+// Re-measured on the stem-region kernel (2 workers, 2 vCPU), W1/W4/W8
+// took 25/34/41 ms on a 2,400-gate drop run and 27/33/37 ms on its
+// n-detect run, and tied on a 546-gate drop run, so the dropping
+// modes stay scalar unless the caller overrides.
 func pickLanes(po ParallelOptions, ps *logic.PatternSet) int {
 	lanes := 0
 	switch po.BlockWidth {
@@ -194,35 +197,14 @@ func pickLanes(po ParallelOptions, ps *logic.PatternSet) int {
 	}
 }
 
-// levelOrder returns the fault indices of fl ordered by the logic
-// level of the fault site (ascending, ties in fault-index order):
-// neighbouring shard positions then carry cones of similar depth,
-// which evens out per-shard cost and keeps the workers' level-bucket
-// walks on similar footing. Pure scheduling — results are unaffected.
-func levelOrder(fl *fault.List, cc *circuit.Compiled) []int {
-	cnt := make([]int, cc.MaxLevel+2)
-	for _, f := range fl.Faults {
-		cnt[cc.Level[f.Gate]+1]++
-	}
-	for l := 1; l < len(cnt); l++ {
-		cnt[l] += cnt[l-1]
-	}
-	order := make([]int, len(fl.Faults))
-	for i, f := range fl.Faults {
-		lvl := cc.Level[f.Gate]
-		order[cnt[lvl]] = i
-		cnt[lvl]++
-	}
-	return order
-}
-
 // runParallel is the width-generic body of RunParallelCtx. One
 // iteration of the outer loop processes a superblock of Lanes()
 // 64-pattern blocks: the good machine is evaluated once for the whole
-// superblock, each worker walks its shard of active faults exactly
-// once, and per-fault accounting iterates the detection block's lanes
-// in pattern order so dropping and n-detect truncation happen at
-// precisely the same vector as in the scalar reference.
+// superblock, each worker simulates its shard of whole fanout-free
+// regions once (kern.region), and per-fault accounting iterates the
+// detection block's lanes in pattern order so dropping and n-detect
+// truncation happen at precisely the same vector as in the scalar
+// reference.
 func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *logic.PatternSet, po ParallelOptions, cc *circuit.Compiled) (*Result, error) {
 	var zb B
 	lanes := zb.Lanes()
@@ -286,9 +268,10 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 		dropLane[w] = make([]int, lanes)
 	}
 
-	// active holds the not-yet-dropped fault indices in level order;
-	// the barrier compacts it in place.
-	active := levelOrder(fl, cc)
+	// active holds the not-yet-dropped fault indices, grouped by
+	// region; the barrier compacts it in place.
+	active := regionOrder(fl, cc)
+	root := func(p int) int32 { return cc.Root[fl.Faults[active[p]].Gate] }
 	keep := make([]bool, nf) // keep[p] decided by position in the active list
 	detected := 0
 
@@ -330,12 +313,15 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 			simGoodInto(cc, pi, goodVals, scratch)
 		}
 
+		// Each worker's chunk ends at a region boundary, so no region
+		// is split between workers and no stem walk is repeated.
 		n := len(active)
 		chunk := (n + workers - 1) / workers
+		lo := 0
 		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
+			hi := max(min((w+1)*chunk, n), lo)
+			for hi > lo && hi < n && root(hi) == root(hi-1) {
+				hi++
 			}
 			if lo >= hi {
 				continue
@@ -347,55 +333,63 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 				local := ndetLocal[w]
 				ndl := newDetLane[w]
 				dl := dropLane[w]
-				for p := lo; p < hi; p++ {
-					fi := active[p]
-					det := k.propagate(fl.Faults[fi])
-					kp := true
-					for l := 0; l < nLanes; l++ {
-						block := firstBlock + l
-						d := det.Lane(l) & ps.BlockMask(block)
-						if po.Mode == NDetect && d != 0 {
-							// Count detections in vector order and stop
-							// exactly at the n-th, so DetCount and ndet
-							// are block-size independent (same rule as
-							// Run).
-							d = keepLowestBits(d, po.N-r.DetCount[fi])
-						}
-						if d != 0 {
-							r.DetCount[fi] += bits.OnesCount64(d)
-							if r.FirstDet[fi] < 0 {
-								r.FirstDet[fi] = block*logic.WordBits + bits.TrailingZeros64(d)
-								ndl[l]++
-							}
-							if r.Det != nil {
-								r.Det[fi].OrWord(block, d)
-							}
-							lb := l * logic.WordBits
-							for dd := d; dd != 0; dd &= dd - 1 {
-								local[lb+bits.TrailingZeros64(dd)]++
-							}
-						}
-						dropped := false
-						switch po.Mode {
-						case Drop:
-							dropped = r.DetCount[fi] > 0
-						case NDetect:
-							dropped = r.DetCount[fi] >= po.N
-						}
-						if dropped {
-							// Later lanes are vectors this fault never
-							// reaches in the sequential reference.
-							kp = false
-							dl[l]++
-							if block > maxDrop[w] {
-								maxDrop[w] = block
-							}
-							break
-						}
+				for p := lo; p < hi; {
+					stem := root(p)
+					q := p + 1
+					for q < hi && root(q) == stem {
+						q++
 					}
-					keep[p] = kp
+					for i, det := range k.region(fl.Faults, active[p:q], stem) {
+						fi := active[p+i]
+						kp := true
+						for l := 0; l < nLanes; l++ {
+							block := firstBlock + l
+							d := det.Lane(l) & ps.BlockMask(block)
+							if po.Mode == NDetect && d != 0 {
+								// Count detections in vector order and stop
+								// exactly at the n-th, so DetCount and ndet
+								// are block-size independent (same rule as
+								// Run).
+								d = keepLowestBits(d, po.N-r.DetCount[fi])
+							}
+							if d != 0 {
+								r.DetCount[fi] += bits.OnesCount64(d)
+								if r.FirstDet[fi] < 0 {
+									r.FirstDet[fi] = block*logic.WordBits + bits.TrailingZeros64(d)
+									ndl[l]++
+								}
+								if r.Det != nil {
+									r.Det[fi].OrWord(block, d)
+								}
+								lb := l * logic.WordBits
+								for dd := d; dd != 0; dd &= dd - 1 {
+									local[lb+bits.TrailingZeros64(dd)]++
+								}
+							}
+							dropped := false
+							switch po.Mode {
+							case Drop:
+								dropped = r.DetCount[fi] > 0
+							case NDetect:
+								dropped = r.DetCount[fi] >= po.N
+							}
+							if dropped {
+								// Later lanes are vectors this fault never
+								// reaches in the sequential reference.
+								kp = false
+								dl[l]++
+								if block > maxDrop[w] {
+									maxDrop[w] = block
+								}
+								break
+							}
+						}
+						keep[p+i] = kp
+					}
+					p = q
 				}
 			}(w, lo, hi)
+			lo = hi
 		}
 		wg.Wait()
 

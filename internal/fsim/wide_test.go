@@ -130,11 +130,13 @@ func TestRunParallelPanicsOnBadBlockWidth(t *testing.T) {
 	RunParallelWith(fl, ps, ParallelOptions{BlockWidth: 128})
 }
 
-// FuzzWideKernels is the differential fuzz target for the wide-block
-// kernels: on a random small netlist and pattern set, the 256- and
-// 512-wide paths must produce detection words, counts, first
-// detections and ndet profiles identical to the scalar 64-pattern
-// reference, in whichever mode the input selects.
+// FuzzWideKernels is the differential fuzz target for the parallel
+// kernels: on a random small netlist and pattern set, RunParallelWith
+// at every width must produce detection words, counts, first
+// detections and ndet profiles identical to the sequential Run, the
+// per-fault walk, in whichever mode the input selects. It runs both
+// the collapsed and the full fault universe, so that every fanout
+// stem's branch faults meet the stem-region kernel.
 func FuzzWideKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(40), uint16(200), uint8(0), uint8(3))
 	f.Add(uint64(2), uint8(10), uint8(90), uint16(513), uint8(1), uint8(1))
@@ -145,27 +147,108 @@ func FuzzWideKernels(f *testing.F) {
 		ng := 1 + int(gates)%140 // 1..140
 		nv := 1 + int(nvec)%700  // 1..700: ragged and multi-superblock
 		c := gen.Generate(gen.Config{Name: "fz", Inputs: ni, Gates: ng, Seed: seed})
-		fl := fault.CollapsedUniverse(c)
-		if fl.Len() == 0 {
-			return
-		}
 		ps := logic.RandomPatterns(c.NumInputs(), nv, prng.New(seed+0x9e3779b97f4a7c15))
-		var opts Options
-		switch modeSel % 3 {
-		case 0:
-			opts = Options{Mode: NoDrop}
-		case 1:
-			opts = Options{Mode: Drop}
-		case 2:
-			opts = Options{Mode: NDetect, N: 1 + int(modeSel/3)%4}
-		}
-		ref := RunParallelWith(fl, ps, ParallelOptions{Options: opts, Workers: 1, BlockWidth: 64})
+		opts := fuzzOptions(modeSel)
 		w := 1 + int(workers)%8
-		for _, width := range []int{256, 512} {
-			wide := RunParallelWith(fl, ps, ParallelOptions{Options: opts, Workers: w, BlockWidth: width})
-			requireEqualResults(t,
-				fmt.Sprintf("fuzz/%s/bw=%d/workers=%d", opts.Mode.String(), width, w),
-				ref, wide)
+		for _, fl := range []*fault.List{fault.CollapsedUniverse(c), fault.Universe(c)} {
+			if fl.Len() == 0 {
+				continue
+			}
+			requireParallelMatchesRun(t, "fuzz", fl, ps, opts, w)
 		}
 	})
+}
+
+// fuzzOptions maps a fuzz byte to a mode: NoDrop, Drop, or NDetect
+// with n from 1 to 4.
+func fuzzOptions(sel uint8) Options {
+	switch sel % 3 {
+	case 1:
+		return Options{Mode: Drop}
+	case 2:
+		return Options{Mode: NDetect, N: 1 + int(sel/3)%4}
+	}
+	return Options{Mode: NoDrop}
+}
+
+// requireParallelMatchesRun runs fl at every kernel width with the
+// given worker count and fails unless each result equals Run's.
+func requireParallelMatchesRun(t *testing.T, ctx string, fl *fault.List, ps *logic.PatternSet, opts Options, workers int) {
+	t.Helper()
+	ref := Run(fl, ps, opts)
+	for _, width := range []int{64, 256, 512} {
+		par := RunParallelWith(fl, ps, ParallelOptions{Options: opts, Workers: workers, BlockWidth: width})
+		requireEqualResults(t,
+			fmt.Sprintf("%s/%s/faults=%d/bw=%d/workers=%d", ctx, opts.Mode.String(), fl.Len(), width, workers),
+			ref, par)
+	}
+}
+
+// FuzzStemRegions diffs RunParallelWith against Run on netlists built
+// gate by gate from the fuzz bytes, so that every corner of the
+// fanout-free region rule shows up: a gate feeding two pins of one
+// sink, an observed gate with one fanout connection, XOR/XNOR chains,
+// a primary input inside a region, dead gates, and ragged last blocks.
+// It runs the full fault universe in all three modes, at every width,
+// with 1 to 8 workers.
+func FuzzStemRegions(f *testing.F) {
+	f.Fuzz(func(t *testing.T, net []byte, seed uint64, nvec uint16, modeSel, workers uint8) {
+		c := fuzzNetlist(t, net)
+		fl := fault.Universe(c)
+		ps := logic.RandomPatterns(c.NumInputs(), 1+int(nvec)%700, prng.New(seed))
+		requireParallelMatchesRun(t, "regions", fl, ps, fuzzOptions(modeSel), 1+int(workers)%8)
+	})
+}
+
+// fuzzNetlist decodes b into a netlist. b[0] picks 1 to 6 inputs. Each
+// gate then reads a type byte (the low three bits pick one of the
+// eight gate types, the next bits a fanin count of 2 to 4 for the
+// multi-input ones), one byte per fanin choosing any earlier gate,
+// repeats allowed, and one byte whose low bit marks the gate observed.
+// Decoding stops at 40 gates or when b runs out; a netlist with no
+// observed gate observes its last one.
+func fuzzNetlist(t *testing.T, b []byte) *circuit.Circuit {
+	t.Helper()
+	next := func() int {
+		if len(b) == 0 {
+			return 0
+		}
+		v := int(b[0])
+		b = b[1:]
+		return v
+	}
+	types := [...]circuit.GateType{circuit.Buf, circuit.Not, circuit.And, circuit.Nand,
+		circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor}
+	bld := circuit.NewBuilder("fz")
+	n := 1 + next()%6
+	for i := 0; i < n; i++ {
+		bld.AddInput(fmt.Sprintf("i%d", i))
+	}
+	observed := false
+	for g := 0; g < 40 && len(b) > 0; g++ {
+		tb := next()
+		typ := types[tb%8]
+		nin := 1
+		if typ.MinFanin() > 1 {
+			nin = 2 + (tb/8)%3
+		}
+		fanin := make([]int, nin)
+		for p := range fanin {
+			fanin[p] = next() % n
+		}
+		bld.AddGate(fmt.Sprintf("g%d", g), typ, fanin...)
+		if next()&1 == 1 {
+			bld.MarkOutput(n)
+			observed = true
+		}
+		n++
+	}
+	if !observed {
+		bld.MarkOutput(n - 1)
+	}
+	c, err := bld.Freeze()
+	if err != nil {
+		t.Fatalf("decoded netlist rejected: %v", err)
+	}
+	return c
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // BenchmarkWidthSweep crosses the explicit kernel block widths with
-// the dropping modes on the large suite circuits: the numbers behind
-// the mode-aware automatic width rule in pickLanes.
+// the dropping modes on the large suite circuits, through the
+// stem-region kernel of RunParallelWith: the numbers behind the
+// mode-aware automatic width rule in pickLanes.
 func BenchmarkWidthSweep(b *testing.B) {
 	for _, name := range []string{"irs5378", "irs13207"} {
 		sc, ok := gen.SuiteByName(name)

@@ -17,24 +17,31 @@
 # Usage: scripts/smoke_journal.sh
 #   JOURNAL_DIR overrides the journal directory (CI sets it to a
 #   workspace path so a failing run's journal is uploaded as an
-#   artifact for offline replay).
+#   artifact for offline replay). Everything else the script writes,
+#   the journal too when JOURNAL_DIR is unset, lives in one temporary
+#   directory that is removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 addr=127.0.0.1:8473
 base="http://$addr"
-keep_dir=1
-if [ -z "${JOURNAL_DIR:-}" ]; then
-  JOURNAL_DIR=$(mktemp -d)
-  keep_dir=0
-fi
+work=$(mktemp -d)
+daemon=
+cleanup() {
+  if [ -n "$daemon" ]; then
+    kill "$daemon" 2>/dev/null || true
+    wait "$daemon" 2>/dev/null || true
+  fi
+  rm -rf "$work"
+}
+trap cleanup EXIT
+JOURNAL_DIR=${JOURNAL_DIR:-$work/journal}
 mkdir -p "$JOURNAL_DIR"
 
-go build -o /tmp/adifod-journal-smoke ./cmd/adifod
+go build -o "$work/adifod" ./cmd/adifod
 
-daemon=
 start_daemon() {
-  /tmp/adifod-journal-smoke -addr "$addr" -journal-dir "$JOURNAL_DIR" \
+  "$work/adifod" -addr "$addr" -journal-dir "$JOURNAL_DIR" \
     -jobs 1 -tenant-limits 'smoke=2:64' -log-level warn &
   daemon=$!
   for _ in $(seq 1 100); do
@@ -44,13 +51,6 @@ start_daemon() {
   echo "adifod did not come up" >&2
   return 1
 }
-cleanup() {
-  kill "$daemon" 2>/dev/null || true
-  if [ "$keep_dir" = 0 ]; then
-    rm -rf "$JOURNAL_DIR"
-  fi
-}
-trap cleanup EXIT
 
 submit() {
   curl -fsS -X POST -H 'Content-Type: application/json' -d "$1" "$base/v1/jobs" | jq -r .id
@@ -78,7 +78,7 @@ start_daemon
 # the durability oracle.
 fast=$(submit '{"circuit":"c17","mode":"drop","tenant":"smoke","idempotency_key":"smoke-fast","patterns":{"random":{"n":256,"seed":1}}}')
 wait_done "$fast"
-pre=$(mktemp)
+pre=$work/pre
 curl -fsS "$base/v1/jobs/$fast/result" > "$pre"
 
 # Jobs of every kind left in flight (the single -jobs slot keeps most
@@ -93,7 +93,7 @@ wait "$daemon" 2>/dev/null || true
 start_daemon
 
 # (a) The finished job answers byte-identically across the crash.
-post=$(mktemp)
+post=$work/post
 curl -fsS "$base/v1/jobs/$fast/result" > "$post"
 cmp -s "$pre" "$post" || {
   echo "result bytes of $fast changed across the crash:" >&2
@@ -114,7 +114,7 @@ dup=$(submit '{"circuit":"c17","mode":"drop","tenant":"smoke","idempotency_key":
 }
 
 # The journal shows up in the exposition and on disk.
-metrics=$(mktemp)
+metrics=$work/metrics
 curl -fsS "$base/metrics" > "$metrics"
 grep -qF 'adifo_journal_enabled 1' "$metrics" || {
   echo "adifo_journal_enabled not 1 on a journal-backed server" >&2
@@ -141,7 +141,7 @@ start_daemon
 late_spec='{"circuit":"c17","mode":"ndetect","n":2,"tenant":"smoke","idempotency_key":"smoke-late","patterns":{"random":{"n":256,"seed":5}}}'
 late=$(submit "$late_spec")
 wait_done "$late"
-late_pre=$(mktemp)
+late_pre=$work/late_pre
 curl -fsS "$base/v1/jobs/$late/result" > "$late_pre"
 
 kill -9 "$daemon"
@@ -149,7 +149,7 @@ wait "$daemon" 2>/dev/null || true
 start_daemon
 
 # (d) The job finished after the torn frame answers byte-identically.
-late_post=$(mktemp)
+late_post=$work/late_post
 curl -fsS "$base/v1/jobs/$late/result" > "$late_post" || {
   echo "job $late, finished after a torn frame, is gone after the next crash" >&2
   exit 1

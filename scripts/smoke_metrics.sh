@@ -7,6 +7,8 @@
 # a released binary, not just in unit tests.
 #
 # Usage: scripts/smoke_metrics.sh
+#   Everything the script writes lives in one temporary directory that
+#   is removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,15 +16,25 @@ addr=127.0.0.1:8471
 debug=127.0.0.1:8472
 base="http://$addr"
 
-go build -o /tmp/adifod-smoke ./cmd/adifod
+work=$(mktemp -d)
+daemon=
+cleanup() {
+  if [ -n "$daemon" ]; then
+    kill "$daemon" 2>/dev/null || true
+    wait "$daemon" 2>/dev/null || true
+  fi
+  rm -rf "$work"
+}
+trap cleanup EXIT
 
-/tmp/adifod-smoke -version | grep -q '^adifod ' || {
+go build -o "$work/adifod" ./cmd/adifod
+
+"$work/adifod" -version | grep -q '^adifod ' || {
   echo "adifod -version output malformed" >&2; exit 1
 }
 
-/tmp/adifod-smoke -addr "$addr" -debug-addr "$debug" -log-level warn &
+"$work/adifod" -addr "$addr" -debug-addr "$debug" -log-level warn &
 daemon=$!
-trap 'kill "$daemon" 2>/dev/null || true' EXIT
 
 for _ in $(seq 1 50); do
   curl -fsS "$base/healthz" >/dev/null 2>&1 && break
@@ -81,7 +93,7 @@ for id in "$grade" "$atpg" "$order"; do
 done
 curl -fsS "$base/v1/stats" | jq -e '.uptime_seconds > 0 and .version != ""' >/dev/null
 
-metrics=$(mktemp)
+metrics=$work/metrics
 curl -fsS "$base/metrics" > "$metrics"
 
 # Grammar check: every line is a comment or `name[{labels}] value`.
@@ -127,7 +139,7 @@ done
 
 # The debug listener serves the same exposition plus pprof. (Buffer
 # the body: grep -q on a pipe would close it early and trip pipefail.)
-dbg=$(mktemp)
+dbg=$work/dbg
 curl -fsS "http://$debug/metrics" > "$dbg"
 grep -qF 'adifo_build_info{' "$dbg"
 curl -fsS "http://$debug/debug/pprof/cmdline" >/dev/null
