@@ -7,7 +7,8 @@
 // undetectable, the circuit computes the same function with L replaced
 // by the constant v. The pass therefore alternates
 //
-//  1. classify every collapsed fault with the PODEM generator,
+//  1. classify every collapsed fault with the PODEM generator, one
+//     generator per core (runtime.GOMAXPROCS),
 //  2. replace the lines of undetectable faults with constants,
 //  3. propagate the constants (gate simplification) and prune logic
 //     that no longer reaches an output,
@@ -22,6 +23,9 @@ package irr
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/eda-go/adifo/internal/atpg"
 	"github.com/eda-go/adifo/internal/circuit"
@@ -50,14 +54,18 @@ type Stats struct {
 	// GatesBefore/GatesAfter are logic gate counts (PIs excluded).
 	GatesBefore, GatesAfter int
 	// Clean reports whether the final circuit was verified to have no
-	// undetectable collapsed fault (it is false only when MaxIters ran
-	// out or the ATPG aborted on some fault).
+	// undetectable collapsed fault. It is false only when MaxIters ran
+	// out or the ATPG aborted on some fault in the final iteration, the
+	// one that found no redundancy; an abort in an earlier iteration
+	// is followed by another classification of the rewritten circuit.
 	Clean bool
 }
 
 // Make returns an irredundant version of c together with pass
 // statistics. The input circuit is not modified. An error is returned
-// only when the circuit degenerates (every output constant).
+// only when the circuit degenerates (every output constant). The
+// PODEM proofs run on runtime.GOMAXPROCS(0) generators; the result
+// does not depend on that number.
 func Make(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats, error) {
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 25
@@ -78,7 +86,7 @@ func Make(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats, error) {
 	cur := c
 	for iter := 0; iter < opts.MaxIters; iter++ {
 		st.Iterations = iter + 1
-		redundant, aborted := classify(cur, opts.BacktrackLimit)
+		redundant, aborted := classify(cur, opts.BacktrackLimit, runtime.GOMAXPROCS(0))
 		if len(redundant) == 0 {
 			st.Clean = !aborted
 			break
@@ -94,35 +102,82 @@ func Make(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats, error) {
 	return cur, st, nil
 }
 
-// classify returns the undetectable collapsed faults of c, plus
-// whether the ATPG aborted on any fault. Random-pattern fault
-// simulation prefilters the universe — a fault detected by simulation
-// is trivially not redundant — so the expensive PODEM proof runs only
-// on the small random-resistant remainder.
-func classify(c *circuit.Circuit, backtrackLimit int) ([]fault.Fault, bool) {
+// classify returns the undetectable collapsed faults of c in fault
+// order, plus whether the ATPG aborted on any fault. Random-pattern
+// fault simulation prefilters the universe — a fault detected by
+// simulation is trivially not redundant — so the expensive PODEM proof
+// runs only on the small random-resistant remainder.
+//
+// The proofs are split by fault over up to workers PODEM generators
+// on the shared compiled form (fault-partitioned parallel ATPG, Patil
+// and Banerjee, ITC 1989). Each worker takes the next fault from an
+// atomic cursor and stores its verdict at the fault's position. A
+// verdict depends only on the netlist and the fault, since Generate
+// resets all of its state per fault, so the result is the same for
+// every worker count.
+func classify(c *circuit.Circuit, backtrackLimit, workers int) ([]fault.Fault, bool) {
 	cc := circuit.Compile(c)
-	fl := fault.CollapsedUniverse(c)
-	ps := logic.RandomPatterns(c.NumInputs(), prefilterPatterns, prng.New(prefilterSeed))
-	// One sequential worker: the same pass as fsim.Run, on cc.
-	res := fsim.RunParallelWith(fl, ps, fsim.ParallelOptions{
-		Options: fsim.Options{Mode: fsim.Drop}, Workers: 1, Compiled: cc,
-	})
+	todo := prefilter(c, cc)
+	if len(todo) == 0 {
+		return nil, false
+	}
 
-	g := atpg.New(cc, atpg.Options{BacktrackLimit: backtrackLimit})
+	status := make([]atpg.Status, len(todo))
+	var next atomic.Int64
+	prove := func() {
+		g := atpg.New(cc, atpg.Options{BacktrackLimit: backtrackLimit})
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(todo) {
+				return
+			}
+			status[i] = g.Generate(todo[i]).Status
+		}
+	}
+	// The caller is the first worker, so one worker starts no goroutine.
+	var wg sync.WaitGroup
+	for range min(workers, len(todo)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prove()
+		}()
+	}
+	prove()
+	wg.Wait()
+
 	var redundant []fault.Fault
 	aborted := false
-	for fi, f := range fl.Faults {
-		if res.Detected(fi) {
-			continue
-		}
-		switch g.Generate(f).Status {
+	for i, st := range status {
+		switch st {
 		case atpg.Redundant:
-			redundant = append(redundant, f)
+			redundant = append(redundant, todo[i])
 		case atpg.Aborted:
 			aborted = true
 		}
 	}
 	return redundant, aborted
+}
+
+// prefilter returns, in fault order, the collapsed faults of c that
+// random-pattern simulation on cc leaves undetected.
+func prefilter(c *circuit.Circuit, cc *circuit.Compiled) []fault.Fault {
+	fl := fault.CollapsedUniverse(c)
+	ps := logic.RandomPatterns(c.NumInputs(), prefilterPatterns, prng.New(prefilterSeed))
+	// One sequential worker, the same pass as fsim.Run on cc: the
+	// prefilter is a small share of classify, and the parallel
+	// runner's equal split by fault count leaves a second worker
+	// almost idle on one netlist.
+	res := fsim.RunParallelWith(fl, ps, fsim.ParallelOptions{
+		Options: fsim.Options{Mode: fsim.Drop}, Workers: 1, Compiled: cc,
+	})
+	var undetected []fault.Fault
+	for fi, f := range fl.Faults {
+		if !res.Detected(fi) {
+			undetected = append(undetected, f)
+		}
+	}
+	return undetected
 }
 
 const (
@@ -235,13 +290,12 @@ func applyConstants(c *circuit.Circuit, redundant []fault.Fault) (*circuit.Circu
 		}
 	}
 
-	// Rebuild. Primary inputs are preserved even when they became
-	// unobservable (floating), except that fully constant PIs are
-	// dropped together with their name — a constant input is not an
-	// input. Keeping floating PIs would reintroduce undetectable stem
-	// faults, so they are dropped as well; the suite seeds are chosen
-	// so this does not occur on the shipped benchmarks (asserted by
-	// tests).
+	// Rebuild from the kept gates only. A primary input survives only
+	// if some live output still reaches it: a constant input is not an
+	// input, and a floating one would reintroduce undetectable stem
+	// faults, so both are dropped together with their names. On the
+	// suite this happens to irs382 and irs400, which each lose one
+	// input (pinned by TestMakeOnGeneratedSuite).
 	nb := circuit.NewBuilder(c.Name)
 	remap := make([]int, n)
 	for i := range remap {

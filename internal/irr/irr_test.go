@@ -1,9 +1,12 @@
 package irr
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/eda-go/adifo/internal/atpg"
+	"github.com/eda-go/adifo/internal/benchdata"
 	"github.com/eda-go/adifo/internal/circuit"
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/gen"
@@ -215,6 +218,69 @@ func TestMakeOnGeneratedSuite(t *testing.T) {
 			t.Errorf("%s: %d inputs, pinned %d", sc.Name, got, pin.inputs)
 		}
 		assertIrredundant(t, out)
+	}
+}
+
+// TestClassifyIndependentOfWorkers checks that classify returns the
+// same redundant faults, in the same order, and the same aborted flag
+// at every worker count. The raw irs420, irs510 and irs641 netlists at
+// a backtrack limit of 50 abort cheaply, so the aborted flag gathered
+// from all workers is exercised too.
+func TestClassifyIndependentOfWorkers(t *testing.T) {
+	type tc struct {
+		name    string
+		c       *circuit.Circuit
+		limit   int
+		aborted bool
+	}
+	var cases []tc
+	for _, sc := range paperMembers()[:5] { // irs208-irs400
+		cases = append(cases, tc{sc.Name, sc.Build(), 10000, false})
+	}
+	for _, name := range []string{"irs420", "irs510", "irs641"} {
+		sc, _ := gen.SuiteByName(name)
+		cases = append(cases, tc{name + "/limit50", sc.Build(), 50, true})
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		c := gen.Generate(gen.Config{Name: "g", Inputs: 12, Gates: 80, Seed: seed})
+		cases = append(cases, tc{fmt.Sprintf("gen%d", seed), c, 10000, false})
+	}
+	c17 := benchdata.MustLoad("c17")
+	if n := len(prefilter(c17, circuit.Compile(c17))); n != 0 {
+		t.Fatalf("c17: %d faults survive the prefilter, want 0", n)
+	}
+	cases = append(cases, tc{"c17", c17, 10000, false})
+
+	for _, k := range cases {
+		red1, ab1 := classify(k.c, k.limit, 1)
+		if ab1 != k.aborted {
+			t.Fatalf("%s: aborted = %v at 1 worker, want %v", k.name, ab1, k.aborted)
+		}
+		for _, w := range []int{2, 3, 8} {
+			red, ab := classify(k.c, k.limit, w)
+			if !slices.Equal(red, red1) || ab != ab1 {
+				t.Errorf("%s: %d workers give %d redundant (aborted %v), 1 worker %d (aborted %v)",
+					k.name, w, len(red), ab, len(red1), ab1)
+			}
+		}
+	}
+}
+
+// BenchmarkMake times irr.Make at its defaults over the paper-tables
+// members irs208-irs641. The raw netlists are generated before the
+// timer starts.
+func BenchmarkMake(b *testing.B) {
+	var raws []*circuit.Circuit
+	for _, sc := range paperMembers() {
+		raws = append(raws, sc.Build())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, raw := range raws {
+			if _, _, err := Make(raw, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
