@@ -200,10 +200,7 @@ var makePins = map[string]struct {
 
 func TestMakeOnGeneratedSuite(t *testing.T) {
 	for _, sc := range paperMembers() {
-		pin, ok := makePins[sc.Name]
-		if !ok {
-			t.Fatalf("%s: no pin", sc.Name)
-		}
+		pin := makePins[sc.Name]
 		out, st, err := Make(sc.Build(), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
@@ -225,7 +222,9 @@ func TestMakeOnGeneratedSuite(t *testing.T) {
 // same redundant faults, in the same order, and the same aborted flag
 // at every worker count. The raw irs420, irs510 and irs641 netlists at
 // a backtrack limit of 50 abort cheaply, so the aborted flag gathered
-// from all workers is exercised too.
+// from all workers is exercised too. Raw irs344 at a limit of 900
+// aborts on one of its 71 proofs, which the calling goroutine, itself
+// a worker, often leaves to another worker.
 func TestClassifyIndependentOfWorkers(t *testing.T) {
 	type tc struct {
 		name    string
@@ -241,6 +240,8 @@ func TestClassifyIndependentOfWorkers(t *testing.T) {
 		sc, _ := gen.SuiteByName(name)
 		cases = append(cases, tc{name + "/limit50", sc.Build(), 50, true})
 	}
+	irs344, _ := gen.SuiteByName("irs344")
+	cases = append(cases, tc{"irs344/limit900", irs344.Build(), 900, true})
 	for seed := uint64(1); seed <= 4; seed++ {
 		c := gen.Generate(gen.Config{Name: "g", Inputs: 12, Gates: 80, Seed: seed})
 		cases = append(cases, tc{fmt.Sprintf("gen%d", seed), c, 10000, false})
@@ -259,7 +260,7 @@ func TestClassifyIndependentOfWorkers(t *testing.T) {
 		for _, w := range []int{2, 3, 8} {
 			red, ab := classify(k.c, k.limit, w)
 			if !slices.Equal(red, red1) || ab != ab1 {
-				t.Errorf("%s: %d workers give %d redundant (aborted %v), 1 worker %d (aborted %v)",
+				t.Errorf("%s: %d workers: redundant list of %d (aborted %v) differs from 1 worker's of %d (aborted %v)",
 					k.name, w, len(red), ab, len(red1), ab1)
 			}
 		}
