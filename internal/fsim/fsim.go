@@ -145,23 +145,17 @@ func (r *Result) Coverage() float64 {
 	return float64(r.DetectedCount()) / float64(r.List.Len())
 }
 
-// Run simulates every fault of fl against the vectors of ps under the
-// given options and returns the collected statistics.
-//
-// Run is the bit-identity reference for the whole simulator core: it
-// always executes the scalar 64-pattern kernel in fault-index order,
-// and every parallel/wide configuration must reproduce its result
-// exactly. Only tests and perfbench call it, as that reference; the
-// library simulates with RunParallelWith or RunParallelCtx.
-func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
-	c := fl.Circuit
-	if ps.Inputs() != c.NumInputs() {
-		panic(fmt.Sprintf("fsim: pattern set has %d inputs, circuit has %d", ps.Inputs(), c.NumInputs()))
+// newResult checks a run's inputs and returns the empty result it
+// accumulates into. Run and RunParallelCtx share these two steps and
+// nothing more: Run keeps its own walk and accounting, so it stays an
+// independent reference for the parallel runner.
+func newResult(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
+	if ps.Inputs() != fl.Circuit.NumInputs() {
+		panic(fmt.Sprintf("fsim: pattern set has %d inputs, circuit has %d", ps.Inputs(), fl.Circuit.NumInputs()))
 	}
 	if opts.Mode == NDetect && opts.N <= 0 {
 		panic("fsim: NDetect mode requires Options.N > 0")
 	}
-
 	nf := fl.Len()
 	r := &Result{
 		List:     fl,
@@ -178,8 +172,21 @@ func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
 			r.Det[i] = logic.NewBitset(ps.Len())
 		}
 	}
+	return r
+}
 
-	k := newKern[circuit.W1](circuit.Compile(c), true)
+// Run simulates every fault of fl against the vectors of ps under the
+// given options and returns the collected statistics.
+//
+// Run is the bit-identity reference for the whole simulator core: it
+// always executes the scalar 64-pattern kernel in fault-index order,
+// and every parallel/wide configuration must reproduce its result
+// exactly. Only tests and perfbench call it, as that reference; the
+// library simulates with RunParallelWith or RunParallelCtx.
+func Run(fl *fault.List, ps *logic.PatternSet, opts Options) *Result {
+	r := newResult(fl, ps, opts)
+	nf := fl.Len()
+	k := newKern[circuit.W1](circuit.Compile(fl.Circuit), true)
 	pi := make([]circuit.W1, ps.Inputs())
 
 	// active holds indices of not-yet-dropped faults; in NoDrop mode

@@ -122,13 +122,8 @@ func RunParallelWith(fl *fault.List, ps *logic.PatternSet, po ParallelOptions) *
 // barrier). On cancellation it returns the partial result together
 // with ctx.Err(); the error is nil on a completed run.
 func RunParallelCtx(ctx context.Context, fl *fault.List, ps *logic.PatternSet, po ParallelOptions) (*Result, error) {
+	r := newResult(fl, ps, po.Options)
 	c := fl.Circuit
-	if ps.Inputs() != c.NumInputs() {
-		panic("fsim: pattern set width mismatch")
-	}
-	if po.Mode == NDetect && po.N <= 0 {
-		panic("fsim: NDetect mode requires Options.N > 0")
-	}
 	// The Good cache is keyed by deterministic (circuit, pattern spec)
 	// keys, so content equality of the pattern sets is the caller's
 	// contract; only the cheap structural mismatches are caught here.
@@ -144,11 +139,11 @@ func RunParallelCtx(ctx context.Context, fl *fault.List, ps *logic.PatternSet, p
 	}
 	switch pickLanes(po, ps) {
 	case 4:
-		return runParallel[circuit.W4](ctx, fl, ps, po, cc)
+		return runParallel[circuit.W4](ctx, r, ps, po, cc)
 	case 8:
-		return runParallel[circuit.W8](ctx, fl, ps, po, cc)
+		return runParallel[circuit.W8](ctx, r, ps, po, cc)
 	default:
-		return runParallel[circuit.W1](ctx, fl, ps, po, cc)
+		return runParallel[circuit.W1](ctx, r, ps, po, cc)
 	}
 }
 
@@ -197,7 +192,8 @@ func pickLanes(po ParallelOptions, ps *logic.PatternSet) int {
 	}
 }
 
-// runParallel is the width-generic body of RunParallelCtx. One
+// runParallel is the width-generic body of RunParallelCtx, filling
+// r, the empty result of r.List over ps. One
 // iteration of the outer loop processes a superblock of Lanes()
 // 64-pattern blocks: the good machine is evaluated once for the whole
 // superblock, each worker simulates its shard of whole fanout-free
@@ -205,9 +201,10 @@ func pickLanes(po ParallelOptions, ps *logic.PatternSet) int {
 // detection block's lanes in pattern order so dropping and n-detect
 // truncation happen at precisely the same vector as in the scalar
 // reference.
-func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *logic.PatternSet, po ParallelOptions, cc *circuit.Compiled) (*Result, error) {
+func runParallel[B circuit.Block[B]](ctx context.Context, r *Result, ps *logic.PatternSet, po ParallelOptions, cc *circuit.Compiled) (*Result, error) {
 	var zb B
 	lanes := zb.Lanes()
+	fl := r.List
 	nf := fl.Len()
 	workers := po.Workers
 	if workers <= 0 {
@@ -218,22 +215,6 @@ func runParallel[B circuit.Block[B]](ctx context.Context, fl *fault.List, ps *lo
 	}
 	if workers < 1 {
 		workers = 1
-	}
-
-	r := &Result{
-		List:     fl,
-		DetCount: make([]int, nf),
-		FirstDet: make([]int, nf),
-		Ndet:     make([]int, ps.Len()),
-	}
-	for i := range r.FirstDet {
-		r.FirstDet[i] = -1
-	}
-	if po.Mode == NoDrop || po.Mode == NDetect {
-		r.Det = make([]*logic.Bitset, nf)
-		for i := range r.Det {
-			r.Det[i] = logic.NewBitset(ps.Len())
-		}
 	}
 
 	// Shared good-value arena for the current superblock: the
