@@ -76,33 +76,7 @@ func (gradeKind) run(s *Service, j *job) (any, error) {
 		faults = &fault.List{Circuit: entry.Circuit, Faults: entry.Faults.Faults[lo:hi]}
 	}
 
-	j.mu.Lock()
-	j.status.Circuit = entry.Circuit.Name
-	j.status.Faults = faults.Len()
-	j.status.Vectors = ps.Len()
-	j.status.Blocks = ps.Blocks()
-	j.status.Active = faults.Len()
-	j.mu.Unlock()
-
-	// Early-stopping jobs (drop mode, coverage cut-off) often touch only
-	// a prefix of the blocks; precomputing the full good simulation for
-	// them would do strictly more work than the simulator's lazy
-	// per-block path, so the cache is reserved for runs that visit
-	// every block.
-	stopSim := j.phase(PhaseSimulate)
-	var good *fsim.Good
-	if opts.Mode != fsim.Drop && opts.StopAtCoverage == 0 {
-		good = s.reg.Good(entry, patternKey, ps)
-	}
-	res, err := fsim.RunParallelCtx(j.ctx, faults, ps, fsim.ParallelOptions{
-		Options:    opts,
-		Workers:    s.jobWorkers(j),
-		BlockWidth: j.spec.BlockWidth,
-		Compiled:   s.reg.Compiled(entry),
-		Good:       good,
-		Progress:   func(p fsim.Progress) { j.publish(p) },
-	})
-	stopSim()
+	res, err := s.simulate(j, entry, faults, ps, patternKey, opts)
 	if err != nil {
 		return nil, err
 	}

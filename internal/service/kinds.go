@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/eda-go/adifo/internal/adi"
+	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
 	"github.com/eda-go/adifo/internal/logic"
 )
@@ -156,25 +157,7 @@ func (s *Service) computeIndex(j *job) (*CircuitEntry, *adi.Index, error) {
 		return nil, nil, err
 	}
 
-	j.mu.Lock()
-	j.status.Circuit = entry.Circuit.Name
-	j.status.Faults = entry.Faults.Len()
-	j.status.Vectors = ps.Len()
-	j.status.Blocks = ps.Blocks()
-	j.status.Active = entry.Faults.Len()
-	j.mu.Unlock()
-
-	stopSim := j.phase(PhaseSimulate)
-	good := s.reg.Good(entry, patternKey, ps)
-	res, err := fsim.RunParallelCtx(j.ctx, entry.Faults, ps, fsim.ParallelOptions{
-		Options:    fsim.Options{Mode: fsim.NoDrop},
-		Workers:    s.jobWorkers(j),
-		BlockWidth: j.spec.BlockWidth,
-		Compiled:   s.reg.Compiled(entry),
-		Good:       good,
-		Progress:   func(p fsim.Progress) { j.publish(p) },
-	})
-	stopSim()
+	res, err := s.simulate(j, entry, entry.Faults, ps, patternKey, fsim.Options{Mode: fsim.NoDrop})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -182,6 +165,38 @@ func (s *Service) computeIndex(j *job) (*CircuitEntry, *adi.Index, error) {
 	ix := adi.FromResult(res, ps)
 	stopOrder()
 	return entry, ix, nil
+}
+
+// simulate is the simulation step of every kind: it records the
+// circuit and the sizes of the run on the job's status, then simulates
+// faults against ps in the simulate phase, streaming per-block
+// progress. Only runs that visit every block read the registry's
+// good-machine cache. Drop mode and a coverage cut-off often touch
+// only a prefix of the blocks, and precomputing the full good
+// simulation for them would do strictly more work than the
+// simulator's lazy per-block path.
+func (s *Service) simulate(j *job, entry *CircuitEntry, faults *fault.List, ps *logic.PatternSet, patternKey string, opts fsim.Options) (*fsim.Result, error) {
+	j.mu.Lock()
+	j.status.Circuit = entry.Circuit.Name
+	j.status.Faults = faults.Len()
+	j.status.Vectors = ps.Len()
+	j.status.Blocks = ps.Blocks()
+	j.status.Active = faults.Len()
+	j.mu.Unlock()
+
+	defer j.phase(PhaseSimulate)()
+	var good *fsim.Good
+	if opts.Mode != fsim.Drop && opts.StopAtCoverage == 0 {
+		good = s.reg.Good(entry, patternKey, ps)
+	}
+	return fsim.RunParallelCtx(j.ctx, faults, ps, fsim.ParallelOptions{
+		Options:    opts,
+		Workers:    s.jobWorkers(j),
+		BlockWidth: j.spec.BlockWidth,
+		Compiled:   s.reg.Compiled(entry),
+		Good:       good,
+		Progress:   func(p fsim.Progress) { j.publish(p) },
+	})
 }
 
 // jobWorkers resolves a job's shard worker count: the spec's override
