@@ -63,40 +63,47 @@ type RegistryStats struct {
 // on one key still do the work exactly once (single-flight).
 type Registry struct {
 	mu       sync.Mutex
-	circuits *lruCache[*circuitSlot]
-	goods    *lruCache[*goodSlot]
-	compiled *lruCache[*compiledSlot]
+	circuits *lruCache[*slot[*CircuitEntry]]
+	goods    *lruCache[*slot[*fsim.Good]]
+	compiled *lruCache[*slot[*circuit.Compiled]]
 	stats    RegistryStats
 }
 
-// circuitSlot and goodSlot are the single-flight cells stored in the
-// LRUs: the first goroutine to claim the slot builds, later ones wait
-// on the Once.
-type circuitSlot struct {
-	once  sync.Once
-	entry *CircuitEntry
-	err   error
+// slot is the single-flight cell stored in the LRUs: the first
+// goroutine to claim the slot builds v (or fails with err), later ones
+// wait on the Once.
+type slot[V any] struct {
+	once sync.Once
+	v    V
+	err  error
 }
 
-type goodSlot struct {
-	once sync.Once
-	g    *fsim.Good
-}
-
-type compiledSlot struct {
-	once sync.Once
-	cc   *circuit.Compiled
+// claim returns key's slot in c, counting a hit, or inserts an empty
+// slot, counting a miss and any entry the LRU evicts for it.
+func claim[V any](r *Registry, c *lruCache[*slot[V]], key string, hits, misses, evictions *uint64) *slot[V] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s, ok := c.get(key); ok {
+		*hits++
+		return s
+	}
+	*misses++
+	s := &slot[V]{}
+	if c.put(key, s) {
+		*evictions++
+	}
+	return s
 }
 
 // NewRegistry returns a registry holding at most circuitCap circuit
 // entries and goodCap good-machine simulations.
 func NewRegistry(circuitCap, goodCap int) *Registry {
 	return &Registry{
-		circuits: newLRU[*circuitSlot](circuitCap),
-		goods:    newLRU[*goodSlot](goodCap),
+		circuits: newLRU[*slot[*CircuitEntry]](circuitCap),
+		goods:    newLRU[*slot[*fsim.Good]](goodCap),
 		// One compiled form per live circuit is the steady state, so
 		// the compiled cache shares the circuit capacity.
-		compiled: newLRU[*compiledSlot](circuitCap),
+		compiled: newLRU[*slot[*circuit.Compiled]](circuitCap),
 	}
 }
 
@@ -122,39 +129,27 @@ func CircuitKey(spec JobSpec) (string, error) {
 // (parse, levelize, collapse — outside the lock, single-flight per
 // key). Failed builds are not cached.
 func (r *Registry) Circuit(key string, build func() (*circuit.Circuit, error)) (*CircuitEntry, error) {
-	r.mu.Lock()
-	slot, ok := r.circuits.get(key)
-	if ok {
-		r.stats.CircuitHits++
-	} else {
-		r.stats.CircuitMisses++
-		slot = &circuitSlot{}
-		if r.circuits.put(key, slot) {
-			r.stats.CircuitEvictions++
-		}
-	}
-	r.mu.Unlock()
-
-	slot.once.Do(func() {
+	s := claim(r, r.circuits, key, &r.stats.CircuitHits, &r.stats.CircuitMisses, &r.stats.CircuitEvictions)
+	s.once.Do(func() {
 		c, err := build()
 		if err != nil {
-			slot.err = err
+			s.err = err
 			return
 		}
-		slot.entry = &CircuitEntry{
+		s.v = &CircuitEntry{
 			Key:         key,
 			Fingerprint: c.Fingerprint(),
 			Circuit:     c,
 			Faults:      fault.CollapsedUniverse(c),
 		}
 	})
-	if slot.err != nil {
+	if s.err != nil {
 		r.mu.Lock()
 		r.circuits.delete(key)
 		r.mu.Unlock()
-		return nil, slot.err
+		return nil, s.err
 	}
-	return slot.entry, nil
+	return s.v, nil
 }
 
 // CircuitFor resolves a job's circuit through the cache: named
@@ -182,22 +177,9 @@ func (r *Registry) CircuitFor(spec JobSpec) (*CircuitEntry, error) {
 // single-flight per key). patternKey must deterministically identify
 // the content of ps.
 func (r *Registry) Good(entry *CircuitEntry, patternKey string, ps *logic.PatternSet) *fsim.Good {
-	key := entry.Key + "|" + patternKey
-	r.mu.Lock()
-	slot, ok := r.goods.get(key)
-	if ok {
-		r.stats.GoodHits++
-	} else {
-		r.stats.GoodMisses++
-		slot = &goodSlot{}
-		if r.goods.put(key, slot) {
-			r.stats.GoodEvictions++
-		}
-	}
-	r.mu.Unlock()
-
-	slot.once.Do(func() { slot.g = fsim.ComputeGoodCompiled(r.Compiled(entry), ps) })
-	return slot.g
+	s := claim(r, r.goods, entry.Key+"|"+patternKey, &r.stats.GoodHits, &r.stats.GoodMisses, &r.stats.GoodEvictions)
+	s.once.Do(func() { s.v = fsim.ComputeGoodCompiled(r.Compiled(entry), ps) })
+	return s.v
 }
 
 // Compiled returns the cached SoA simulation form for entry's netlist,
@@ -207,22 +189,9 @@ func (r *Registry) Good(entry *CircuitEntry, patternKey string, ps *logic.Patter
 // form with jobs naming it — the simulator accepts any compiled form
 // whose fingerprint matches the circuit it runs.
 func (r *Registry) Compiled(entry *CircuitEntry) *circuit.Compiled {
-	key := fmt.Sprintf("%016x", entry.Fingerprint)
-	r.mu.Lock()
-	slot, ok := r.compiled.get(key)
-	if ok {
-		r.stats.CompiledHits++
-	} else {
-		r.stats.CompiledMisses++
-		slot = &compiledSlot{}
-		if r.compiled.put(key, slot) {
-			r.stats.CompiledEvictions++
-		}
-	}
-	r.mu.Unlock()
-
-	slot.once.Do(func() { slot.cc = circuit.Compile(entry.Circuit) })
-	return slot.cc
+	s := claim(r, r.compiled, fmt.Sprintf("%016x", entry.Fingerprint), &r.stats.CompiledHits, &r.stats.CompiledMisses, &r.stats.CompiledEvictions)
+	s.once.Do(func() { s.v = circuit.Compile(entry.Circuit) })
+	return s.v
 }
 
 // Stats returns a snapshot of the cache counters.
