@@ -153,6 +153,24 @@ func (s *Service) recover(dir string) error {
 // the job's terminal identity, not a replay of its run.
 func (s *Service) installTerminal(id string, p *replayedJob) {
 	fin := p.finished
+	j := s.installReplayed(id, p, fin.State, fin.Error)
+	j.status.TraceID = p.submitted.Trace
+	if fin.State == StateDone && len(fin.Result) > 0 {
+		j.rawResult = append([]byte(nil), fin.Result...)
+		if typed, err := decodeResult(j.status.Kind, fin.Result); err == nil {
+			j.result = typed
+			j.status.Timing = resultTiming(typed)
+		} else {
+			s.logger.Warn("journaled result decode failed; serving raw bytes only",
+				"job", id, "err", err)
+		}
+	}
+}
+
+// installReplayed registers a replayed job that will not run, in its
+// terminal state: its context is already cancelled, and it counts as
+// submitted and as finished in that state.
+func (s *Service) installReplayed(id string, p *replayedJob, state, errMsg string) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // terminal: nothing to abort
 	j := &job{
@@ -164,28 +182,18 @@ func (s *Service) installTerminal(id string, p *replayedJob) {
 		now:     s.now,
 		met:     s.met,
 		status: JobStatus{
-			ID:      id,
-			Kind:    NormalizeKind(p.submitted.Kind),
-			Tenant:  p.submitted.Tenant,
-			State:   fin.State,
-			Error:   fin.Error,
-			TraceID: p.submitted.Trace,
+			ID:     id,
+			Kind:   NormalizeKind(p.submitted.Kind),
+			Tenant: p.submitted.Tenant,
+			State:  state,
+			Error:  errMsg,
 		},
-	}
-	if fin.State == StateDone && len(fin.Result) > 0 {
-		j.rawResult = append([]byte(nil), fin.Result...)
-		if typed, err := decodeResult(j.status.Kind, fin.Result); err == nil {
-			j.result = typed
-			j.status.Timing = resultTiming(typed)
-		} else {
-			s.logger.Warn("journaled result decode failed; serving raw bytes only",
-				"job", id, "err", err)
-		}
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.met.jobsSubmitted.With(j.status.Kind).Inc()
-	s.met.jobsTotal.With(j.status.Kind, fin.State).Inc()
+	s.met.jobsTotal.With(j.status.Kind, state).Inc()
+	return j
 }
 
 // requeue re-enqueues a job that was queued or running at crash time.
@@ -202,24 +210,7 @@ func (s *Service) requeue(id string, p *replayedJob) {
 	}
 	if err != nil {
 		err = fmt.Errorf("service: journal replay: job no longer runnable: %w", err)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		j := &job{
-			id: id, tenant: p.submitted.Tenant,
-			idemKey: idemCacheKey(p.submitted.Tenant, p.submitted.Key),
-			ctx:     ctx, cancel: cancel, now: s.now, met: s.met,
-			status: JobStatus{
-				ID:     id,
-				Kind:   NormalizeKind(p.submitted.Kind),
-				Tenant: p.submitted.Tenant,
-				State:  StateFailed,
-				Error:  err.Error(),
-			},
-		}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.met.jobsSubmitted.With(j.status.Kind).Inc()
-		s.met.jobsTotal.With(j.status.Kind, StateFailed).Inc()
+		j := s.installReplayed(id, p, StateFailed, err.Error())
 		s.logger.Error("replayed job failed validation", "job", id, "err", err)
 		s.journalFinished(j, j.status, nil)
 		return
