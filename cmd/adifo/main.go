@@ -260,16 +260,9 @@ func run(cmd string, o options) error {
 		if err != nil {
 			return err
 		}
-		ord := ix.Order(kind)
-		fmt.Printf("order %v:\n", kind)
-		for pos, fi := range ord {
-			if o.limit > 0 && pos >= o.limit {
-				fmt.Printf("... (%d more)\n", len(ord)-pos)
-				break
-			}
-			fmt.Printf("%4d: f%-4d ADI=%-5d %s\n", pos, fi, ix.ADI[fi], fl.Faults[fi].Name(c))
-		}
-		return nil
+		return printOrder(os.Stdout, o.limit, kind.String(), ix.Order(kind), ix.ADI, func(fi int) string {
+			return fl.Faults[fi].Name(c)
+		})
 	}
 	usage()
 	return nil
@@ -307,23 +300,11 @@ func grade(o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	id, err := g.Submit(ctx, spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "job %s submitted to %s\n", id, where)
-	defer cancelOnInterrupt(g, id, out)()
-
-	st, err := g.Stream(ctx, id, func(ev adifo.ProgressEvent) {
-		if !o.quiet {
-			fmt.Fprintf(out, "block %d/%d: %d vectors, %d detected, %d active\n",
-				ev.Block+1, ev.Blocks, ev.VectorsUsed, ev.Detected, ev.Active)
-		}
+	id, err := follow(g, spec, where, o.quiet, out, func(ev adifo.ProgressEvent) {
+		fmt.Fprintf(out, "block %d/%d: %d vectors, %d detected, %d active\n",
+			ev.Block+1, ev.Blocks, ev.VectorsUsed, ev.Detected, ev.Active)
 	})
 	if err != nil {
-		return err
-	}
-	if err := terminalError(id, st); err != nil {
 		return err
 	}
 	res, err := g.Result(ctx, id)
@@ -389,19 +370,35 @@ func gradeSpec(o options) (adifo.JobSpec, error) {
 	return spec, nil
 }
 
-// canceller is the slice of a job front end the interrupt watcher
-// needs.
-type canceller interface {
+// jobFront is the slice of a job front end (a Grader, a
+// RemoteGenerator or a RemoteOrderer) that follow drives.
+type jobFront interface {
+	Submit(ctx context.Context, spec adifo.JobSpec) (string, error)
+	Stream(ctx context.Context, id string, fn func(adifo.ProgressEvent)) (adifo.JobStatus, error)
 	Cancel(ctx context.Context, id string) (adifo.JobStatus, error)
 }
 
-// cancelOnInterrupt installs a Ctrl-C handler that cancels job id on g
-// rather than abandoning it; the progress stream then terminates with
-// the cancelled status. The returned stop function uninstalls it.
-func cancelOnInterrupt(g canceller, id string, out io.Writer) func() {
+// follow submits spec to g, prints the submit line and streams the
+// job's progress events to progress, unless quiet. Until the stream
+// ends, Ctrl-C cancels the job rather than abandoning it, and the
+// stream then terminates with the cancelled status. follow returns the
+// job's id once the job is done, and terminalError's verdict
+// otherwise.
+func follow(g jobFront, spec adifo.JobSpec, where string, quiet bool, out io.Writer, progress func(adifo.ProgressEvent)) (string, error) {
+	ctx := context.Background()
+	id, err := g.Submit(ctx, spec)
+	if err != nil {
+		return "", err
+	}
+	fmt.Fprintf(out, "job %s submitted to %s\n", id, where)
+
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	done := make(chan struct{})
+	defer func() {
+		signal.Stop(sig)
+		close(done)
+	}()
 	go func() {
 		select {
 		case <-sig:
@@ -416,10 +413,16 @@ func cancelOnInterrupt(g canceller, id string, out io.Writer) func() {
 		case <-done:
 		}
 	}()
-	return func() {
-		signal.Stop(sig)
-		close(done)
+
+	st, err := g.Stream(ctx, id, func(ev adifo.ProgressEvent) {
+		if !quiet {
+			progress(ev)
+		}
+	})
+	if err != nil {
+		return "", err
 	}
+	return id, terminalError(id, st)
 }
 
 // terminalError maps a job's terminal status to the verb's outcome: a
@@ -484,24 +487,13 @@ func genTests(o options, out io.Writer) error {
 
 // genRemote runs the gen verb against one adifod server.
 func genRemote(o options, kind adifo.OrderKind, out io.Writer) error {
-	ctx := context.Background()
 	g := adifo.NewRemoteGenerator(o.servers[0], nil)
 	defer g.Close()
 
 	spec := baseSpec(o)
 	spec.Order = &adifo.OrderSpec{Kind: kind.String()}
 	spec.Gen = &adifo.GenSpec{FillSeed: o.fillseed}
-	id, err := g.Submit(ctx, spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "job %s submitted to %s\n", id, o.servers[0])
-	defer cancelOnInterrupt(g, id, out)()
-
-	st, err := g.Stream(ctx, id, func(ev adifo.ProgressEvent) {
-		if o.quiet {
-			return
-		}
+	id, err := follow(g, spec, o.servers[0], o.quiet, out, func(ev adifo.ProgressEvent) {
 		if ev.Targets > 0 {
 			fmt.Fprintf(out, "target %d/%d: %d tests, %d detected, %d active\n",
 				ev.Target, ev.Targets, ev.Tests, ev.Detected, ev.Active)
@@ -513,10 +505,7 @@ func genRemote(o options, kind adifo.OrderKind, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := terminalError(id, st); err != nil {
-		return err
-	}
-	res, err := g.Result(ctx, id)
+	res, err := g.Result(context.Background(), id)
 	if err != nil {
 		return err
 	}
@@ -591,32 +580,19 @@ func orderRemote(o options, out io.Writer) error {
 	if len(o.servers) > 1 {
 		return errors.New("order accepts a single -server: the dynamic orders are sequential over shared ndet state and cannot be fault-sharded across a cluster")
 	}
-	ctx := context.Background()
 	or := adifo.NewRemoteOrderer(o.servers[0], nil)
 	defer or.Close()
 
 	spec := baseSpec(o)
 	spec.Order = &adifo.OrderSpec{Kind: kind.String()}
-	id, err := or.Submit(ctx, spec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "job %s submitted to %s\n", id, o.servers[0])
-	defer cancelOnInterrupt(or, id, out)()
-
-	st, err := or.Stream(ctx, id, func(ev adifo.ProgressEvent) {
-		if !o.quiet {
-			fmt.Fprintf(out, "block %d/%d: %d vectors, %d detected\n",
-				ev.Block+1, ev.Blocks, ev.VectorsUsed, ev.Detected)
-		}
+	id, err := follow(or, spec, o.servers[0], o.quiet, out, func(ev adifo.ProgressEvent) {
+		fmt.Fprintf(out, "block %d/%d: %d vectors, %d detected\n",
+			ev.Block+1, ev.Blocks, ev.VectorsUsed, ev.Detected)
 	})
 	if err != nil {
 		return err
 	}
-	if err := terminalError(id, st); err != nil {
-		return err
-	}
-	res, err := or.Result(ctx, id)
+	res, err := or.Result(context.Background(), id)
 	if err != nil {
 		return err
 	}
@@ -624,23 +600,29 @@ func orderRemote(o options, out io.Writer) error {
 		res.Vectors, res.NumDetected, res.Faults, res.ADIMin, res.ADIMax, res.Ratio)
 	printTiming(out, res.Timing)
 	printTrace(out, res.TraceID)
-	fmt.Fprintf(out, "order %s:\n", res.Order)
-	for pos, fi := range res.Perm {
-		if o.limit > 0 && pos >= o.limit {
-			fmt.Fprintf(out, "... (%d more)\n", len(res.Perm)-pos)
+	return printOrder(out, o.limit, res.Order, res.Perm, res.ADI, func(fi int) string {
+		if fi < len(res.Names) {
+			return res.Names[fi]
+		}
+		return ""
+	})
+}
+
+// printOrder renders a fault order — local or remote, the same layout
+// — with at most limit rows (0 = all). A server is trusted but not
+// blindly: a malformed result (a perm entry outside the ADI array)
+// degrades to an error, not a panic.
+func printOrder(out io.Writer, limit int, order string, perm, adi []int, name func(fi int) string) error {
+	fmt.Fprintf(out, "order %s:\n", order)
+	for pos, fi := range perm {
+		if limit > 0 && pos >= limit {
+			fmt.Fprintf(out, "... (%d more)\n", len(perm)-pos)
 			break
 		}
-		// The server is trusted but not blindly: a malformed result
-		// (perm index beyond the ADI or name arrays) degrades to an
-		// error, not a panic.
-		if fi < 0 || fi >= len(res.ADI) {
-			return fmt.Errorf("malformed order result: perm entry f%d outside ADI array of %d", fi, len(res.ADI))
+		if fi < 0 || fi >= len(adi) {
+			return fmt.Errorf("malformed order result: perm entry f%d outside ADI array of %d", fi, len(adi))
 		}
-		name := ""
-		if fi < len(res.Names) {
-			name = res.Names[fi]
-		}
-		fmt.Fprintf(out, "%4d: f%-4d ADI=%-5d %s\n", pos, fi, res.ADI[fi], name)
+		fmt.Fprintf(out, "%4d: f%-4d ADI=%-5d %s\n", pos, fi, adi[fi], name(fi))
 	}
 	return nil
 }
