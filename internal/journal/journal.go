@@ -297,50 +297,57 @@ func EncodeFrame(rec Record) ([]byte, error) {
 // is poisoned: every later Append returns the same error rather than
 // risking a log with an interior hole.
 func (j *Journal) Append(rec Record) error {
+	wait, startFlusher, err := j.write(rec)
+	if wait == nil {
+		return err
+	}
+	if startFlusher {
+		go j.syncLoop()
+	}
+	return <-wait
+}
+
+// write puts rec's frame in the current segment, rotating first if the
+// frame would overflow it. Unless the journal is NoSync, it queues a
+// waiter for the next fsync and returns its channel, and startFlusher
+// reports that no flusher is running, so the caller must start one. A
+// nil channel means the append is over, with err as its outcome.
+func (j *Journal) write(rec Record) (wait chan error, startFlusher bool, err error) {
 	frame, err := EncodeFrame(rec)
 	if err != nil {
 		j.errs.Add(1)
-		return err
+		return nil, false, err
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
+		return nil, false, ErrClosed
 	}
 	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return err
+		return nil, false, j.err
 	}
 	if j.size+int64(len(frame)) > j.opts.SegmentBytes && j.size > int64(len(magic)) {
 		if err := j.rotateLocked(); err != nil {
 			j.err = err
-			j.mu.Unlock()
-			return err
+			return nil, false, err
 		}
 	}
 	if _, err := j.f.Write(frame); err != nil {
 		j.err = fmt.Errorf("journal: write: %w", err)
 		j.errs.Add(1)
-		err := j.err
-		j.mu.Unlock()
-		return err
+		return nil, false, j.err
 	}
 	j.size += int64(len(frame))
 	j.appends.Add(1)
 	j.appBytes.Add(uint64(len(frame)))
 	if j.opts.NoSync { // durable enough by configuration
-		j.mu.Unlock()
-		return nil
+		return nil, false, nil
 	}
-	ch := make(chan error, 1)
-	j.waiters = append(j.waiters, ch)
-	if !j.syncing {
-		j.syncing = true
-		go j.syncLoop()
-	}
-	j.mu.Unlock()
-	return <-ch
+	wait = make(chan error, 1)
+	j.waiters = append(j.waiters, wait)
+	startFlusher = !j.syncing
+	j.syncing = true
+	return wait, startFlusher, nil
 }
 
 // syncLoop is the group-commit flusher: it repeatedly takes the
@@ -348,34 +355,56 @@ func (j *Journal) Append(rec Record) error {
 // batch. Records appended while an fsync is in flight join the next
 // batch — one flusher, at most one fsync outstanding.
 func (j *Journal) syncLoop() {
-	for {
-		j.mu.Lock()
-		waiters := j.waiters
-		j.waiters = nil
-		if len(waiters) == 0 {
-			j.syncing = false
-			j.mu.Unlock()
-			return
-		}
-		f := j.f
-		j.mu.Unlock()
+	for b := j.takeBatch(); len(b.waiters) > 0; b = j.takeBatch() {
+		j.flush(b)
+	}
+}
 
-		start := time.Now()
-		err := f.Sync()
-		j.syncs.Add(1)
-		j.syncNanos.Add(int64(time.Since(start)))
-		if err != nil {
+// batch is one group commit: the waiters whose records an fsync of
+// segment seg, open as f, makes durable.
+type batch struct {
+	waiters []chan error
+	f       *os.File
+	seg     int
+}
+
+// takeBatch takes the current waiters and the segment they wait on.
+// With no waiter left it stops the flusher and returns an empty batch.
+func (j *Journal) takeBatch() batch {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	b := batch{waiters: j.waiters, f: j.f, seg: j.seg}
+	j.waiters = nil
+	if len(b.waiters) == 0 {
+		j.syncing = false
+	}
+	return b
+}
+
+// flush fsyncs b's segment and settles b's waiters. A rotation may
+// have closed the segment since takeBatch. It fsyncs a segment before
+// closing it and moves j.seg on only once both succeed, so the batch
+// is then durable already, and the closed file is no failure.
+func (j *Journal) flush(b batch) {
+	start := time.Now()
+	err := b.f.Sync()
+	j.syncs.Add(1)
+	j.syncNanos.Add(int64(time.Since(start)))
+	if err != nil {
+		j.mu.Lock()
+		if errors.Is(err, os.ErrClosed) && j.seg != b.seg {
+			err = nil
+		} else {
 			err = fmt.Errorf("journal: sync: %w", err)
 			j.errs.Add(1)
-			j.mu.Lock()
 			if j.err == nil {
 				j.err = err
 			}
-			j.mu.Unlock()
 		}
-		for _, ch := range waiters {
-			ch <- err
-		}
+		j.mu.Unlock()
+	}
+	for _, ch := range b.waiters {
+		ch <- err
 	}
 }
 

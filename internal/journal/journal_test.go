@@ -137,6 +137,54 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// TestRotationDuringFlush orders the group-commit flusher around a
+// rotating append: the flusher takes a batch, an append rotates, which
+// fsyncs and closes the batch's segment, and only then does the
+// flusher fsync. The batch is durable by then, so its waiter gets nil
+// and the journal keeps accepting appends.
+func TestRotationDuringFlush(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{SegmentBytes: 1}) // rotate before every record but a segment's first
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test is the flusher: it never starts syncLoop.
+	first, _, err := j.write(testRecord(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := j.takeBatch()
+	second, _, err := j.write(testRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Rotations != 1 {
+		t.Fatalf("rotations = %d, want 1 between taking the batch and flushing it", st.Rotations)
+	}
+	j.flush(b)
+	if err := <-first; err != nil {
+		t.Fatalf("record fsynced by the rotation: %v", err)
+	}
+	j.flush(j.takeBatch())
+	if err := <-second; err != nil {
+		t.Fatalf("record in the new segment: %v", err)
+	}
+	if b := j.takeBatch(); len(b.waiters) != 0 {
+		t.Fatalf("%d waiters left", len(b.waiters))
+	}
+
+	// The flusher has stopped; Append starts a fresh one.
+	if err := j.Append(testRecord(2)); err != nil {
+		t.Fatalf("append after the rotation: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, res := replayAll(t, dir); len(recs) != 3 || res.Truncated {
+		t.Fatalf("replayed %d records (truncated=%v), want 3 clean", len(recs), res.Truncated)
+	}
+}
+
 func TestReopenStartsNewSegment(t *testing.T) {
 	dir := t.TempDir()
 	j1, err := Open(dir, Options{NoSync: true})
