@@ -2,10 +2,14 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
@@ -32,9 +36,9 @@ func slowChainBench() string {
 
 // TestServeGracefulShutdown drives serve through the full signal path:
 // a running job is cancelled at its next block barrier, its stream
-// ends with the terminal cancelled status, new submissions are
-// rejected with the typed unavailable envelope, and serve returns
-// within the grace deadline.
+// ends with the terminal cancelled status, a submission that arrives
+// during the drain is rejected with the typed unavailable envelope,
+// and serve returns within the grace deadline.
 func TestServeGracefulShutdown(t *testing.T) {
 	g := adifo.NewLocalGrader(adifo.GraderConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -45,7 +49,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- serve(ctx, ln, g, 30*time.Second, obs.Nop()) }()
 
-	rg := adifo.NewRemoteGrader("http://"+ln.Addr().String(), nil)
+	base := "http://" + ln.Addr().String()
+	rg := adifo.NewRemoteGrader(base, nil)
 	id, err := rg.Submit(context.Background(), adifo.JobSpec{
 		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
 		Patterns: adifo.PatternSpec{Random: &adifo.RandomSpec{N: 1 << 16, Seed: 1}},
@@ -76,31 +81,40 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal("job never started streaming")
 	}
 
-	signalArrives()
-
-	// Submissions are rejected with the typed envelope as soon as the
-	// drain begins.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, err := rg.Submit(context.Background(), adifo.JobSpec{
-			Circuit: "c17", Mode: "nodrop",
-			Patterns: adifo.PatternSpec{Exhaustive: true},
-		})
-		if err != nil {
-			var ae *adifo.APIError
-			if !errors.As(err, &ae) || ae.Code != "unavailable" {
-				t.Fatalf("submit during drain: %v, want APIError unavailable", err)
-			}
-			if !errors.Is(err, adifo.ErrGraderDraining) {
-				t.Fatalf("submit during drain: %v must match ErrGraderDraining", err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("submissions still accepted after the signal")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// A submission is in the server's handler before the signal: the
+	// handler reads its body from a pipe the test holds. With
+	// "Expect: 100-continue" the server answers 100 on the handler's
+	// first body read, so that answer shows the handler is running.
+	// Shutdown then waits for this active request instead of closing
+	// the listener under it.
+	body, sendBody := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", body)
+	if err != nil {
+		t.Fatal(err)
 	}
+	req.Header.Set("Expect", "100-continue")
+	inHandler := make(chan struct{})
+	req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+		Got100Continue: func() { close(inHandler) },
+	}))
+	tr := &http.Transport{ExpectContinueTimeout: time.Minute}
+	defer tr.CloseIdleConnections()
+	submitted := make(chan *http.Response, 1)
+	submitErr := make(chan error, 1)
+	go func() {
+		resp, err := (&http.Client{Transport: tr}).Do(req)
+		submitErr <- err
+		submitted <- resp
+	}()
+	select {
+	case <-inHandler:
+	case err := <-submitErr:
+		t.Fatalf("submit before the signal: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("submit never reached the handler")
+	}
+
+	signalArrives()
 
 	if err := <-streamErr; err != nil {
 		t.Fatalf("stream across shutdown: %v", err)
@@ -108,6 +122,38 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if st := <-streamDone; st.State != adifo.JobCancelled {
 		t.Fatalf("stream ended with state %q, want %q", st.State, adifo.JobCancelled)
 	}
+
+	// The running job has been cancelled, so the drain has begun: the
+	// held submission is rejected with the typed envelope.
+	spec, err := json.Marshal(adifo.JobSpec{
+		Circuit: "c17", Mode: "nodrop",
+		Patterns: adifo.PatternSpec{Exhaustive: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		sendBody.Write(spec)
+		sendBody.Close()
+	}()
+	if err := <-submitErr; err != nil {
+		t.Fatalf("submit during drain: %v", err)
+	}
+	resp := <-submitted
+	defer resp.Body.Close()
+	var env struct {
+		Error adifo.APIError `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("submit during drain: HTTP %d, envelope: %v", resp.StatusCode, err)
+	}
+	if env.Error.Code != "unavailable" {
+		t.Fatalf("submit during drain: HTTP %d %v, want APIError unavailable", resp.StatusCode, &env.Error)
+	}
+	if !errors.Is(&env.Error, adifo.ErrGraderDraining) {
+		t.Fatalf("submit during drain: %v must match ErrGraderDraining", &env.Error)
+	}
+
 	select {
 	case err := <-serveDone:
 		if err != nil {
