@@ -112,6 +112,9 @@ func TestJobMatchesDirectLibraryRun(t *testing.T) {
 	}
 }
 
+// TestRepeatSubmissionHitsCaches also pins the good-machine cache
+// rule: a drop job and a coverage-stopped job run without the cache,
+// and only the nodrop jobs after them warm it.
 func TestRepeatSubmissionHitsCaches(t *testing.T) {
 	s := New(Config{Logger: obs.Nop()})
 	defer s.Close()
@@ -119,6 +122,21 @@ func TestRepeatSubmissionHitsCaches(t *testing.T) {
 		Circuit:  "lion",
 		Patterns: PatternSpec{Exhaustive: true},
 		Mode:     "nodrop",
+	}
+	drop, stopped := spec, spec
+	drop.Mode = "drop"
+	stopped.StopAtCoverage = 0.5
+	for _, sp := range []JobSpec{drop, stopped} {
+		id, err := s.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, s, id); st.State != StateDone {
+			t.Fatalf("mode %s, stop %v: %s", sp.Mode, sp.StopAtCoverage, st.Error)
+		}
+	}
+	if st := s.Stats().Registry; st.GoodMisses != 0 || st.GoodHits != 0 || st.Goods != 0 {
+		t.Fatalf("good cache after a drop and a stopped job: %+v, want untouched", st)
 	}
 	for i := 0; i < 3; i++ {
 		id, err := s.Submit(spec)
@@ -130,13 +148,13 @@ func TestRepeatSubmissionHitsCaches(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Registry.CircuitMisses != 1 || st.Registry.CircuitHits != 2 {
-		t.Fatalf("circuit cache: %+v, want 1 miss / 2 hits", st.Registry)
+	if st.Registry.CircuitMisses != 1 || st.Registry.CircuitHits != 4 {
+		t.Fatalf("circuit cache: %+v, want 1 miss / 4 hits", st.Registry)
 	}
 	if st.Registry.GoodMisses != 1 || st.Registry.GoodHits != 2 {
 		t.Fatalf("good cache: %+v, want 1 miss / 2 hits", st.Registry)
 	}
-	if st.JobsDone != 3 || st.JobsFailed != 0 {
+	if st.JobsDone != 5 || st.JobsFailed != 0 {
 		t.Fatalf("job counters: %+v", st)
 	}
 }
