@@ -273,8 +273,6 @@ func run(cmd string, o options) error {
 // Grader interface — streams per-block progress and prints the result
 // summary. An interrupt cancels the job.
 func grade(o options, out io.Writer) error {
-	ctx := context.Background()
-
 	var g adifo.Grader
 	var where string
 	switch len(o.servers) {
@@ -307,7 +305,7 @@ func grade(o options, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := g.Result(ctx, id)
+	res, err := g.Result(context.Background(), id)
 	if err != nil {
 		return err
 	}
