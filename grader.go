@@ -326,15 +326,16 @@ func (g *RemoteGrader) Result(ctx context.Context, id string) (*JobResult, error
 // ClusterGrader fans every grading job out across multiple adifod
 // backends: the collapsed fault universe is partitioned into many more
 // deterministic index-range shards than backends (ShardsPerBackend per
-// healthy backend), the shards feed a work queue that hands each
-// backend work as it has capacity, and the streamed progress and final
-// results are merged into a single JobResult that is bit-identical to
-// an unsharded single-node run. A backend that dies mid-job has its
-// shards retried on survivors; a shard stuck behind a straggler is
-// speculatively duplicated on a backend with room (first terminal
-// result wins — determinism makes duplicates safe). Health is probed
-// via /v1/stats and flapping backends are excluded. Cancel fans out to
-// every sub-job.
+// healthy backend), every backend takes as many shards as its
+// in-flight window holds (by default all of its share at once), and
+// the streamed progress and final results are merged into a single
+// JobResult that is bit-identical to an unsharded single-node run. A
+// backend that dies mid-job has its shards requeued and retried on
+// survivors; a shard stuck behind a straggler is speculatively
+// duplicated on a backend with room (first terminal result wins —
+// determinism makes duplicates safe), which is the only way work moves
+// to a faster backend. Health is probed via /v1/stats and flapping
+// backends are excluded. Cancel fans out to every sub-job.
 //
 // Every cluster job is a job of the coordinator's own engine, so
 // Status, Result, Cancel and Stream behave as LocalGrader's do: the

@@ -6,15 +6,17 @@
 // single JobResult, and retries the shard of a dead backend on a
 // surviving one.
 //
-// Placement is a work queue, not a static assignment: the coordinator
-// cuts ShardsPerBackend shards per healthy backend — many more shards
-// than backends — and hands a backend the next queued shard whenever
-// its in-flight window of MaxInFlightPerBackend sub-jobs has room. Fast
-// backends therefore finish more shards; a slow backend bounds only its
-// own tail, not the job. Once the queue is empty, a backend with room
-// speculatively duplicates the least-progressed shard whose only
-// attempt is older than StragglerAfter: the first attempt to reach a
-// terminal result wins and the loser is cancelled. A background
+// Placement is a work queue: the coordinator cuts ShardsPerBackend
+// shards per healthy backend — many more shards than backends — and
+// hands a backend the next queued shard whenever its in-flight window
+// of MaxInFlightPerBackend sub-jobs has room. The window defaults to
+// ShardsPerBackend, so a healthy job places every shard in its first
+// pass, and only shards requeued after a failure wait in the queue. A
+// fast backend therefore takes no queued work from a slow one;
+// speculation is what moves work to it. Once the queue is empty, a
+// backend with room speculatively duplicates the least-progressed
+// shard whose only attempt is older than StragglerAfter: the first
+// attempt to reach a terminal result wins and the loser is cancelled. A background
 // re-probe loop re-admits backends that were unhealthy (or flapping)
 // at submit time, so membership is dynamic over a job's lifetime.
 //
