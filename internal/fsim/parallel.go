@@ -192,15 +192,14 @@ func pickLanes(po ParallelOptions, ps *logic.PatternSet) int {
 	}
 }
 
-// runParallel is the width-generic body of RunParallelCtx, filling
-// r, the empty result of r.List over ps. One
-// iteration of the outer loop processes a superblock of Lanes()
-// 64-pattern blocks: the good machine is evaluated once for the whole
-// superblock, each worker simulates its shard of whole fanout-free
-// regions once (kern.region), and per-fault accounting iterates the
-// detection block's lanes in pattern order so dropping and n-detect
-// truncation happen at precisely the same vector as in the scalar
-// reference.
+// runParallel is the width-generic body of RunParallelCtx; it fills r,
+// the empty result of r.List over ps. One iteration of the outer loop
+// processes a superblock of Lanes() 64-pattern blocks: the good
+// machine is evaluated once for the whole superblock, each worker
+// simulates its shard of whole fanout-free regions once (kern.region),
+// and per-fault accounting iterates the detection block's lanes in
+// pattern order so dropping and n-detect truncation happen at
+// precisely the same vector as in the scalar reference.
 func runParallel[B circuit.Block[B]](ctx context.Context, r *Result, ps *logic.PatternSet, po ParallelOptions, cc *circuit.Compiled) (*Result, error) {
 	var zb B
 	lanes := zb.Lanes()
