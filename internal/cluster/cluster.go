@@ -196,7 +196,7 @@ type Coordinator struct {
 	// ctx lives until Close. It ends the re-probe loop, and it bounds
 	// remote cancels and reclaims: those wait as long as a loaded
 	// backend takes to answer, since a sub-job they give up on keeps
-	// running.
+	// running. wg counts all of them (see spawn).
 	ctx  context.Context
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -263,12 +263,18 @@ func New(urls []string, opts Options) (*Coordinator, error) {
 		co.met.probeSeconds.With(b.url)
 		co.met.exclusions.With(b.url)
 	}
+	co.spawn(co.reprobeLoop)
+	return co, nil
+}
+
+// spawn runs f in a goroutine that Close waits for. Jobs call it from
+// their loops only, which end before Close waits.
+func (co *Coordinator) spawn(f func()) {
 	co.wg.Add(1)
 	go func() {
 		defer co.wg.Done()
-		co.reprobeLoop()
+		f()
 	}()
-	return co, nil
 }
 
 // Service is the coordinator's engine: submit cluster jobs to it and
@@ -376,8 +382,9 @@ type cjob struct {
 	run  *service.Run
 	tctx context.Context
 
-	// pubMu serializes merge-and-publish pairs so merged events reach
-	// subscribers in block order even when shard streams race.
+	// pubMu guards merge and serializes merge-and-publish pairs, so
+	// merged events reach subscribers in block order even when shard
+	// streams race.
 	pubMu sync.Mutex
 
 	// reports carries attempts' sub-job ids and final outcomes to Run.
@@ -817,7 +824,7 @@ func (j *cjob) handle(rep report) {
 	if rep.id != "" {
 		att.remoteID = rep.id
 		if att.superseded {
-			go co.cancelRemote(j, b, rep.id, "superseded")
+			co.spawn(func() { co.cancelRemote(j, b, rep.id, "superseded") })
 			return
 		}
 		j.mu.Lock()
@@ -835,7 +842,7 @@ func (j *cjob) handle(rep report) {
 		// about the backend. A submit it cut off may still have been
 		// accepted.
 		if rep.submit {
-			go co.reclaim(j, att)
+			co.spawn(func() { co.reclaim(j, att) })
 		}
 	case rep.err == nil:
 		co.record(b, nil)
@@ -904,8 +911,7 @@ func (j *cjob) complete(sh *shard, att *attempt, rep report) {
 			"job", j.id, "shard", sh.index, "backend", att.backend.url)
 	}
 	j.pubMu.Lock()
-	j.merge.markDone(sh.index, rep.st)
-	j.publish(j.merge.collect())
+	j.publish(j.merge.markDone(sh.index, rep.st))
 	j.pubMu.Unlock()
 }
 
@@ -930,7 +936,7 @@ func (j *cjob) settle(sh *shard, state string, err error) {
 			a.cancel()
 		}
 		if a.remoteID != "" {
-			go j.co.cancelRemote(j, a.backend, a.remoteID, why)
+			j.co.spawn(func() { j.co.cancelRemote(j, a.backend, a.remoteID, why) })
 		}
 	}
 }
@@ -1106,9 +1112,9 @@ func (co *Coordinator) Stats(ctx context.Context) (service.Stats, error) {
 }
 
 // Close waits for every job on the coordinator's engine to finish
-// (cancel them first for a fast shutdown), then stops the membership
-// re-probe loop and closes the idle connections of the client New
-// built.
+// (cancel them first for a fast shutdown), then ends the re-probe loop
+// and the remote cancels and reclaims still waiting on a backend, waits
+// for them, and closes the idle connections of the client New built.
 func (co *Coordinator) Close() error {
 	co.svc.Close()
 	co.stop()

@@ -713,6 +713,15 @@ func TestClusterReprobeLogsTransitions(t *testing.T) {
 	}
 }
 
+// plugBench is slowChainBench behind an AND with a constant 0: no
+// fault of the chain ever reaches the output, so a drop-mode grade
+// keeps almost every fault active for every block and holds its job
+// slot for as many blocks as it is given, at a few bytes per pattern.
+func plugBench() string {
+	return strings.Replace(slowChainBench(), "OUTPUT(g399)", "OUTPUT(y)", 1) +
+		"n0 = NOT(i0)\nz = AND(i0, n0)\ny = AND(z, g399)\n"
+}
+
 // TestClusterBackendDrainRetries: a backend cancelling a sub-job on
 // its own (a graceful drain, not our fan-out) is a lost shard, not a
 // cluster-level cancel — the shard is rerun elsewhere and the merged
@@ -724,53 +733,66 @@ func TestClusterBackendDrainRetries(t *testing.T) {
 	}
 	want := canonical(t, referenceResult(t, spec))
 
-	urls, svcs := newBackends(t, 2)
-	co, err := New(urls, Options{Logger: quiet})
+	// Backend 1 runs one job at a time, and a plug job holds that slot
+	// until the test cancels it, so every sub-job backend 1 accepts
+	// waits in its queue.
+	urls, _ := newBackends(t, 1)
+	drainer := service.New(service.Config{MaxConcurrentJobs: 1, Logger: quiet})
+	log := newBackendLog()
+	srv := httptest.NewServer(log.wrap(drainer.Handler()))
+	t.Cleanup(func() {
+		srv.Close()
+		drainer.Close()
+	})
+	plug, err := drainer.Submit(service.JobSpec{
+		Bench: plugBench(), Name: "plug", Mode: "drop", Workers: 1,
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1 << 20, Seed: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No speculation: the drained shard's only attempt is on backend 1.
+	co, err := New(append(urls, srv.URL), Options{Logger: quiet, StragglerAfter: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
 
 	ctx := context.Background()
+	wctx, stop := context.WithTimeout(ctx, 30*time.Second)
+	defer stop()
 	svc := co.Service()
 	id, err := svc.SubmitContext(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cancel a sub-job on backend 1 directly, exactly what its Drain()
-	// would do on SIGTERM. Look for it on the backend itself: under
-	// load the coordinator can learn a sub-job's id only once the
-	// sub-job is done.
+	// Cancel a queued sub-job on backend 1 directly, exactly what its
+	// Drain() does on SIGTERM, and then let the rest run.
+	select {
+	case <-log.submitted:
+	case <-wctx.Done():
+		t.Fatal("backend 1 never received a sub-job")
+	}
 	drained := -1
-	deadline := time.Now().Add(5 * time.Second)
-	for drained < 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no shard ran on backend 1")
+	for _, js := range drainer.Jobs() {
+		if js.ID == plug {
+			continue
 		}
-		for _, js := range svcs[1].Jobs() {
-			if js.State != service.StateRunning {
-				continue
-			}
-			if _, err := svcs[1].Cancel(js.ID); err != nil {
-				// The sub-job can finish between the Jobs snapshot and
-				// the cancel — small shards are quick. Try the next
-				// running one.
-				if errors.Is(err, service.ErrFinished) || errors.Is(err, service.ErrNotFound) {
-					continue
-				}
-				t.Fatalf("backend-side cancel: %v", err)
-			}
-			// A cancel that lands in the last block lets it finish.
-			if st, err := svcs[1].Stream(ctx, js.ID, nil); err != nil || st.State != service.StateCancelled {
-				continue
-			}
-			drained = js.FaultShard.Index
-			break
+		st, err := drainer.Cancel(js.ID)
+		if err != nil || st.State != service.StateCancelled {
+			t.Fatalf("backend-side cancel of queued sub-job %s: %+v, %v", js.ID, st, err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		drained = js.FaultShard.Index
+		break
+	}
+	if drained < 0 {
+		t.Fatal("backend 1 holds no sub-job after its first submit")
+	}
+	if _, err := drainer.Cancel(plug); err != nil {
+		t.Fatalf("cancel plug: %v", err)
 	}
 
-	st, err := svc.Stream(ctx, id, nil)
+	st, err := svc.Stream(wctx, id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1033,6 +1055,86 @@ func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
 	// failure of the backend.
 	if co.backends[0].flapping(1) {
 		t.Fatal("the cut-off submit counted as a backend failure")
+	}
+}
+
+// holdRecord is a slog handler that holds the first record with message
+// msg for a while before it returns, and notes when it has returned.
+type holdRecord struct {
+	msg      string
+	returned atomic.Bool
+}
+
+func (h *holdRecord) Enabled(context.Context, slog.Level) bool { return true }
+func (h *holdRecord) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *holdRecord) WithGroup(string) slog.Handler            { return h }
+
+func (h *holdRecord) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg && !h.returned.Load() {
+		time.Sleep(100 * time.Millisecond)
+		h.returned.Store(true)
+	}
+	return nil
+}
+
+// TestClusterCloseWaitsForRemoteCancels: Close returns only once the
+// remote cancels its jobs started have ended. The backend cancels the
+// sub-job it is asked to but never answers the DELETE, so the remote
+// cancel waits until Close ends the coordinator's context, then fails
+// and logs; Close must not return while that record is still being
+// handled.
+func TestClusterCloseWaitsForRemoteCancels(t *testing.T) {
+	svc := service.New(service.Config{MaxConcurrentJobs: 1, Logger: quiet})
+	h := svc.Handler()
+	streamed := make(chan struct{})
+	var once sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodDelete:
+			h.ServeHTTP(httptest.NewRecorder(), r)
+			<-r.Context().Done()
+			return
+		case strings.HasSuffix(r.URL.Path, "/stream"):
+			once.Do(func() { close(streamed) })
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Close()
+	})
+	logs := &holdRecord{msg: "cancelling sub-job failed"}
+	co, err := New([]string{srv.URL}, Options{Logger: slog.New(logs), ShardsPerBackend: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	csvc := co.Service()
+	id, err := csvc.SubmitContext(ctx, service.JobSpec{
+		Bench: slowChainBench(), Name: "slow-chain", Mode: "nodrop",
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 1 << 16, Seed: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The attempt opens its stream only once its job's loop has taken
+	// the sub-job's id, so the cancel below reaches the backend.
+	select {
+	case <-streamed:
+	case <-ctx.Done():
+		t.Fatal("the sub-job was never streamed")
+	}
+	if _, err := csvc.Cancel(id); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if st, err := csvc.Stream(ctx, id, nil); err != nil || st.State != service.StateCancelled {
+		t.Fatalf("cluster job: %+v, %v; want cancelled", st, err)
+	}
+	co.Close()
+	if !logs.returned.Load() {
+		t.Fatal("Close returned before the remote cancel it cut off had ended")
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/eda-go/adifo/internal/service"
 )
@@ -18,21 +17,23 @@ import (
 // replayed blocks below the frontier are ignored, and the merged feed
 // never regresses and never double-counts. The engine stamps the
 // job's id and kind on every merged event it publishes.
+//
+// A merger has no lock of its own: its job's pubMu orders every call
+// together with the publish of the events it returns.
 type merger struct {
-	mu      sync.Mutex
 	tracks  []shardTrack
 	emitted int // merged events emitted so far (== blocks fully merged)
 	blocks  int // total blocks, from the first event seen
 }
 
+// shardTrack is one shard's side of the merge. stats holds the stat of
+// every block the shard has passed, so its length is the shard's
+// frontier. A stream sees only the blocks after it attached to its
+// sub-job, so a skipped block inherits the previous stat instead of
+// merging zeros.
 type shardTrack struct {
-	done       bool
-	blocksDone int
-	hist       map[int]blockStat
-	// last is the most recent stat, used to fill gaps: a stream sees
-	// only the blocks after it attached to its sub-job, so a skipped
-	// block inherits the previous counters instead of merging zeros.
-	last  blockStat
+	stats []blockStat
+	done  bool
 	final blockStat
 }
 
@@ -43,109 +44,71 @@ type blockStat struct {
 }
 
 func newMerger(count int) *merger {
-	m := &merger{tracks: make([]shardTrack, count)}
-	for i := range m.tracks {
-		m.tracks[i].hist = make(map[int]blockStat)
-	}
-	return m
+	return &merger{tracks: make([]shardTrack, count)}
 }
 
 // update records one progress event of shard i and returns any merged
 // events that became complete.
 func (m *merger) update(i int, ev service.ProgressEvent) []service.ProgressEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	t := &m.tracks[i]
-	if ev.Block < t.blocksDone {
+	if ev.Block < len(t.stats) {
 		// A duplicate attempt (speculation, or a rerun after a death)
-		// replaying a block below the frontier. Every such block is
-		// already merged or in hist, reported or gap-filled, so the
-		// replay is ignored; regressing last/blocksDone would let later
-		// gap-fills inherit stale counters.
+		// replaying a block below the frontier: the track already holds
+		// that block, reported or gap-filled.
 		return nil
 	}
-	for b := t.blocksDone; b < ev.Block; b++ {
-		t.hist[b] = t.last
+	var last blockStat
+	if n := len(t.stats); n > 0 {
+		last = t.stats[n-1]
 	}
-	st := blockStat{vectorsUsed: ev.VectorsUsed, detected: ev.Detected, active: ev.Active}
-	t.hist[ev.Block] = st
-	t.last = st
-	t.blocksDone = ev.Block + 1
-	if ev.Blocks > m.blocks {
-		m.blocks = ev.Blocks
+	for len(t.stats) < ev.Block {
+		t.stats = append(t.stats, last)
 	}
-	return m.collectLocked()
+	t.stats = append(t.stats, blockStat{vectorsUsed: ev.VectorsUsed, detected: ev.Detected, active: ev.Active})
+	m.blocks = max(m.blocks, ev.Blocks)
+	return m.collect()
 }
 
-// markDone records shard i's terminal counters; the shard contributes
-// them to every merged block past its own early stop.
-func (m *merger) markDone(i int, st service.JobStatus) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// markDone records shard i's terminal counters, which the shard
+// contributes to every merged block past its own early stop, and
+// returns any merged events that became complete.
+func (m *merger) markDone(i int, st service.JobStatus) []service.ProgressEvent {
 	t := &m.tracks[i]
 	t.done = true
 	t.final = blockStat{vectorsUsed: st.VectorsUsed, detected: st.Detected, active: st.Active}
+	return m.collect()
 }
 
-// collect returns any merged events that are complete but unemitted
-// (used after markDone, which can complete pending blocks).
+// collect returns the merged events that are complete but unemitted:
+// those of the blocks that some shard has passed and every other shard
+// has passed or finished short of.
 func (m *merger) collect() []service.ProgressEvent {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.collectLocked()
-}
-
-func (m *merger) collectLocked() []service.ProgressEvent {
 	var out []service.ProgressEvent
-	for {
+	for ; ; m.emitted++ {
 		b := m.emitted
-		maxDone := 0
-		for i := range m.tracks {
-			if m.tracks[i].blocksDone > maxDone {
-				maxDone = m.tracks[i].blocksDone
-			}
-		}
-		if b >= maxDone {
-			break
-		}
 		var st blockStat
-		complete := true
+		passed := false
 		for i := range m.tracks {
 			t := &m.tracks[i]
 			var c blockStat
 			switch {
-			case t.blocksDone > b:
-				c = t.hist[b]
+			case b < len(t.stats):
+				c, passed = t.stats[b], true
 			case t.done:
 				c = t.final
 			default:
-				complete = false
-			}
-			if !complete {
-				break
+				return out
 			}
 			st.detected += c.detected
 			st.active += c.active
-			if c.vectorsUsed > st.vectorsUsed {
-				st.vectorsUsed = c.vectorsUsed
-			}
+			st.vectorsUsed = max(st.vectorsUsed, c.vectorsUsed)
 		}
-		if !complete {
-			break
+		if !passed {
+			return out
 		}
-		out = append(out, service.ProgressEvent{
-			Block:       b,
-			Blocks:      m.blocks,
-			VectorsUsed: st.vectorsUsed,
-			Detected:    st.detected,
-			Active:      st.active,
-		})
-		for i := range m.tracks {
-			delete(m.tracks[i].hist, b)
-		}
-		m.emitted++
+		out = append(out, service.ProgressEvent{Block: b, Blocks: m.blocks,
+			VectorsUsed: st.vectorsUsed, Detected: st.detected, Active: st.active})
 	}
-	return out
 }
 
 // MergeResults merges the per-shard results of one cluster job into

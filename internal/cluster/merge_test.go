@@ -17,13 +17,6 @@ func finished(used, det, act int) service.JobStatus {
 	return service.JobStatus{State: service.StateDone, VectorsUsed: used, Detected: det, Active: act}
 }
 
-// mergeDone marks shard i finished and returns the merged events that
-// completes.
-func mergeDone(m *merger, i int, st service.JobStatus) []service.ProgressEvent {
-	m.markDone(i, st)
-	return m.collect()
-}
-
 func wantEvents(t *testing.T, got []service.ProgressEvent, want ...service.ProgressEvent) {
 	t.Helper()
 	if len(got) == 0 && len(want) == 0 {
@@ -77,7 +70,7 @@ func TestMergerEarlyFinish(t *testing.T) {
 	wantEvents(t, m.update(1, ev(2, 4, 192, 3, 4)))
 	// Shard 0's stream missed its last block, at which every fault of
 	// the shard had dropped.
-	wantEvents(t, mergeDone(m, 0, finished(128, 5, 0)),
+	wantEvents(t, m.markDone(0, finished(128, 5, 0)),
 		ev(1, 4, 128, 7, 5), ev(2, 4, 192, 8, 4))
 	wantEvents(t, m.update(1, ev(3, 4, 256, 4, 3)), ev(3, 4, 256, 9, 3))
 }
@@ -96,7 +89,7 @@ func TestMergerWaitsForEveryShard(t *testing.T) {
 	wantEvents(t, m.update(2, at(0)), ev(0, 4, 64, 3, 30))
 	wantEvents(t, m.update(2, at(1)), ev(1, 4, 128, 6, 27))
 	wantEvents(t, m.update(2, at(2)))
-	wantEvents(t, mergeDone(m, 1, finished(128, 2, 9)), ev(2, 4, 192, 8, 25))
+	wantEvents(t, m.markDone(1, finished(128, 2, 9)), ev(2, 4, 192, 8, 25))
 	wantEvents(t, m.update(2, at(3)), ev(3, 4, 256, 10, 23))
 }
 
@@ -106,7 +99,7 @@ func TestMergerWaitsForEveryShard(t *testing.T) {
 func TestMergerBlocksFromFirstEvent(t *testing.T) {
 	m := newMerger(2)
 	wantEvents(t, m.update(0, ev(0, 3, 64, 1, 1)))
-	wantEvents(t, mergeDone(m, 1, finished(0, 0, 0)), ev(0, 3, 64, 1, 1))
+	wantEvents(t, m.markDone(1, finished(0, 0, 0)), ev(0, 3, 64, 1, 1))
 	wantEvents(t, m.update(0, ev(1, 0, 128, 2, 0)), ev(1, 3, 128, 2, 0))
 }
 
@@ -214,7 +207,7 @@ func FuzzMerge(f *testing.F) {
 			}
 			done[i] = true
 			st := final(i)
-			check(mergeDone(m, i, service.JobStatus{
+			check(m.markDone(i, service.JobStatus{
 				State: service.StateDone, VectorsUsed: st.vectorsUsed, Detected: st.detected, Active: st.active,
 			}))
 		}
