@@ -110,10 +110,6 @@ type Options struct {
 	// SegmentBytes rotates to a new segment once the current one
 	// exceeds this size (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// NoSync skips fsync on append — records still reach the OS on
-	// every Append, but a machine crash can lose them. For tests and
-	// benchmarks; production leaves it false.
-	NoSync bool
 }
 
 // Stats is a point-in-time snapshot of a Journal's counters, consumed
@@ -210,11 +206,9 @@ func segments(dir string) ([]segmentFile, error) {
 // shared).
 func (j *Journal) rotateLocked() error {
 	if j.f != nil {
-		if !j.opts.NoSync {
-			if err := j.f.Sync(); err != nil {
-				j.errs.Add(1)
-				return fmt.Errorf("journal: sync %s: %w", j.f.Name(), err)
-			}
+		if err := j.f.Sync(); err != nil {
+			j.errs.Add(1)
+			return fmt.Errorf("journal: sync %s: %w", j.f.Name(), err)
 		}
 		if err := j.f.Close(); err != nil {
 			j.errs.Add(1)
@@ -237,11 +231,9 @@ func (j *Journal) rotateLocked() error {
 	}
 	// Make the new segment's directory entry durable before anything
 	// depends on records inside it.
-	if !j.opts.NoSync {
-		if d, err := os.Open(j.dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
+	if d, err := os.Open(j.dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
 	j.f = f
 	j.size = int64(len(magic))
@@ -298,7 +290,7 @@ func EncodeFrame(rec Record) ([]byte, error) {
 // risking a log with an interior hole.
 func (j *Journal) Append(rec Record) error {
 	wait, startFlusher, err := j.write(rec)
-	if wait == nil {
+	if err != nil {
 		return err
 	}
 	if startFlusher {
@@ -308,10 +300,9 @@ func (j *Journal) Append(rec Record) error {
 }
 
 // write puts rec's frame in the current segment, rotating first if the
-// frame would overflow it. Unless the journal is NoSync, it queues a
-// waiter for the next fsync and returns its channel, and startFlusher
-// reports that no flusher is running, so the caller must start one. A
-// nil channel means the append is over, with err as its outcome.
+// frame would overflow it, queues a waiter for the next fsync and
+// returns its channel. startFlusher reports that no flusher is running,
+// so the caller must start one.
 func (j *Journal) write(rec Record) (wait chan error, startFlusher bool, err error) {
 	frame, err := EncodeFrame(rec)
 	if err != nil {
@@ -340,9 +331,6 @@ func (j *Journal) write(rec Record) (wait chan error, startFlusher bool, err err
 	j.size += int64(len(frame))
 	j.appends.Add(1)
 	j.appBytes.Add(uint64(len(frame)))
-	if j.opts.NoSync { // durable enough by configuration
-		return nil, false, nil
-	}
 	wait = make(chan error, 1)
 	j.waiters = append(j.waiters, wait)
 	startFlusher = !j.syncing
@@ -420,10 +408,7 @@ func (j *Journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	var err error
-	if !j.opts.NoSync {
-		err = j.f.Sync()
-	}
+	err := j.f.Sync()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}

@@ -40,7 +40,7 @@ func replayAll(t *testing.T, dir string) ([]Record, ReplayResult) {
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestConcurrentAppendDurable(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true, SegmentBytes: 256})
+	j, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRotationDuringFlush(t *testing.T) {
 
 func TestReopenStartsNewSegment(t *testing.T) {
 	dir := t.TempDir()
-	j1, err := Open(dir, Options{NoSync: true})
+	j1, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestReopenStartsNewSegment(t *testing.T) {
 	}
 	// No Close: simulate a crash. Reopen must not touch the old
 	// segment.
-	j2, err := Open(dir, Options{NoSync: true})
+	j2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestReopenStartsNewSegment(t *testing.T) {
 func TestTornSegmentEndsOnlyItself(t *testing.T) {
 	dir := t.TempDir()
 	var want []Record
-	j1, err := Open(dir, Options{NoSync: true})
+	j1, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestTornSegmentEndsOnlyItself(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	j2, err := Open(dir, Options{NoSync: true})
+	j2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestTornSegmentEndsOnlyItself(t *testing.T) {
 // replay keeps the whole prefix and stops cleanly.
 func TestTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestTruncatedTail(t *testing.T) {
 // must reject it and replay keeps the prefix.
 func TestCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCorruptTail(t *testing.T) {
 // attempt the allocation.
 func TestOversizedLengthPrefix(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := Open(dir, Options{NoSync: true})
+	j, _ := Open(dir, Options{})
 	j.Append(testRecord(0))
 	j.Close()
 	segs, _ := segments(dir)
@@ -358,7 +358,7 @@ func TestReplayMissingDirIsEmpty(t *testing.T) {
 
 func TestReplayFnErrorPropagates(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := Open(dir, Options{NoSync: true})
+	j, _ := Open(dir, Options{})
 	j.Append(testRecord(0))
 	j.Close()
 	boom := errors.New("boom")
@@ -370,7 +370,7 @@ func TestReplayFnErrorPropagates(t *testing.T) {
 
 func TestAppendAfterClose(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := Open(dir, Options{NoSync: true})
+	j, _ := Open(dir, Options{})
 	j.Close()
 	if err := j.Append(testRecord(0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
@@ -382,7 +382,7 @@ func TestForeignFilesIgnored(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := Open(dir, Options{NoSync: true})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
