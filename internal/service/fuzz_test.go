@@ -53,26 +53,18 @@ func FuzzJobSpecValidate(f *testing.F) {
 
 // FuzzErrorEnvelope decodes arbitrary bytes as the v1 error envelope
 // the way the client does and checks the decoded error behaves: a
-// non-empty code yields a printable error whose sentinel mapping is
-// consistent, and the envelope survives a marshal/unmarshal round
-// trip — the property that keeps client-side errors.Is working across
-// the wire.
+// non-empty code yields a printable error that matches exactly the
+// sentinel of its errorTable row, if any, and the envelope survives a
+// marshal/unmarshal round trip — the property that keeps client-side
+// errors.Is working across the wire. Every row seeds the corpus.
 func FuzzErrorEnvelope(f *testing.F) {
-	f.Add([]byte(`{"error":{"code":"not_found","message":"service: job not found"}}`))
-	f.Add([]byte(`{"error":{"code":"unsupported_kind","message":"service: unsupported job kind \"x\""}}`))
-	f.Add([]byte(`{"error":{"code":"unavailable","message":"draining"}}`))
+	for _, r := range errorTable {
+		f.Add([]byte(`{"error":{"code":"` + r.code + `","message":"` + r.err.Error() + `"}}`))
+	}
 	f.Add([]byte(`{"error":{}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 
-	sentinels := map[string]error{
-		CodeNotFound:        ErrNotFound,
-		CodeNotDone:         ErrNotDone,
-		CodeCancelled:       ErrCancelled,
-		CodeFinished:        ErrFinished,
-		CodeUnavailable:     ErrDraining,
-		CodeUnsupportedKind: ErrUnsupportedKind,
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env errorEnvelope
 		if json.Unmarshal(data, &env) != nil {
@@ -85,9 +77,9 @@ func FuzzErrorEnvelope(f *testing.F) {
 		if apiErr.Error() == "" {
 			t.Fatal("decoded APIError prints empty")
 		}
-		for code, sentinel := range sentinels {
-			if got, want := errors.Is(apiErr, sentinel), apiErr.Code == code; got != want {
-				t.Fatalf("code %q: errors.Is(%v) = %v, want %v", apiErr.Code, sentinel, got, want)
+		for _, r := range errorTable {
+			if got, want := errors.Is(apiErr, r.err), apiErr.Code == r.code; got != want {
+				t.Fatalf("code %q: errors.Is(%v) = %v, want %v", apiErr.Code, r.err, got, want)
 			}
 		}
 		out, err := json.Marshal(errorEnvelope{Err: *apiErr})

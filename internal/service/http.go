@@ -45,23 +45,30 @@ func (e *APIError) Error() string { return e.Code + ": " + e.Message }
 // exactly as they do for a local call — the Grader interface's error
 // contract is implementation-independent.
 func (e *APIError) Is(target error) bool {
-	switch target {
-	case ErrNotFound:
-		return e.Code == CodeNotFound
-	case ErrNotDone:
-		return e.Code == CodeNotDone
-	case ErrCancelled:
-		return e.Code == CodeCancelled
-	case ErrFinished:
-		return e.Code == CodeFinished
-	case ErrDraining:
-		return e.Code == CodeUnavailable
-	case ErrUnsupportedKind:
-		return e.Code == CodeUnsupportedKind
-	case ErrOverloaded:
-		return e.Code == CodeOverloaded
+	for _, r := range errorTable {
+		if r.err == target {
+			return e.Code == r.code
+		}
 	}
 	return false
+}
+
+// errorTable is the error contract of the v1 wire: the envelope code
+// and HTTP status of each sentinel error. Handlers send an error with
+// its row's code and status, and APIError.Is maps a code back to its
+// row's sentinel.
+var errorTable = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{ErrNotFound, CodeNotFound, http.StatusNotFound},
+	{ErrNotDone, CodeNotDone, http.StatusConflict},
+	{ErrCancelled, CodeCancelled, http.StatusConflict},
+	{ErrFinished, CodeFinished, http.StatusConflict},
+	{ErrDraining, CodeUnavailable, http.StatusServiceUnavailable},
+	{ErrUnsupportedKind, CodeUnsupportedKind, http.StatusBadRequest},
+	{ErrOverloaded, CodeOverloaded, http.StatusTooManyRequests},
 }
 
 // errorEnvelope is the JSON shape of every non-2xx response.
@@ -147,8 +154,22 @@ func (s *Service) writeBody(w http.ResponseWriter, b []byte) {
 	}
 }
 
-func (s *Service) writeError(w http.ResponseWriter, httpCode int, apiCode string, err error) {
-	s.writeJSON(w, httpCode, errorEnvelope{Err: APIError{Code: apiCode, Message: err.Error()}})
+// writeError sends err in the error envelope with the code and status
+// of the errorTable row it matches; an error that matches no row goes
+// out with the handler's own status and code. An overloaded response
+// carries Retry-After: back off and resubmit — with an idempotency key
+// the retry is safe by construction.
+func (s *Service) writeError(w http.ResponseWriter, err error, status int, code string) {
+	for _, r := range errorTable {
+		if errors.Is(err, r.err) {
+			status, code = r.status, r.code
+			break
+		}
+	}
+	if code == CodeOverloaded {
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	}
+	s.writeJSON(w, status, errorEnvelope{Err: APIError{Code: code, Message: err.Error()}})
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -156,7 +177,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		s.writeError(w, err, http.StatusBadRequest, CodeInvalidRequest)
 		return
 	}
 	// A valid incoming traceparent makes the job join the caller's
@@ -166,23 +187,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ctx = trace.ContextWithRemote(ctx, sc)
 	}
 	id, err := s.SubmitContext(ctx, spec)
-	if errors.Is(err, ErrDraining) {
-		s.writeError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
-		return
-	}
-	if errors.Is(err, ErrOverloaded) {
-		// 429 + Retry-After: back off and resubmit — with an
-		// idempotency key the retry is safe by construction.
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		s.writeError(w, http.StatusTooManyRequests, CodeOverloaded, err)
-		return
-	}
-	if errors.Is(err, ErrUnsupportedKind) {
-		s.writeError(w, http.StatusBadRequest, CodeUnsupportedKind, err)
-		return
-	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		s.writeError(w, err, http.StatusBadRequest, CodeInvalidRequest)
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
@@ -195,7 +201,7 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.Status(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, CodeNotFound, ErrNotFound)
+		s.writeError(w, ErrNotFound, http.StatusNotFound, CodeNotFound)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, st)
@@ -207,16 +213,11 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 // the next block barrier. A job that already finished is a conflict.
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Cancel(r.PathValue("id"))
-	switch {
-	case err == nil:
-		s.writeJSON(w, http.StatusOK, st)
-	case errors.Is(err, ErrNotFound):
-		s.writeError(w, http.StatusNotFound, CodeNotFound, err)
-	case errors.Is(err, ErrFinished):
-		s.writeError(w, http.StatusConflict, CodeFinished, err)
-	default:
-		s.writeError(w, http.StatusInternalServerError, CodeJobFailed, err)
+	if err != nil {
+		s.writeError(w, err, http.StatusInternalServerError, CodeJobFailed)
+		return
 	}
+	s.writeJSON(w, http.StatusOK, st)
 }
 
 // handleResult serves the kind-specific result payload of a finished
@@ -226,29 +227,21 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, raw, err := s.result(id)
-	switch {
-	case err == nil:
-		// A job replayed from the journal serves the journaled wire
-		// bytes verbatim, so the restart is byte-invisible. A live
-		// result is encoded per request: keeping its bytes on the job
-		// would hold megabytes per retained grade job.
-		if raw == nil {
-			if raw, err = encodeResult(res); err != nil {
-				s.writeJSON(w, http.StatusOK, res) // logs and counts the failure
-				return
-			}
-		}
-		s.writeBody(w, raw)
-	case errors.Is(err, ErrNotFound):
-		s.writeError(w, http.StatusNotFound, CodeNotFound, err)
-	case errors.Is(err, ErrNotDone):
-		s.writeError(w, http.StatusConflict, CodeNotDone, err)
-	case errors.Is(err, ErrCancelled):
-		s.writeError(w, http.StatusConflict, CodeCancelled, err)
-	default:
-		// The job itself failed.
-		s.writeError(w, http.StatusUnprocessableEntity, CodeJobFailed, err)
+	if err != nil {
+		s.writeError(w, err, http.StatusUnprocessableEntity, CodeJobFailed) // a failed job matches no row
+		return
 	}
+	// A job replayed from the journal serves the journaled wire bytes
+	// verbatim, so the restart is byte-invisible. A live result is
+	// encoded per request: keeping its bytes on the job would hold
+	// megabytes per retained grade job.
+	if raw == nil {
+		if raw, err = encodeResult(res); err != nil {
+			s.writeJSON(w, http.StatusOK, res) // logs and counts the failure
+			return
+		}
+	}
+	s.writeBody(w, raw)
 }
 
 // handleStream writes one JSON line per progress event as the job runs
@@ -261,7 +254,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.lookup(id)
 	if j == nil {
-		s.writeError(w, http.StatusNotFound, CodeNotFound, ErrNotFound)
+		s.writeError(w, ErrNotFound, http.StatusNotFound, CodeNotFound)
 		return
 	}
 	f := j.follow()
