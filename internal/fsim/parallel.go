@@ -65,10 +65,10 @@ type ParallelOptions struct {
 
 	// BlockWidth overrides the kernel block width in patterns: 64
 	// (scalar), 256 or 512. Zero picks the widest width the pattern
-	// count justifies. Any other value panics. The width never changes
-	// results, only speed; runs with StopAtCoverage > 0 always execute
-	// at width 64 so the early stop triggers on exactly the same block
-	// as the sequential reference.
+	// count justifies. Any other value panics (see CheckBlockWidth). The
+	// width never changes results, only speed; runs with StopAtCoverage
+	// > 0 always execute at width 64 so the early stop triggers on
+	// exactly the same block as the sequential reference.
 	BlockWidth int
 
 	// Compiled, when non-nil, supplies an existing compiled form of
@@ -147,6 +147,17 @@ func RunParallelCtx(ctx context.Context, fl *fault.List, ps *logic.PatternSet, p
 	}
 }
 
+// CheckBlockWidth returns an error naming the setting field unless w is
+// a BlockWidth that RunParallelCtx accepts: 0 (automatic), 64, 256 or
+// 512 patterns.
+func CheckBlockWidth(field string, w int) error {
+	switch w {
+	case 0, 64, 256, 512:
+		return nil
+	}
+	return fmt.Errorf("%s %d invalid; want 0 (auto), 64, 256 or 512", field, w)
+}
+
 // pickLanes maps the configured block width to a lane count. The
 // automatic choice (BlockWidth 0) is mode-aware: NoDrop walks every
 // region's stem cone for every pattern, so the widest block the
@@ -158,17 +169,8 @@ func RunParallelCtx(ctx context.Context, fl *fault.List, ps *logic.PatternSet, p
 // n-detect run, and tied on a 546-gate drop run, so the dropping
 // modes stay scalar unless the caller overrides.
 func pickLanes(po ParallelOptions, ps *logic.PatternSet) int {
-	lanes := 0
-	switch po.BlockWidth {
-	case 0:
-	case 64:
-		lanes = 1
-	case 256:
-		lanes = 4
-	case 512:
-		lanes = 8
-	default:
-		panic(fmt.Sprintf("fsim: BlockWidth %d invalid (want 0, 64, 256 or 512)", po.BlockWidth))
+	if err := CheckBlockWidth("BlockWidth", po.BlockWidth); err != nil {
+		panic("fsim: " + err.Error())
 	}
 	if po.StopAtCoverage > 0 {
 		// The sequential reference checks the coverage stop per
@@ -176,8 +178,8 @@ func pickLanes(po ParallelOptions, ps *logic.PatternSet) int {
 		// bit-identical.
 		return 1
 	}
-	if lanes != 0 {
-		return lanes
+	if po.BlockWidth != 0 {
+		return po.BlockWidth / 64
 	}
 	if po.Mode != NoDrop {
 		return 1

@@ -565,10 +565,8 @@ func (s *Service) validateSpec(spec JobSpec) (jobKind, error) {
 		return nil, fmt.Errorf("workers %d out of range [0, %d] (0 = service default)",
 			spec.Workers, s.cfg.SimWorkers)
 	}
-	switch spec.BlockWidth {
-	case 0, 64, 256, 512:
-	default:
-		return nil, fmt.Errorf("block_width %d invalid; want 0 (auto), 64, 256 or 512", spec.BlockWidth)
+	if err := fsim.CheckBlockWidth("block_width", spec.BlockWidth); err != nil {
+		return nil, err
 	}
 	if err := validateTenancy(spec); err != nil {
 		return nil, err

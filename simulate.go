@@ -107,10 +107,8 @@ func Simulate(ctx context.Context, fl *FaultList, ps *PatternSet, opts ...SimOpt
 	if cfg.par.Mode == fsim.NDetect && cfg.par.N <= 0 {
 		return nil, fmt.Errorf("adifo: NDetect mode requires a threshold > 0 (use WithNDetect)")
 	}
-	switch cfg.par.BlockWidth {
-	case 0, 64, 256, 512:
-	default:
-		return nil, fmt.Errorf("adifo: block width %d invalid; want 0 (auto), 64, 256 or 512", cfg.par.BlockWidth)
+	if err := fsim.CheckBlockWidth("block width", cfg.par.BlockWidth); err != nil {
+		return nil, fmt.Errorf("adifo: %w", err)
 	}
 	return fsim.RunParallelCtx(ctx, fl, ps, cfg.par)
 }
