@@ -33,7 +33,6 @@ type tenantQueue struct {
 	// interleaves tenants in proportion to their weights.
 	pass   float64
 	stride float64
-	limit  int
 	// idleSince is the scheduler event count at which the queue last
 	// became empty; meaningful only while it is empty. It validates
 	// idle marks: a tenant that re-entered and idled again carries a
@@ -113,17 +112,16 @@ func (sc *scheduler) prune() {
 	}
 }
 
-// tenantFor returns (creating if needed) tenant's queue, configured
+// tenantFor returns (creating if needed) tenant's queue, weighted
 // from limits.
 func (sc *scheduler) tenantFor(tenant string, limits map[string]TenantLimit) *tenantQueue {
 	tq, ok := sc.tenants[tenant]
 	if !ok {
-		tl := limits[tenant]
-		w := tl.Weight
+		w := limits[tenant].Weight
 		if w <= 0 {
 			w = 1
 		}
-		tq = &tenantQueue{name: tenant, pass: sc.base, stride: 1 / float64(w), limit: tl.MaxQueued}
+		tq = &tenantQueue{name: tenant, pass: sc.base, stride: 1 / float64(w)}
 		sc.tenants[tenant] = tq
 	}
 	return tq
