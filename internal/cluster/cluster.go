@@ -996,6 +996,7 @@ func (co *Coordinator) cancelRemote(j *cjob, b *backend, rid, why string) {
 // reported its end: a failed shard fails the job, a cancel cancels it,
 // and otherwise the shard results merge into the job's result.
 func (co *Coordinator) finalize(ctx context.Context, j *cjob) (*service.JobResult, error) {
+	j.merge = nil // no stream feeds it now, and the engine retains j
 	var failed error
 	cancelled := ctx.Err() != nil
 	// The merged result is the job's only retained payload; the

@@ -1060,6 +1060,8 @@ func TestClusterCancelReclaimsCutOffSubmit(t *testing.T) {
 
 // holdRecord is a slog handler that holds the first record with message
 // msg for a while before it returns, and notes when it has returned.
+// The hold lets a Close that does not wait for the logging goroutine
+// return first; a Close that waits passes whatever the hold's length.
 type holdRecord struct {
 	msg      string
 	returned atomic.Bool
