@@ -207,9 +207,7 @@ func FuzzMerge(f *testing.F) {
 			}
 			done[i] = true
 			st := final(i)
-			check(m.markDone(i, service.JobStatus{
-				State: service.StateDone, VectorsUsed: st.vectorsUsed, Detected: st.detected, Active: st.active,
-			}))
+			check(m.markDone(i, finished(st.vectorsUsed, st.detected, st.active)))
 		}
 
 		// next[i] is where shard i's primary stream goes on.
