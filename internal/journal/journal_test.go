@@ -416,9 +416,11 @@ func TestReaderStopsNotPanics(t *testing.T) {
 }
 
 // TestEncodeFrameSplicesRawJSON: Spec and Result are written as they
-// are, so a compact payload frames to exactly json.Marshal's bytes,
-// and one that is not valid JSON is refused: replay would stop at its
-// frame and lose every record after it.
+// are, so a compact payload frames to exactly json.Marshal's bytes.
+// One that is not valid JSON is written as it is too, under a valid
+// CRC, and replay ends its segment at that frame with ErrTruncated,
+// losing every record after it: the failure the producers' own tests
+// guard against.
 func TestEncodeFrameSplicesRawJSON(t *testing.T) {
 	recs := []Record{
 		testRecord(1),
@@ -448,9 +450,30 @@ func TestEncodeFrameSplicesRawJSON(t *testing.T) {
 		{Type: TypeSubmitted, Job: "j6", Spec: json.RawMessage(`{"a":`)},
 		{Type: TypeFinished, Job: "j7", State: "done", Result: json.RawMessage(`{"id":"j7"} trailing`)},
 		{Type: TypeFinished, Job: "j8", State: "done", Result: json.RawMessage("\"\xff")},
+		{Type: TypeFinished, Job: "j9", State: "done", Result: json.RawMessage(`{"id":"j9"}}`), At: 9},
 	} {
-		if _, err := EncodeFrame(bad); err == nil {
-			t.Errorf("EncodeFrame accepted %+v", bad)
+		dir := t.TempDir()
+		seg := []byte(magic)
+		for _, rec := range []Record{testRecord(1), bad, testRecord(2)} {
+			frame, err := EncodeFrame(rec)
+			if err != nil {
+				t.Fatalf("EncodeFrame(%+v): %v", rec, err)
+			}
+			seg = append(seg, frame...)
+		}
+		r := NewReader(strings.NewReader(string(seg[len(magic):])))
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("record before %s: %v", bad.Job, err)
+		}
+		if _, err := r.Next(); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s's frame read as %v, want ErrTruncated", bad.Job, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, res := replayAll(t, dir)
+		if len(recs) != 1 || !res.Truncated {
+			t.Fatalf("replay around %s: %d records, truncated %v; want 1, true", bad.Job, len(recs), res.Truncated)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -59,11 +58,11 @@ func (d *Reader) Next() (Record, error) {
 		return Record{}, ErrTruncated
 	}
 	var rec Record
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(&rec); err != nil {
+	if err := json.Unmarshal(payload, &rec); err != nil {
 		// The CRC matched, so these bytes are what was written — a
-		// non-JSON payload means a writer bug, not a torn tail; still,
-		// replay's contract is to stop cleanly, never to fail startup.
+		// payload that is not exactly one JSON object means a writer
+		// bug, not a torn tail; still, replay's contract is to stop
+		// cleanly, never to fail startup.
 		return Record{}, ErrTruncated
 	}
 	return rec, nil
