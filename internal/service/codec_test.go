@@ -214,20 +214,23 @@ func TestDecodeJobResultFallback(t *testing.T) {
 	}
 }
 
-// TestHandleResultBytes: a live grade result is served as json.Encoder
-// would write it, with a Content-Length, and after a restart the
-// journaled bytes come back verbatim.
+// TestHandleResultBytes: a live result of every kind is served as
+// json.Encoder would write the payload the engine encoded, with a
+// Content-Length, and after a restart the journaled bytes come back
+// verbatim.
 func TestHandleResultBytes(t *testing.T) {
+	enc := recordEncodes(t)
 	dir := t.TempDir()
 	a := mustOpen(t, journalCfg(dir))
-	r := gradeNow(t, a, JobSpec{Bench: oddNamesBench, Mode: "nodrop", Patterns: PatternSpec{Exhaustive: true}})
-	var want bytes.Buffer
-	if err := json.NewEncoder(&want).Encode(r); err != nil {
-		t.Fatal(err)
+	exh := PatternSpec{Exhaustive: true}
+	specs := map[string]JobSpec{
+		KindGrade:    {Bench: oddNamesBench, Mode: "nodrop", Patterns: exh},
+		KindAtpg:     {Kind: KindAtpg, Bench: oddNamesBench, Patterns: exh, Order: &OrderSpec{Kind: "dynm"}},
+		KindADIOrder: {Kind: KindADIOrder, Bench: oddNamesBench, Patterns: exh, Order: &OrderSpec{Kind: "decr"}},
 	}
-	fetch := func(s *Service) []byte {
+	fetch := func(s *Service, id string) []byte {
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+r.ID+"/result", nil))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/result", nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("result: HTTP %d", rec.Code)
 		}
@@ -236,14 +239,35 @@ func TestHandleResultBytes(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
-	if got := fetch(a); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("live result bytes differ from json.Encoder's\n got: %s\nwant: %s", got, want.Bytes())
+	wants := map[string][]byte{}
+	for kind, spec := range specs {
+		id, err := a.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit %s: %v", kind, err)
+		}
+		if st := waitTerminal(t, a, id); st.State != StateDone {
+			t.Fatalf("%s job %s ended %s: %s", kind, id, st.State, st.Error)
+		}
+		orig := enc.of(id)
+		if len(orig) != 1 {
+			t.Fatalf("%s job encoded %d times, want 1", kind, len(orig))
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(orig[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got := fetch(a, id); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("live %s result bytes differ from json.Encoder's\n got: %s\nwant: %s", kind, got, want.Bytes())
+		}
+		wants[id] = want.Bytes()
 	}
 	a.Close()
 	b := mustOpen(t, journalCfg(dir))
 	defer b.Close()
-	if got := fetch(b); !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("replayed result bytes differ\n got: %s\nwant: %s", got, want.Bytes())
+	for id, want := range wants {
+		if got := fetch(b, id); !bytes.Equal(got, want) {
+			t.Fatalf("replayed result bytes of %s differ\n got: %s\nwant: %s", id, got, want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/eda-go/adifo/internal/journal"
 	"github.com/eda-go/adifo/internal/obs"
 )
 
@@ -211,6 +212,57 @@ func FuzzJobResultEncode(f *testing.F) {
 			t.Fatalf("appendJobResult differs from json.Marshal\n got: %s\nwant: %s", got, want)
 		}
 		decodeAgrees(t, got)
+	})
+}
+
+// FuzzFinishedRecord takes fuzzResult's results the way the engine
+// journals a done job: encodeResult, then a finished record through
+// journal.EncodeFrame, read back with journal.NewReader. The record must
+// carry the encoded bytes as they were, valid JSON, and DecodeJobResult
+// must turn them into the value encoding/json reads from json.Marshal's
+// encoding of the result. EncodeFrame splices results unscanned, so
+// this is where an encoder that writes invalid JSON into a record fails.
+func FuzzFinishedRecord(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 22, 0, 64, 0, 64, 0, 5, 0, 3, 1, 0, 2, 0, 3, 0, 2, 4, 1, 7, 0, 1, 0, 2, 0}, "j1|c17|00ff|nodrop|n1 sa0|n2.in1 sa1", 0.25)
+	f.Add([]byte{0x3f, 1, 1, 2, 2, 3, 3, 4, 0, 5, 1, 6, 2, 7, 0, 8, 1, 9, 2, 10, 3}, "a<b|x&y|q\"t|back\\slash|\x01ctl|naïve|bad\xff| ", 1e-7)
+	f.Add([]byte{0x48, 0x7f, 2, 0, 0}, "t", 0.5)
+	f.Add([]byte{0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff}, "", 0.0)
+	f.Fuzz(func(t *testing.T, shape []byte, names string, coverage float64) {
+		r := fuzzResult(shape, names, coverage)
+		raw, err := encodeResult(r)
+		if err != nil {
+			return // no record is written; FuzzJobResultEncode pins the failure
+		}
+		frame, err := journal.EncodeFrame(journal.Record{Type: journal.TypeFinished, Job: "j1",
+			State: StateDone, Result: raw, At: 1})
+		if err != nil {
+			t.Fatalf("EncodeFrame: %v", err)
+		}
+		rec, err := journal.NewReader(bytes.NewReader(frame)).Next()
+		if err != nil {
+			t.Fatalf("the record does not read back: %v\nresult: %s", err, raw)
+		}
+		if rec.Type != journal.TypeFinished || rec.Job != "j1" || rec.State != StateDone || rec.At != 1 {
+			t.Fatalf("the record reads back as %+v", rec)
+		}
+		if !bytes.Equal(rec.Result, raw) || !json.Valid(rec.Result) {
+			t.Fatalf("the record reads back with result %s, encoded %s", rec.Result, raw)
+		}
+		got, err := DecodeJobResult(rec.Result)
+		if err != nil {
+			t.Fatalf("DecodeJobResult: %v", err)
+		}
+		ref, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(JobResult)
+		if err := json.Unmarshal(ref, want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the record decodes to\n%+v\nwant\n%+v", got, want)
+		}
 	})
 }
 

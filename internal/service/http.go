@@ -224,24 +224,23 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // job: a JobResult for grade jobs, an AtpgResult for atpg, an
 // OrderResult for adi_order. Clients tell them apart by the payload's
 // kind field (or the job status they already hold).
+//
+// Every fetch writes the job's v1 bytes as they are: the bytes its
+// journaled finished record carries, on a journaled engine and after a
+// restart, so the restart is byte-invisible. On an engine without a
+// journal the first fetch encodes the typed result, and from then on
+// the job holds only those bytes; in-process callers then own the
+// values ResultAny decodes for them.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	res, raw, err := s.result(id)
-	if err != nil {
+	raw, res, err := s.resultBytes(r.PathValue("id"))
+	switch {
+	case raw != nil:
+		s.writeBody(w, raw)
+	case res != nil:
+		s.writeJSON(w, http.StatusOK, res) // the encoding failed: logs and counts it
+	default:
 		s.writeError(w, err, http.StatusUnprocessableEntity, CodeJobFailed) // a failed job matches no row
-		return
 	}
-	// A job replayed from the journal serves the journaled wire bytes
-	// verbatim, so the restart is byte-invisible. A live result is
-	// encoded per request: keeping its bytes on the job would hold
-	// megabytes per retained grade job.
-	if raw == nil {
-		if raw, err = encodeResult(res); err != nil {
-			s.writeJSON(w, http.StatusOK, res) // logs and counts the failure
-			return
-		}
-	}
-	s.writeBody(w, raw)
 }
 
 // handleStream writes one JSON line per progress event as the job runs

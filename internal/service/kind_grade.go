@@ -142,7 +142,11 @@ func buildResult(j *job, entry *CircuitEntry, faults *fault.List, shardLo, vecto
 		if res.Det != nil {
 			n := len(dets)
 			dets = res.Det[fi].AppendIndices(dets)
-			fr.Det = dets[n:len(dets):len(dets)]
+			// An undetected fault's list stays nil, as the omitted det
+			// key decodes.
+			if len(dets) > n {
+				fr.Det = dets[n:len(dets):len(dets)]
+			}
 		}
 		out.PerFault[fi] = fr
 	}

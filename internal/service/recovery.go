@@ -46,13 +46,13 @@ func (s *Service) journalSubmitted(j *job) error {
 	})
 }
 
-// journalFinished records the terminal transition, with the result's
-// wire bytes for done jobs. Synchronous — the fsync is group-committed
-// with concurrent appends. A journal failure here does not fail the
-// job (the result is correct and already published); it is logged and
-// counted, and the worst a crash can then do is re-run a deterministic
-// job.
-func (s *Service) journalFinished(j *job, st JobStatus, res any) {
+// journalFinished records the terminal transition, with result, the
+// job's v1 result bytes, for done jobs. Synchronous — the fsync is
+// group-committed with concurrent appends. A journal failure here does
+// not fail the job (the result is correct and already published); it
+// is logged and counted, and the worst a crash can then do is re-run a
+// deterministic job.
+func (s *Service) journalFinished(j *job, st JobStatus, result []byte) {
 	if s.jnl == nil {
 		return
 	}
@@ -63,19 +63,12 @@ func (s *Service) journalFinished(j *job, st JobStatus, res any) {
 	sp.SetAttr("record", "finished")
 	defer sp.End()
 	rec := journal.Record{
-		Type:  journal.TypeFinished,
-		Job:   j.id,
-		State: st.State,
-		Error: st.Error,
-		At:    s.now().UnixNano(),
-	}
-	if st.State == StateDone && res != nil {
-		raw, err := encodeResult(res)
-		if err != nil {
-			s.logger.Error("journal result encode failed", "job", j.id, "err", err)
-		} else {
-			rec.Result = raw
-		}
+		Type:   journal.TypeFinished,
+		Job:    j.id,
+		State:  st.State,
+		Error:  st.Error,
+		Result: result,
+		At:     s.now().UnixNano(),
 	}
 	if err := s.jnl.Append(rec); err != nil {
 		s.logger.Error("journal finished append failed", "job", j.id, "err", err)
@@ -147,18 +140,21 @@ func (s *Service) recover(dir string) error {
 }
 
 // installTerminal registers a replayed terminal job: identity, final
-// state, and — for done jobs — both the journaled result bytes (served
-// verbatim) and the decoded typed payload (for in-process callers).
-// Progress fields and phase history are not journaled; the status is
-// the job's terminal identity, not a replay of its run.
+// state, and — for done jobs — the journaled result bytes, which the
+// job holds as its only copy of the result: GET /result serves them
+// verbatim and ResultAny decodes them. They are decoded once here for
+// the status's timing. Progress fields and phase history are not
+// journaled; the status is the job's terminal identity, not a replay
+// of its run.
 func (s *Service) installTerminal(id string, p *replayedJob) {
 	fin := p.finished
 	j := s.installReplayed(id, p, fin.State, fin.Error)
 	j.status.TraceID = p.submitted.Trace
 	if fin.State == StateDone && len(fin.Result) > 0 {
-		j.rawResult = append([]byte(nil), fin.Result...)
+		// The reader decoded the record into fresh memory, so the job
+		// can keep its bytes as they are.
+		j.raw = fin.Result
 		if typed, err := decodeResult(j.status.Kind, fin.Result); err == nil {
-			j.result = typed
 			j.status.Timing = resultTiming(typed)
 		} else {
 			s.logger.Warn("journaled result decode failed; serving raw bytes only",

@@ -184,7 +184,7 @@ func TestJournalRecoveryTerminalBytes(t *testing.T) {
 		}
 	}
 	// Typed in-process access survives too.
-	if res, _, err := b.result(ids["grade"]); err != nil {
+	if res, err := b.ResultAny(ids["grade"]); err != nil {
 		t.Errorf("typed result after replay: %v", err)
 	} else if _, ok := res.(*JobResult); !ok {
 		t.Errorf("typed result after replay is %T, want *JobResult", res)
@@ -260,11 +260,11 @@ func TestJournalRequeueDeterminism(t *testing.T) {
 		if cst := waitTerminal(t, control, cid); cst.State != StateDone {
 			t.Fatalf("control job %s: state %s (%s), want done", cid, cst.State, cst.Error)
 		}
-		got, _, err := recovered.result(id)
+		got, err := recovered.ResultAny(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := control.result(cid)
+		want, err := control.ResultAny(cid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +451,7 @@ func TestJournalReplayUnrunnableSpec(t *testing.T) {
 	if st.State != StateFailed {
 		t.Fatalf("replayed unrunnable job state = %s, want failed", st.State)
 	}
-	if _, _, err := b.result(id); err == nil || errors.Is(err, ErrNotDone) {
+	if _, err := b.ResultAny(id); err == nil || errors.Is(err, ErrNotDone) {
 		t.Fatalf("result of failed replayed job = %v, want the job failure", err)
 	}
 	b.Close()

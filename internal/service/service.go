@@ -37,6 +37,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/eda-go/adifo/internal/fsim"
@@ -438,14 +439,37 @@ type job struct {
 	mu     sync.Mutex
 	status JobStatus
 	timing Timing
-	// result is the kind-specific payload: *JobResult for grade,
-	// *AtpgResult for atpg, *OrderResult for adi_order.
-	result any
-	// rawResult holds the journaled wire JSON of a replayed terminal
-	// job's result; the result endpoint serves it verbatim so a
-	// restart is byte-invisible to clients.
-	rawResult []byte
+	// A done job holds its result once. result is the kind-specific
+	// payload (*JobResult for grade, *AtpgResult for atpg, *OrderResult
+	// for adi_order) until its v1 wire bytes are first needed: by the
+	// journal's finished record, or on an engine without a journal by
+	// the first GET /result. From then on raw holds those bytes and
+	// result is nil. A replayed job holds raw only.
+	result    any
+	raw       []byte
 	followers []*follower
+}
+
+// encodeHook, when a test sets it, sees every result payload the engine
+// encodes into a job's raw bytes.
+var encodeHook atomic.Pointer[func(res any)]
+
+// bytesLocked returns done job j's v1 result bytes. A job that still
+// holds its typed payload is encoded now and keeps only the bytes; if
+// the encoding fails it keeps the payload. Called with j.mu held, so
+// concurrent callers encode a job once.
+func (j *job) bytesLocked() ([]byte, error) {
+	if j.raw == nil {
+		if hook := encodeHook.Load(); hook != nil {
+			(*hook)(j.result)
+		}
+		raw, err := encodeResult(j.result)
+		if err != nil {
+			return nil, err
+		}
+		j.raw, j.result = raw, nil
+	}
+	return j.raw, nil
 }
 
 // New returns a ready service. It panics if Config.JournalDir is set
@@ -835,35 +859,64 @@ func (s *Service) Jobs() []JobStatus {
 // adi_order. It returns ErrNotFound for unknown ids, ErrNotDone while
 // the job is queued or running, ErrCancelled for cancelled jobs, and
 // the job's failure for failed jobs.
+//
+// Once the job holds its result as v1 bytes (on a journaled engine
+// from its finish on, elsewhere from its first GET /result), each call
+// decodes a fresh value that the caller owns. Before that the value is
+// the job's own, which a later GET /result encodes, so it is read-only.
 func (s *Service) ResultAny(id string) (any, error) {
-	res, _, err := s.result(id)
-	return res, err
+	j, err := s.lockDone(id)
+	if err != nil {
+		return nil, err
+	}
+	res, raw, kind := j.result, j.raw, j.status.Kind
+	j.mu.Unlock()
+	if raw == nil {
+		return res, nil
+	}
+	return decodeResult(kind, raw)
 }
 
-// result returns a finished job's typed payload plus, for jobs
-// replayed from the journal, the journaled wire bytes — the HTTP
-// result endpoint serves those verbatim so a restart is byte-invisible
-// to polling clients.
-func (s *Service) result(id string) (any, []byte, error) {
+// resultBytes returns the v1 bytes of done job id, encoding a job that
+// still holds its typed payload (see bytesLocked). If that encoding
+// fails it returns the payload with the error.
+func (s *Service) resultBytes(id string) ([]byte, any, error) {
+	j, err := s.lockDone(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer j.mu.Unlock()
+	raw, err := j.bytesLocked()
+	return raw, j.result, err
+}
+
+// lockDone returns job id with its lock held once the job is done;
+// otherwise it returns the error the job's state calls for and holds
+// no lock.
+func (s *Service) lockDone(id string) (*job, error) {
 	j := s.lookup(id)
 	if j == nil {
-		return nil, nil, ErrNotFound
+		return nil, ErrNotFound
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
+	var err error
 	switch j.status.State {
 	case StateDone:
-		return j.result, j.rawResult, nil
+		return j, nil
 	case StateFailed:
-		return nil, nil, fmt.Errorf("service: job %s failed: %s", id, j.status.Error)
+		err = fmt.Errorf("service: job %s failed: %s", id, j.status.Error)
 	case StateCancelled:
-		return nil, nil, fmt.Errorf("%w (job %s)", ErrCancelled, id)
+		err = fmt.Errorf("%w (job %s)", ErrCancelled, id)
+	default:
+		err = ErrNotDone
 	}
-	return nil, nil, ErrNotDone
+	j.mu.Unlock()
+	return nil, err
 }
 
 // Result is ResultAny for grade jobs, the dominant workload; it errors
-// on jobs of other kinds instead of guessing at a conversion.
+// on jobs of other kinds instead of guessing at a conversion. The
+// caller owns the value it gets as ResultAny says.
 func (s *Service) Result(id string) (*JobResult, error) {
 	v, err := s.ResultAny(id)
 	if err != nil {
@@ -1189,10 +1242,11 @@ func (s *Service) run(j *job) {
 // finish performs a job's terminal transition — the single path every
 // outcome (done, failed, cancelled-queued, cancelled-running,
 // drain-dropped, panic recovery) goes through: state, timing, result
-// and the job-count instruments under the job lock, where its streams
-// end too, then the duration histogram and the journal's finished
-// record. At most one caller wins; later calls are no-ops, so racing
-// finishers (a Cancel against the run goroutine, say) are safe.
+// (on a journaled engine, its v1 bytes) and the job-count instruments
+// under the job lock, where its streams end too, then the duration
+// histogram and the journal's finished record. At most one caller
+// wins; later calls are no-ops, so racing finishers (a Cancel against
+// the run goroutine, say) are safe.
 func (s *Service) finish(j *job, state string, result any, cause error) {
 	j.mu.Lock()
 	if terminal(j.status.State) {
@@ -1207,13 +1261,23 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 		j.result = result
 	}
 	started := j.finalizeLocked()
+	// The journal's finished record carries a done job's v1 bytes.
+	// Encoding them before the streams end swaps the job to those
+	// bytes, so a GET /result that follows a stream serves them as they
+	// are.
+	var raw []byte
+	if s.jnl != nil && state == StateDone && j.result != nil {
+		var err error
+		if raw, err = j.bytesLocked(); err != nil {
+			s.logger.Error("journal result encode failed", "job", j.id, "err", err)
+		}
+	}
 	kind := j.status.Kind
 	// Count under the lock that publishes the state, so a caller that
 	// has seen it through Status or a stream sees it in Stats too.
 	s.countTerminal(kind, state, started)
 	run := j.timing.RunSeconds
 	st := j.status
-	res := j.result
 	for _, f := range j.followers {
 		f.done = true
 		f.wakeUp()
@@ -1230,7 +1294,7 @@ func (s *Service) finish(j *job, state string, result any, cause error) {
 	case StateFailed:
 		s.logger.ErrorContext(tctx, "job failed", "job", j.id, "kind", kind, "err", cause)
 	}
-	s.journalFinished(j, st, res)
+	s.journalFinished(j, st, raw)
 	j.endSpan(state, cause)
 }
 
@@ -1370,6 +1434,10 @@ func validatePatterns(spec PatternSpec) error {
 	return nil
 }
 
+// MaxExhaustiveInputs is the most primary inputs a circuit may have
+// for a job on exhaustive patterns: 2^20 vectors.
+const MaxExhaustiveInputs = 20
+
 // buildPatterns materializes the vector set of a spec for a circuit
 // with the given input count and returns a deterministic content key
 // for the good-machine cache.
@@ -1379,8 +1447,8 @@ func buildPatterns(inputs int, spec PatternSpec) (*logic.PatternSet, string, err
 		ps := logic.RandomPatterns(inputs, spec.Random.N, prng.New(spec.Random.Seed))
 		return ps, fmt.Sprintf("r:%d:%d", spec.Random.N, spec.Random.Seed), nil
 	case spec.Exhaustive:
-		if inputs > 20 {
-			return nil, "", fmt.Errorf("exhaustive patterns limited to 20 inputs, circuit has %d", inputs)
+		if inputs > MaxExhaustiveInputs {
+			return nil, "", fmt.Errorf("exhaustive patterns limited to %d inputs, circuit has %d", MaxExhaustiveInputs, inputs)
 		}
 		return logic.ExhaustivePatterns(inputs), "x", nil
 	case len(spec.Vectors) > 0:
