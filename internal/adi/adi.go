@@ -41,6 +41,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/eda-go/adifo/internal/fault"
 	"github.com/eda-go/adifo/internal/fsim"
@@ -64,6 +65,13 @@ type Index struct {
 	// ADI[f] is the accidental detection index of fault f; zero for
 	// faults not detected by U.
 	ADI []int
+
+	// dyn is the dynamic process over the faults U detects, which the
+	// Dynm and Dynm0 orders share; dynOnce computes it on first use.
+	// Order reads the fields above only then, so they must not change
+	// once Order has been called.
+	dynOnce sync.Once
+	dyn     []int
 }
 
 // Compute fault-simulates fl under U without dropping and derives the
@@ -245,13 +253,11 @@ func (ix *Index) Order(kind OrderKind) []int {
 		sort.SliceStable(nz, func(a, b int) bool { return ix.ADI[nz[a]] > ix.ADI[nz[b]] })
 		return append(z, nz...)
 	case Dynm:
-		nz, z := ix.split()
-		dyn := ix.dynamicOrder(nz)
-		return append(dyn, z...)
+		_, z := ix.split()
+		return append(append(make([]int, 0, n), ix.dynamic()...), z...)
 	case Dynm0:
-		nz, z := ix.split()
-		dyn := ix.dynamicOrder(nz)
-		return append(z, dyn...)
+		_, z := ix.split()
+		return append(z, ix.dynamic()...)
 	}
 	panic(fmt.Sprintf("adi: unknown order kind %d", int(kind)))
 }
@@ -267,6 +273,17 @@ func (ix *Index) split() (nonzero, zero []int) {
 		}
 	}
 	return nonzero, zero
+}
+
+// dynamic returns the dynamic process over the faults U detects,
+// computed once per index however many callers ask. Callers copy it
+// and must not change it.
+func (ix *Index) dynamic() []int {
+	ix.dynOnce.Do(func() {
+		nz, _ := ix.split()
+		ix.dyn = ix.dynamicOrder(nz)
+	})
+	return ix.dyn
 }
 
 // dynamicOrder implements the paper's dynamic ordering process over

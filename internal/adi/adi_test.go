@@ -3,6 +3,7 @@ package adi
 import (
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/eda-go/adifo/internal/benchdata"
@@ -315,6 +316,45 @@ func TestDynamicOrderMatchesNaive(t *testing.T) {
 				t.Fatalf("head of dynm differs from the tail of 0dynm")
 			}
 		})
+	}
+}
+
+// TestDynamicOrdersShareOneRun: Dynm and Dynm0 run the dynamic process
+// once per index. Callers on several goroutines get the orders the
+// process gives, each in a slice of its own that no other caller sees
+// change.
+func TestDynamicOrdersShareOneRun(t *testing.T) {
+	g := fault.CollapsedUniverse(gen.Generate(gen.Config{Name: "w", Inputs: 20, Gates: 250, Seed: 3}))
+	ix := Compute(g, logic.RandomPatterns(g.Circuit.NumInputs(), 24, prng.New(4)))
+	nz, z := ix.split()
+	if len(z) == 0 {
+		t.Fatal("every fault detected: the orders place no zero-ADI block")
+	}
+	dyn := ix.dynamicOrder(nz)
+	want := map[OrderKind][]int{Dynm: slices.Concat(dyn, z), Dynm0: slices.Concat(z, dyn)}
+	kinds := []OrderKind{Dynm, Dynm0}
+	got := make([][]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = ix.Order(kinds[i%2])
+		}()
+	}
+	wg.Wait()
+	for i, ord := range got {
+		if !slices.Equal(ord, want[kinds[i%2]]) {
+			t.Fatalf("caller %d: %v differs from the dynamic process", i, kinds[i%2])
+		}
+		for k := range ord {
+			ord[k] = -1
+		}
+	}
+	for _, kind := range kinds {
+		if !slices.Equal(ix.Order(kind), want[kind]) {
+			t.Fatalf("%v changed after callers overwrote their orders", kind)
+		}
 	}
 }
 
