@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -230,5 +232,102 @@ func TestClusterSpeculationLoserCancelled(t *testing.T) {
 				st.JobsRunning, st.JobsQueued)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// liarProxy fronts a healthy backend and opens every progress stream
+// with one event that claims block 1,000,000 of a one-block job, then
+// forwards the backend's stream. Every other call passes through.
+type liarProxy struct {
+	backend string
+
+	mu   sync.Mutex
+	lies int
+}
+
+func (p *liarProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	out, err := http.NewRequestWithContext(r.Context(), r.Method, p.backend+r.URL.RequestURI(), r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	out.Header = r.Header.Clone()
+	resp, err := http.DefaultClient.Do(out)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	defer resp.Body.Close()
+	for k, vs := range resp.Header {
+		for _, v := range vs {
+			w.Header().Add(k, v)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	if strings.HasSuffix(r.URL.Path, "/stream") && resp.StatusCode == http.StatusOK {
+		p.mu.Lock()
+		p.lies++
+		p.mu.Unlock()
+		id := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/stream")
+		fmt.Fprintf(w, `{"job_id":%q,"kind":"grade","state":"running","block":1000000,"blocks":1,"vectors_used":64,"detected":1,"active":0}`+"\n", id)
+		w.(http.Flusher).Flush()
+	}
+	io.Copy(w, resp.Body) //nolint:errcheck // best-effort proxy
+}
+
+// TestClusterRefusesOutOfBoundsProgress: one of three backends claims
+// block 1,000,000 of a one-block job at the start of every stream. Each
+// such attempt ends as a transport failure would and its shard reruns
+// elsewhere, so the job ends done and bit-identical, and the coordinator
+// allocates a bounded amount on the way (the unbounded merge gap-filled
+// a million blocks per lie).
+func TestClusterRefusesOutOfBoundsProgress(t *testing.T) {
+	spec := service.JobSpec{Circuit: "c17", Mode: "nodrop",
+		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 64, Seed: 7}}}
+	want := canonical(t, referenceResult(t, spec))
+	urls, _ := newBackends(t, 2)
+	honest, _ := newBackend(t)
+	proxy := &liarProxy{backend: honest.URL}
+	psrv := httptest.NewServer(proxy)
+	t.Cleanup(psrv.Close)
+	co, err := New(append(urls, psrv.URL), Options{Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := clusterGrade(t, co, spec)
+	runtime.ReadMemStats(&after)
+	if got := canonical(t, res); got != want {
+		t.Fatalf("result diverges from the single-node run\n got: %s\nwant: %s", got, want)
+	}
+	// One lie gap-filled a million blocks of 24 bytes each, and merged
+	// as many events, before the merge was bounded.
+	const bound = 32 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Fatalf("the job allocated %d MB, bound %d MB", grew>>20, bound>>20)
+	}
+	proxy.mu.Lock()
+	lies := proxy.lies
+	proxy.mu.Unlock()
+	if lies == 0 {
+		t.Fatal("no stream passed the lying proxy")
+	}
+	shards, err := co.Shards(res.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retried := 0
+	for _, sh := range shards {
+		if sh.Backend == psrv.URL {
+			t.Fatalf("shard %d was settled by the lying backend", sh.Index)
+		}
+		retried += sh.Retries
+	}
+	t.Logf("%d lying streams, %d shard retries, %d KB allocated", lies, retried, (after.TotalAlloc-before.TotalAlloc)>>10)
+	if retried < lies {
+		t.Fatalf("%d shard retries for %d lying streams", retried, lies)
 	}
 }

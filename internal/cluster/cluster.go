@@ -556,7 +556,7 @@ func (co *Coordinator) prepare(ctx context.Context, spec service.JobSpec) (servi
 	j := &cjob{
 		co:        co,
 		spec:      spec,
-		merge:     newMerger(count),
+		merge:     newMerger(count, maxBlocks(spec.Patterns)),
 		reports:   make(chan report),
 		offers:    make(chan *backend, len(co.backends)),
 		members:   make(map[*backend]bool),
@@ -785,13 +785,28 @@ func (j *cjob) runAttempt(att *attempt) (rep report) {
 	}
 	span.SetAttr("remote_id", rid)
 	j.reports <- report{att: att, id: rid}
+	// bad is the first event the merger refused; the stream callback
+	// runs on this goroutine.
+	var bad error
 	rep.st, err = b.cl.Stream(ctx, rid, func(ev service.ProgressEvent) {
+		if bad != nil {
+			return
+		}
 		att.progress.Add(1)
 		j.pubMu.Lock()
-		j.publish(j.merge.update(sh.index, ev))
+		evs, err := j.merge.update(sh.index, ev)
+		j.publish(evs)
 		j.pubMu.Unlock()
+		if err != nil {
+			// The attempt ends as on a transport error, so the loop
+			// requeues the shard.
+			bad = fmt.Errorf("backend %s, sub-job %s: %w", b.url, rid, err)
+			att.cancel()
+		}
 	})
 	switch {
+	case bad != nil:
+		err = bad
 	case err != nil:
 	case rep.st.State == service.StateDone:
 		// A refused fetch (the finished sub-job was evicted, say) is a

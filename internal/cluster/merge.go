@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/eda-go/adifo/internal/logic"
 	"github.com/eda-go/adifo/internal/service"
 )
 
@@ -20,21 +21,48 @@ import (
 //
 // A merger has no lock of its own: its job's pubMu orders every call
 // together with the publish of the events it returns.
+//
+// A backend's events are not trusted: update refuses one whose block
+// lies outside the job's bound, so a track never grows past it.
 type merger struct {
 	tracks  []shardTrack
 	emitted int // merged events emitted so far (== blocks fully merged)
 	blocks  int // total blocks, from the first event seen
+	bound   int // no job on this spec has more blocks (maxBlocks)
 }
 
 // shardTrack is one shard's side of the merge. stats holds the stat of
 // every block the shard has passed, so its length is the shard's
 // frontier. A stream sees only the blocks after it attached to its
 // sub-job, so a skipped block inherits the previous stat instead of
-// merging zeros.
+// merging zeros. blocks is the block count the shard's first event
+// claimed, which every later event of the shard must repeat.
 type shardTrack struct {
-	stats []blockStat
-	done  bool
-	final blockStat
+	stats  []blockStat
+	blocks int
+	done   bool
+	final  blockStat
+}
+
+// errBadProgress marks a progress event no honest backend sends: one
+// whose block is not below its block count, whose block count exceeds
+// the job's bound, or whose block count differs from the shard's first
+// event's.
+var errBadProgress = errors.New("cluster: progress event out of bounds")
+
+// maxBlocks bounds the 64-pattern blocks of a job on patterns p without
+// its circuit: ⌈n/64⌉ for n random or explicit vectors, and for
+// exhaustive patterns 2^20/64, since a job refuses them on a circuit of
+// more than service.MaxExhaustiveInputs inputs.
+func maxBlocks(p service.PatternSpec) int {
+	n := 1 << service.MaxExhaustiveInputs
+	switch {
+	case p.Random != nil:
+		n = p.Random.N
+	case len(p.Vectors) > 0:
+		n = len(p.Vectors)
+	}
+	return (n + logic.WordBits - 1) / logic.WordBits
 }
 
 type blockStat struct {
@@ -43,19 +71,26 @@ type blockStat struct {
 	active      int
 }
 
-func newMerger(count int) *merger {
-	return &merger{tracks: make([]shardTrack, count)}
+// newMerger merges count shards of a job with at most bound blocks.
+func newMerger(count, bound int) *merger {
+	return &merger{tracks: make([]shardTrack, count), bound: bound}
 }
 
 // update records one progress event of shard i and returns any merged
-// events that became complete.
-func (m *merger) update(i int, ev service.ProgressEvent) []service.ProgressEvent {
+// events that became complete. It refuses an event outside the bounds
+// (errBadProgress) and then changes nothing.
+func (m *merger) update(i int, ev service.ProgressEvent) ([]service.ProgressEvent, error) {
 	t := &m.tracks[i]
+	if ev.Block < 0 || ev.Block >= ev.Blocks || ev.Blocks > m.bound || t.blocks != 0 && ev.Blocks != t.blocks {
+		return nil, fmt.Errorf("%w: shard %d sent block %d of %d; the job has at most %d blocks, and the shard's first event said %d",
+			errBadProgress, i, ev.Block, ev.Blocks, m.bound, t.blocks)
+	}
+	t.blocks = ev.Blocks
 	if ev.Block < len(t.stats) {
 		// A duplicate attempt (speculation, or a rerun after a death)
 		// replaying a block below the frontier: the track already holds
 		// that block, reported or gap-filled.
-		return nil
+		return nil, nil
 	}
 	var last blockStat
 	if n := len(t.stats); n > 0 {
@@ -66,7 +101,7 @@ func (m *merger) update(i int, ev service.ProgressEvent) []service.ProgressEvent
 	}
 	t.stats = append(t.stats, blockStat{vectorsUsed: ev.VectorsUsed, detected: ev.Detected, active: ev.Active})
 	m.blocks = max(m.blocks, ev.Blocks)
-	return m.collect()
+	return m.collect(), nil
 }
 
 // markDone records shard i's terminal counters, which the shard
