@@ -199,8 +199,9 @@ func TestJournaledJobHoldsBytesOnly(t *testing.T) {
 
 // TestUnjournaledJobEncodesOnFirstGet: on an engine without a journal a
 // done job holds its typed result, which in-process callers get as it
-// is, until the first GET /result encodes it. From then on it holds
-// only those bytes, which every later GET serves.
+// is, until the first GET /result encodes it, once however many GETs
+// arrive together. From then on it holds only those bytes, which every
+// later GET serves.
 func TestUnjournaledJobEncodesOnFirstGet(t *testing.T) {
 	enc := recordEncodes(t)
 	s := New(Config{Logger: obs.Nop(), SimWorkers: 2})
@@ -223,13 +224,25 @@ func TestUnjournaledJobEncodesOnFirstGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = append(want, '\n')
-		for range 2 {
-			if body := fetchResult(t, s, id); !bytes.Equal(body, want) {
-				t.Fatalf("%s result served\n%s\nwant\n%s", kind, body, want)
+		// Concurrent first GETs encode the job once between them.
+		bodies := make([]*httptest.ResponseRecorder, 4)
+		var wg sync.WaitGroup
+		for i := range bodies {
+			bodies[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.Handler().ServeHTTP(bodies[i], httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/result", nil))
+			}()
+		}
+		wg.Wait()
+		for _, rec := range bodies {
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%s result served HTTP %d\n%s\nwant\n%s", kind, rec.Code, rec.Body.Bytes(), want)
 			}
 		}
 		if n := len(enc.of(id)); n != 1 {
-			t.Fatalf("%s job encoded %d times by two GETs, want 1", kind, n)
+			t.Fatalf("%s job encoded %d times by %d GETs, want 1", kind, n, len(bodies))
 		}
 		if res2, raw := holding(s, id); res2 != nil || !bytes.Equal(append(raw, '\n'), want) {
 			t.Fatalf("%s job after a GET holds payload %T and %d bytes, want the served bytes only", kind, res2, len(raw))
