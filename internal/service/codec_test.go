@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -228,17 +225,6 @@ func TestHandleResultBytes(t *testing.T) {
 		KindAtpg:     {Kind: KindAtpg, Bench: oddNamesBench, Patterns: exh, Order: &OrderSpec{Kind: "dynm"}},
 		KindADIOrder: {Kind: KindADIOrder, Bench: oddNamesBench, Patterns: exh, Order: &OrderSpec{Kind: "decr"}},
 	}
-	fetch := func(s *Service, id string) []byte {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/result", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("result: HTTP %d", rec.Code)
-		}
-		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
-			t.Fatalf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
-		}
-		return rec.Body.Bytes()
-	}
 	wants := map[string][]byte{}
 	for kind, spec := range specs {
 		id, err := a.Submit(spec)
@@ -256,7 +242,7 @@ func TestHandleResultBytes(t *testing.T) {
 		if err := json.NewEncoder(&want).Encode(orig[0]); err != nil {
 			t.Fatal(err)
 		}
-		if got := fetch(a, id); !bytes.Equal(got, want.Bytes()) {
+		if got := fetchResult(t, a, id); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("live %s result bytes differ from json.Encoder's\n got: %s\nwant: %s", kind, got, want.Bytes())
 		}
 		wants[id] = want.Bytes()
@@ -265,7 +251,7 @@ func TestHandleResultBytes(t *testing.T) {
 	b := mustOpen(t, journalCfg(dir))
 	defer b.Close()
 	for id, want := range wants {
-		if got := fetch(b, id); !bytes.Equal(got, want) {
+		if got := fetchResult(t, b, id); !bytes.Equal(got, want) {
 			t.Fatalf("replayed result bytes of %s differ\n got: %s\nwant: %s", id, got, want)
 		}
 	}

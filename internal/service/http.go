@@ -232,15 +232,19 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // the job holds only those bytes; in-process callers then own the
 // values ResultAny decodes for them.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	raw, res, err := s.resultBytes(r.PathValue("id"))
-	switch {
-	case raw != nil:
-		s.writeBody(w, raw)
-	case res != nil:
-		s.writeJSON(w, http.StatusOK, res) // the encoding failed: logs and counts it
-	default:
+	j, err := s.lockDone(r.PathValue("id"))
+	if err != nil {
 		s.writeError(w, err, http.StatusUnprocessableEntity, CodeJobFailed) // a failed job matches no row
+		return
 	}
+	raw, err := j.bytesLocked()
+	res := j.result
+	j.mu.Unlock()
+	if err != nil {
+		s.writeJSON(w, http.StatusOK, res) // the encoding failed: logs and counts it
+		return
+	}
+	s.writeBody(w, raw)
 }
 
 // handleStream writes one JSON line per progress event as the job runs

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,13 +99,17 @@ func holding(s *Service, id string) (any, []byte) {
 	return j.result, j.raw
 }
 
-// fetchResult is GET /v1/jobs/{id}/result on s.
+// fetchResult is GET /v1/jobs/{id}/result on s, which must answer 200
+// with a Content-Length.
 func fetchResult(t *testing.T, s *Service, id string) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/result", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("result of %s: HTTP %d: %s", id, rec.Code, rec.Body.Bytes())
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("result of %s: Content-Length %q for a %d-byte body", id, cl, rec.Body.Len())
 	}
 	return rec.Body.Bytes()
 }

@@ -877,19 +877,6 @@ func (s *Service) ResultAny(id string) (any, error) {
 	return decodeResult(kind, raw)
 }
 
-// resultBytes returns the v1 bytes of done job id, encoding a job that
-// still holds its typed payload (see bytesLocked). If that encoding
-// fails it returns the payload with the error.
-func (s *Service) resultBytes(id string) ([]byte, any, error) {
-	j, err := s.lockDone(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer j.mu.Unlock()
-	raw, err := j.bytesLocked()
-	return raw, j.result, err
-}
-
 // lockDone returns job id with its lock held once the job is done;
 // otherwise it returns the error the job's state calls for and holds
 // no lock.
