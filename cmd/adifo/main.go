@@ -37,11 +37,13 @@
 // adi, order and gen cut U in-process, grade sends c to the engine,
 // and a server refuses it for remote gen and order.
 //
+// Each verb reads only its own flags, which adifo <verb> -h lists; any
+// other flag or a stray argument is a usage error (exit status 2).
+//
 // An interrupt (Ctrl-C) during grade or gen cancels the job — on the
 // server (or every cluster backend) when -server is set — and the
 // stream terminates with the cancelled status. A job that ends
-// cancelled exits non-zero with a distinct message from one that
-// failed.
+// cancelled exits 1 with a distinct message from one that failed.
 package main
 
 import (
@@ -61,8 +63,7 @@ import (
 	"github.com/eda-go/adifo/internal/gen"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: adifo <command> [flags]
+const usage = `usage: adifo <command> [flags]
 
 commands:
   stats    structural statistics of a circuit
@@ -73,48 +74,24 @@ commands:
   grade    fault-grade a circuit via the grading service
   repro    regenerate the paper's tables and figure
   benchgen write the synthetic suite as .bench files
-  (repro and benchgen use internal/experiments, not the public API)
 
-common flags:
-  -circuit ref   embedded name (c17, s27, lion), suite name, or .bench path
-  -exhaustive    use all 2^inputs vectors for U (inputs <= 20)
-  -n, -seed      random vector count / seed for U
-  -stop c        cut U off once fault coverage reaches c (the paper
-                 uses 0.9); in-process for adi, order and gen, by the
-                 engine for grade; refused by a server for gen and order
-  -order k       fault order: orig, incr0, decr, 0decr, dynm, 0dynm
-  -limit k       print at most k rows (0 = all)
+Run adifo <command> -h for the flags a command reads.
+`
 
-gen flags:
-  -server url    adifod server to generate on (default: in-process)
-  -fillseed s    seed for the random fill of unspecified inputs
-
-grade flags:
-  -server url    adifod server to grade on (default: in-process);
-                 repeat to fault-shard the job across a cluster
-  -shards-per-backend k
-                 cluster over-partitioning factor: k fault shards per
-                 healthy backend feed the work queue (default 4)
-  -mode m        nodrop, drop or ndetect
-  -ndet k        drop threshold for ndetect mode
-  -block-width w simulation block width in patterns: 64, 256 or 512
-                 (default 0 = the widest block the job justifies)
-  -quiet         suppress per-block progress lines
-
-repro flags (none of -table, -figure, -ablation = Tables 1, 4-7 and Figure 1):
-  -suite s       full, small, or one suite circuit name
-  -table t       print table t: 1, 4, 5, 6 or 7
-  -figure 1      print figure 1 (coverage curves of irs420)
-  -ablation      print the design-choice ablations
-
-benchgen flags:
-  -out dir       output directory
-  -suite s       full, small, or one suite circuit name
-`)
-	os.Exit(2)
+// verbs names the flags each verb reads. A verb's command line may
+// set only these: any other flag is a usage error.
+var verbs = map[string][]string{
+	"stats":    {"circuit"},
+	"faults":   {"circuit", "limit"},
+	"adi":      {"circuit", "exhaustive", "n", "seed", "stop", "limit"},
+	"order":    {"circuit", "exhaustive", "n", "seed", "stop", "order", "limit", "server", "quiet"},
+	"gen":      {"circuit", "exhaustive", "n", "seed", "stop", "order", "limit", "server", "fillseed", "quiet"},
+	"grade":    {"circuit", "exhaustive", "n", "seed", "stop", "limit", "server", "shards-per-backend", "mode", "ndet", "block-width", "quiet"},
+	"repro":    {"suite", "table", "figure", "ablation"},
+	"benchgen": {"out", "suite"},
 }
 
-// options collects every flag; each verb reads the subset it needs.
+// options holds every flag's value; verbs names those each verb reads.
 type options struct {
 	circuit    string
 	exhaustive bool
@@ -124,7 +101,7 @@ type options struct {
 	order      string
 	limit      int
 
-	servers    serverList
+	servers    []string
 	shardsK    int
 	mode       string
 	ndet       int
@@ -139,52 +116,81 @@ type options struct {
 	out      string
 }
 
-// serverList is the repeatable -server flag: one URL grades remotely,
-// several grade on a fault-sharded cluster.
-type serverList []string
+// parse reads a command line: the verb, then the flags verbs gives it,
+// copied from one set of all flags. A usage error is reported on
+// stderr, as is -h's list of the verb's flags, which returns ErrHelp.
+func parse(args []string, stderr io.Writer) (string, options, error) {
+	var o options
+	all := flag.NewFlagSet("adifo", flag.ContinueOnError)
+	all.StringVar(&o.circuit, "circuit", "c17", "circuit: embedded name (c17, s27, lion), suite name, or .bench path")
+	all.BoolVar(&o.exhaustive, "exhaustive", false, "use all 2^inputs vectors for U (at most 20 inputs)")
+	all.IntVar(&o.n, "n", adifo.DefaultUBudget, "random vector budget for U")
+	all.Uint64Var(&o.seed, "seed", adifo.DefaultUSeed, "random vector seed for U")
+	all.Float64Var(&o.stop, "stop", 0, "cut U off once this fraction of faults is detected (the paper uses 0.9; 0 = never)")
+	all.StringVar(&o.order, "order", "dynm", "fault order: orig, incr0, decr, 0decr, dynm or 0dynm")
+	all.IntVar(&o.limit, "limit", 0, "print at most this many rows (0 = all)")
+	all.Func("server", "`URL` of an adifod server (none = in-process); repeat it for grade to fault-shard across a cluster", func(v string) error {
+		if v == "" {
+			return errors.New("empty server URL")
+		}
+		o.servers = append(o.servers, v)
+		return nil
+	})
+	all.IntVar(&o.shardsK, "shards-per-backend", 0, "cluster fault shards per healthy backend (0 = the default, 4)")
+	all.StringVar(&o.mode, "mode", "nodrop", "grading mode: nodrop, drop or ndetect")
+	all.IntVar(&o.ndet, "ndet", 0, "drop threshold for ndetect mode")
+	all.IntVar(&o.blockWidth, "block-width", 0, "simulation block width in patterns: 64, 256 or 512 (0 = the widest the job justifies)")
+	all.Uint64Var(&o.fillseed, "fillseed", adifo.DefaultFillSeed, "seed for the ATPG's random fill of unspecified inputs")
+	all.BoolVar(&o.quiet, "quiet", false, "suppress per-block progress lines")
+	all.StringVar(&o.suite, "suite", "full", "circuit suite: full, small, or one suite circuit name")
+	all.IntVar(&o.table, "table", 0, "print table 1, 4, 5, 6 or 7 (no -table, -figure or -ablation: Tables 1 and 4-7 and Figure 1)")
+	all.IntVar(&o.figure, "figure", 0, "print figure 1, irs420's coverage curves")
+	all.BoolVar(&o.ablation, "ablation", false, "print the design-choice ablations")
+	all.StringVar(&o.out, "out", ".", "output directory")
 
-func (s *serverList) String() string { return strings.Join(*s, ",") }
-
-func (s *serverList) Set(v string) error {
-	if v == "" {
-		return errors.New("empty server URL")
+	if len(args) == 0 || verbs[args[0]] == nil {
+		err := errors.New("no command")
+		if len(args) > 0 {
+			err = fmt.Errorf("unknown command %q", args[0])
+		}
+		fmt.Fprintf(stderr, "%v\n\n%s", err, usage)
+		return "", o, err
 	}
-	*s = append(*s, v)
-	return nil
+	cmd := args[0]
+	fs := flag.NewFlagSet("adifo "+cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	for _, name := range verbs[cmd] {
+		f := all.Lookup(name)
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
+	err := fs.Parse(args[1:])
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+	}
+	return cmd, o, err
+}
+
+// cli runs one command line and returns its exit status: 0 on success
+// and for -h, 1 when the verb fails, 2 on a usage error.
+func cli(args []string, stderr io.Writer) int {
+	cmd, o, err := parse(args, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	}
+	if err := run(cmd, o); err != nil {
+		fmt.Fprintln(stderr, "adifo:", err)
+		return 1
+	}
+	return 0
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	var o options
-	fs.StringVar(&o.circuit, "circuit", "c17", "circuit reference")
-	fs.BoolVar(&o.exhaustive, "exhaustive", false, "use all 2^inputs vectors")
-	fs.IntVar(&o.n, "n", adifo.DefaultUBudget, "random vector budget for U")
-	fs.Uint64Var(&o.seed, "seed", adifo.DefaultUSeed, "random vector seed")
-	fs.Float64Var(&o.stop, "stop", 0, "cut U off once this fraction of faults is detected (0 = never)")
-	fs.StringVar(&o.order, "order", "dynm", "fault order to print")
-	fs.IntVar(&o.limit, "limit", 0, "print at most this many rows (0 = all)")
-	fs.Var(&o.servers, "server", "adifod server URL, repeatable for a cluster (none = grade in-process)")
-	fs.IntVar(&o.shardsK, "shards-per-backend", 0, "cluster fault shards per healthy backend (0 = default)")
-	fs.StringVar(&o.mode, "mode", "nodrop", "grading mode: nodrop, drop or ndetect")
-	fs.IntVar(&o.ndet, "ndet", 0, "drop threshold for ndetect mode")
-	fs.IntVar(&o.blockWidth, "block-width", 0, "simulation block width in patterns: 64, 256 or 512 (0 = auto)")
-	fs.Uint64Var(&o.fillseed, "fillseed", adifo.DefaultFillSeed, "seed for the ATPG's random fill of unspecified inputs")
-	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-block progress lines")
-	fs.StringVar(&o.suite, "suite", "full", "circuit suite: full, small, or one circuit name")
-	fs.IntVar(&o.table, "table", 0, "table to regenerate: 1, 4, 5, 6 or 7")
-	fs.IntVar(&o.figure, "figure", 0, "figure to regenerate: 1")
-	fs.BoolVar(&o.ablation, "ablation", false, "run the design-choice ablations")
-	fs.StringVar(&o.out, "out", ".", "benchgen output directory")
-	fs.Parse(os.Args[2:])
-
-	if err := run(cmd, o); err != nil {
-		fmt.Fprintln(os.Stderr, "adifo:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli(os.Args[1:], os.Stderr))
 }
 
 func run(cmd string, o options) error {
@@ -264,8 +270,7 @@ func run(cmd string, o options) error {
 			return fl.Faults[fi].Name(c)
 		})
 	}
-	usage()
-	return nil
+	return fmt.Errorf("unknown command %q", cmd)
 }
 
 // grade submits the circuit to a grading engine — a running adifod
@@ -290,7 +295,7 @@ func grade(o options, out io.Writer) error {
 			return err
 		}
 		g = cg
-		where = fmt.Sprintf("cluster of %d (%s)", len(o.servers), o.servers.String())
+		where = fmt.Sprintf("cluster of %d (%s)", len(o.servers), strings.Join(o.servers, ","))
 	}
 	defer g.Close()
 

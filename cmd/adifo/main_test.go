@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,6 +35,84 @@ func TestCommands(t *testing.T) {
 	}
 }
 
+// TestVerbFlags: each verb parses exactly the flags it reads. Any other
+// flag, a stray argument and an unknown verb are usage errors (exit 2)
+// that name the input, and -h lists just the verb's flags (exit 0).
+func TestVerbFlags(t *testing.T) {
+	reads := map[string]string{
+		"stats":    "circuit",
+		"faults":   "circuit limit",
+		"adi":      "circuit exhaustive limit n seed stop",
+		"order":    "circuit exhaustive limit n order quiet seed server stop",
+		"gen":      "circuit exhaustive fillseed limit n order quiet seed server stop",
+		"grade":    "block-width circuit exhaustive limit mode n ndet quiet seed server shards-per-backend stop",
+		"repro":    "ablation figure suite table",
+		"benchgen": "out suite",
+	}
+	// A value other than the default for every flag.
+	values := map[string]string{
+		"circuit": "s27", "exhaustive": "true", "n": "7", "seed": "7", "stop": "0.5",
+		"order": "decr", "limit": "7", "server": "http://x", "shards-per-backend": "7",
+		"mode": "drop", "ndet": "7", "block-width": "64", "fillseed": "7", "quiet": "true",
+		"suite": "small", "table": "5", "figure": "1", "ablation": "true", "out": "dir",
+	}
+	// A command line that does not parse stops cli before the verb
+	// runs, so only the last two cases below do any work.
+	exit := func(args ...string) (int, string) {
+		var stderr strings.Builder
+		return cli(args, &stderr), stderr.String()
+	}
+	accepted := 0
+	for verb, names := range reads {
+		want := strings.Fields(names)
+		_, defaults, err := parse([]string{verb}, io.Discard)
+		if err != nil {
+			t.Fatalf("adifo %s: %v", verb, err)
+		}
+		for name, v := range values {
+			arg := "-" + name + "=" + v
+			if slices.Contains(want, name) {
+				accepted++
+				if _, o, err := parse([]string{verb, arg}, io.Discard); err != nil || reflect.DeepEqual(o, defaults) {
+					t.Errorf("adifo %s %s: error %v, options %+v", verb, arg, err, o)
+				}
+			} else if code, stderr := exit(verb, arg); code != 2 || !strings.Contains(strings.SplitN(stderr, "\n", 2)[0], "-"+name) {
+				t.Errorf("adifo %s %s exited %d:\n%s", verb, arg, code, stderr)
+			}
+		}
+		code, help := exit(verb, "-h")
+		var listed []string
+		for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(help, -1) {
+			listed = append(listed, m[1])
+		}
+		if code != 0 || !slices.Equal(listed, want) {
+			t.Errorf("adifo %s -h exited %d and listed %v, want %v:\n%s", verb, code, listed, want, help)
+		}
+	}
+	if accepted != 46 {
+		t.Errorf("%d (verb, flag) pairs accepted, want 46", accepted)
+	}
+
+	for _, c := range []struct {
+		args []string
+		code int
+		name string // a word the error output must contain
+	}{
+		{[]string{"grade", "-circuit", "c17", "-n", "64", "-table", "4", "-figure", "1", "-order", "0dynm", "-quiet"}, 2, "-table"},
+		{[]string{"order", "-circuit", "c17", "-n", "64", "-mode", "drop", "-block-width", "512"}, 2, "-mode"},
+		{[]string{"stats", "-circuit", "c17", "lion"}, 2, `"lion"`},
+		{[]string{"grade", "c17"}, 2, `"c17"`},
+		{[]string{"bogus"}, 2, `"bogus"`},
+		{nil, 2, "commands:"},
+		{[]string{"stats", "-circuit", "nope"}, 1, "adifo:"},
+		{[]string{"stats", "-circuit", "c17"}, 0, ""},
+	} {
+		if code, stderr := exit(c.args...); code != c.code || !strings.Contains(stderr, c.name) {
+			t.Errorf("adifo %s exited %d, want %d naming %s:\n%s", strings.Join(c.args, " "), code, c.code, c.name, stderr)
+		}
+	}
+}
+
 // TestGradeInProcess drives the grade verb end to end against the
 // in-process loopback server: submit, stream, result.
 func TestGradeInProcess(t *testing.T) {
@@ -51,7 +130,7 @@ func TestGradeRemote(t *testing.T) {
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	o := options{circuit: "c17", mode: "nodrop", n: 128, seed: 1, limit: 2, quiet: true,
-		servers: serverList{srv.URL}}
+		servers: []string{srv.URL}}
 	if err := run("grade", o); err != nil {
 		t.Fatalf("grade -server: %v", err)
 	}
@@ -72,7 +151,7 @@ func TestGradeCluster(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	o := options{circuit: "c17", mode: "drop", n: 256, seed: 3, limit: 2, quiet: true,
-		servers: serverList{a.URL, b.URL}}
+		servers: []string{a.URL, b.URL}}
 	if err := run("grade", o); err != nil {
 		t.Fatalf("grade -server A -server B: %v", err)
 	}
@@ -183,7 +262,7 @@ func TestGradeBadModeRemote(t *testing.T) {
 		return srv
 	}
 	a, b := mk(), mk()
-	for _, servers := range []serverList{{a.URL}, {a.URL, b.URL}} {
+	for _, servers := range [][]string{{a.URL}, {a.URL, b.URL}} {
 		o := options{circuit: "c17", mode: "bogus", n: 10, seed: 1, quiet: true, servers: servers}
 		if err := run("grade", o); err == nil {
 			t.Errorf("grade -mode bogus on %d server(s) succeeded", len(servers))
@@ -227,7 +306,7 @@ func TestGenRemoteMatchesLocal(t *testing.T) {
 	}
 	o := options{circuit: "c17", n: 96, seed: 7, order: "0dynm", fillseed: 11, quiet: true}
 	local := capture(o)
-	o.servers = serverList{srv.URL}
+	o.servers = []string{srv.URL}
 	remote := capture(o)
 
 	pick := func(out string) []string {
@@ -255,7 +334,7 @@ func TestOrderRemote(t *testing.T) {
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	o := options{circuit: "lion", exhaustive: true, order: "dynm", limit: 5, quiet: true,
-		servers: serverList{srv.URL}}
+		servers: []string{srv.URL}}
 	if err := run("order", o); err != nil {
 		t.Fatalf("order -server: %v", err)
 	}
@@ -265,7 +344,7 @@ func TestOrderRemote(t *testing.T) {
 // an explanation instead of sharding an unshardable workload.
 func TestGenRejectsCluster(t *testing.T) {
 	o := options{circuit: "c17", n: 16, seed: 1, order: "dynm", quiet: true,
-		servers: serverList{"http://a", "http://b"}}
+		servers: []string{"http://a", "http://b"}}
 	err := run("gen", o)
 	if err == nil || !strings.Contains(err.Error(), "single -server") {
 		t.Fatalf("gen with two servers = %v, want single-server error", err)
@@ -298,12 +377,12 @@ func TestGradeCancelledVsFailedExit(t *testing.T) {
 	failed := fakeTerminalServer(t, adifo.JobFailed, "boom")
 
 	o := options{circuit: "c17", mode: "nodrop", n: 16, seed: 1, quiet: true}
-	o.servers = serverList{cancelled.URL}
+	o.servers = []string{cancelled.URL}
 	errCancelled := run("grade", o)
 	if errCancelled == nil {
 		t.Fatal("grade of a cancelled job returned success")
 	}
-	o.servers = serverList{failed.URL}
+	o.servers = []string{failed.URL}
 	errFailed := run("grade", o)
 	if errFailed == nil {
 		t.Fatal("grade of a failed job returned success")
@@ -378,7 +457,7 @@ func TestGenStopRemoteRefused(t *testing.T) {
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	o := options{circuit: "c17", n: 96, seed: 7, stop: 0.9, order: "dynm", quiet: true,
-		servers: serverList{srv.URL}}
+		servers: []string{srv.URL}}
 	err := genTests(o, io.Discard)
 	var apiErr *adifo.APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != "invalid_request" {
