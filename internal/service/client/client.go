@@ -338,21 +338,11 @@ func (c *Client) Stats(ctx context.Context) (service.Stats, error) {
 // Stream consumes a job's per-block progress feed, calling fn for
 // every event until the job finishes. It returns the final status.
 func (c *Client) Stream(ctx context.Context, id string, fn func(service.ProgressEvent)) (service.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/stream", nil)
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	if tp := trace.Traceparent(ctx); tp != "" {
-		req.Header.Set("traceparent", tp)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", nil)
 	if err != nil {
 		return service.JobStatus{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return service.JobStatus{}, decodeError(http.MethodGet, "/v1/jobs/"+id+"/stream", resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var last []byte
