@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -280,13 +281,20 @@ func (p *liarProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // such attempt ends as a transport failure would and its shard reruns
 // elsewhere, so the job ends done and bit-identical, and the coordinator
 // allocates a bounded amount on the way (the unbounded merge gap-filled
-// a million blocks per lie).
+// a million blocks per lie). Every sub-job the lying backend ran is
+// cancelled there, or it would run to its end for nobody.
 func TestClusterRefusesOutOfBoundsProgress(t *testing.T) {
 	spec := service.JobSpec{Circuit: "c17", Mode: "nodrop",
 		Patterns: service.PatternSpec{Random: &service.RandomSpec{N: 64, Seed: 7}}}
 	want := canonical(t, referenceResult(t, spec))
 	urls, _ := newBackends(t, 2)
-	honest, _ := newBackend(t)
+	svc := service.New(service.Config{MaxConcurrentJobs: 4, Logger: quiet})
+	log := newBackendLog()
+	honest := httptest.NewServer(log.wrap(svc.Handler()))
+	t.Cleanup(func() {
+		honest.Close()
+		svc.Close()
+	})
 	proxy := &liarProxy{backend: honest.URL}
 	psrv := httptest.NewServer(proxy)
 	t.Cleanup(psrv.Close)
@@ -329,5 +337,16 @@ func TestClusterRefusesOutOfBoundsProgress(t *testing.T) {
 	t.Logf("%d lying streams, %d shard retries, %d KB allocated", lies, retried, (after.TotalAlloc-before.TotalAlloc)>>10)
 	if retried < lies {
 		t.Fatalf("%d shard retries for %d lying streams", retried, lies)
+	}
+	// The cancels are waited for here: Close would cut off one still in
+	// flight.
+	wctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	for _, js := range svc.Jobs() {
+		select {
+		case <-log.deleted(js.ID):
+		case <-wctx.Done():
+			t.Fatalf("the lying backend's sub-job %s was never cancelled", js.ID)
+		}
 	}
 }

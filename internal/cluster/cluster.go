@@ -872,8 +872,12 @@ func (j *cjob) handle(rep report) {
 // lost triages an attempt that ended without a result: the backend's
 // fault unless the backend answered, and a requeue (bounded by
 // maxShardRetries) unless a sibling attempt still covers the shard.
+// Its sub-job is cancelled: a live backend would run it for nobody.
 func (j *cjob) lost(sh *shard, att *attempt, rep report) {
 	co, b, err := j.co, att.backend, rep.err
+	if rid := att.remoteID; rid != "" {
+		co.spawn(func() { co.cancelRemote(j, b, rid, "lost") })
+	}
 	var apiErr *service.APIError
 	isAPI := errors.As(err, &apiErr)
 	if !isAPI {
