@@ -1297,6 +1297,15 @@ func TestMergeResultsValidation(t *testing.T) {
 	if _, err := MergeResults("c1", []*service.JobResult{unsharded}); err == nil {
 		t.Fatal("shardless result must fail")
 	}
+	// A shard sends one counter per vector it simulated, and simulates
+	// no more vectors than the job has.
+	for _, c := range []struct{ used, ndet int }{{32, 64}, {65, 65}} {
+		bad := mk(1, 2, 10)
+		bad.VectorsUsed, bad.Ndet = c.used, make([]int, c.ndet)
+		if _, err := MergeResults("c1", []*service.JobResult{mk(0, 2, 10), bad}); err == nil {
+			t.Fatalf("%d ndet counters for %d of 64 vectors used must fail", c.ndet, c.used)
+		}
+	}
 }
 
 // TestClusterRejectsNonGradeKinds: the coordinator shards grade jobs

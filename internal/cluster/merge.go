@@ -185,11 +185,35 @@ func MergeResults(id string, shards []*service.JobResult) (*service.JobResult, e
 		byIndex[i] = r
 	}
 
+	// Every shard is checked before anything is allocated, so the merged
+	// arrays are sized by what the shards sent, never by a claim.
 	first := byIndex[0]
-	n := 0
-	for _, r := range byIndex {
-		n += len(r.PerFault)
+	used := 0
+	for i, r := range byIndex {
+		if r.Fingerprint != first.Fingerprint || r.Circuit != first.Circuit {
+			return nil, fmt.Errorf("cluster: shard %d graded %s/%s, shard 0 graded %s/%s",
+				i, r.Circuit, r.Fingerprint, first.Circuit, first.Fingerprint)
+		}
+		if r.Mode != first.Mode || r.Vectors != first.Vectors || r.TotalFaults != first.TotalFaults {
+			return nil, fmt.Errorf("cluster: shard %d (mode %s, %d vectors, %d total faults) does not match shard 0 (mode %s, %d vectors, %d total faults)",
+				i, r.Mode, r.Vectors, r.TotalFaults, first.Mode, first.Vectors, first.TotalFaults)
+		}
+		lo, hi := service.ShardRange(r.TotalFaults, i, len(byIndex))
+		if r.Faults != hi-lo || len(r.PerFault) != hi-lo {
+			return nil, fmt.Errorf("cluster: shard %d has %d faults, want range [%d, %d)", i, r.Faults, lo, hi)
+		}
+		for k, fr := range r.PerFault {
+			if fr.F != lo+k {
+				return nil, fmt.Errorf("cluster: shard %d fault %d has global index %d, want %d", i, k, fr.F, lo+k)
+			}
+		}
+		// The simulator keeps one counter per vector it simulated.
+		if len(r.Ndet) != r.VectorsUsed || r.VectorsUsed > r.Vectors {
+			return nil, fmt.Errorf("cluster: shard %d sent %d ndet counters for %d of %d vectors", i, len(r.Ndet), r.VectorsUsed, r.Vectors)
+		}
+		used = max(used, r.VectorsUsed)
 	}
+
 	out := &service.JobResult{
 		ID:          id,
 		Kind:        service.KindGrade,
@@ -198,44 +222,21 @@ func MergeResults(id string, shards []*service.JobResult) (*service.JobResult, e
 		Mode:        first.Mode,
 		TotalFaults: first.TotalFaults,
 		Vectors:     first.Vectors,
-		// Sized once: the coordinator retains merged results.
-		PerFault: make([]service.FaultResult, 0, n),
+		VectorsUsed: used,
+		// Sized once: the coordinator retains merged results, and the
+		// shards' ranges partition the fault list.
+		PerFault: make([]service.FaultResult, 0, first.TotalFaults),
 	}
-	nextF := 0
-	for i, r := range byIndex {
-		if r.Fingerprint != out.Fingerprint || r.Circuit != out.Circuit {
-			return nil, fmt.Errorf("cluster: shard %d graded %s/%s, shard 0 graded %s/%s",
-				i, r.Circuit, r.Fingerprint, out.Circuit, out.Fingerprint)
-		}
-		if r.Mode != out.Mode || r.Vectors != out.Vectors || r.TotalFaults != out.TotalFaults {
-			return nil, fmt.Errorf("cluster: shard %d (mode %s, %d vectors, %d total faults) does not match shard 0 (mode %s, %d vectors, %d total faults)",
-				i, r.Mode, r.Vectors, r.TotalFaults, out.Mode, out.Vectors, out.TotalFaults)
-		}
-		lo, hi := service.ShardRange(r.TotalFaults, i, len(byIndex))
-		if r.Faults != hi-lo || len(r.PerFault) != hi-lo {
-			return nil, fmt.Errorf("cluster: shard %d has %d faults, want range [%d, %d)", i, r.Faults, lo, hi)
-		}
-		for k, fr := range r.PerFault {
-			if fr.F != nextF {
-				return nil, fmt.Errorf("cluster: shard %d fault %d has global index %d, want %d", i, k, fr.F, nextF)
-			}
-			nextF++
-		}
+	if used > 0 {
+		out.Ndet = make([]int, used)
+	}
+	for _, r := range byIndex {
 		out.Faults += r.Faults
 		out.Detected += r.Detected
-		if r.VectorsUsed > out.VectorsUsed {
-			out.VectorsUsed = r.VectorsUsed
-		}
-		if len(r.Ndet) > len(out.Ndet) {
-			out.Ndet = append(out.Ndet, make([]int, len(r.Ndet)-len(out.Ndet))...)
-		}
 		for u, n := range r.Ndet {
 			out.Ndet[u] += n
 		}
 		out.PerFault = append(out.PerFault, r.PerFault...)
-	}
-	if out.Faults != out.TotalFaults {
-		return nil, fmt.Errorf("cluster: shards cover %d of %d faults", out.Faults, out.TotalFaults)
 	}
 	if out.Faults > 0 {
 		out.Coverage = float64(out.Detected) / float64(out.Faults)
