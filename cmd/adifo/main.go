@@ -19,7 +19,7 @@
 //	adifo gen    -server http://localhost:8417 -circuit my.bench -order 0dynm
 //	adifo grade  -circuit c17 -mode drop -n 256
 //	adifo grade  -server http://localhost:8417 -circuit my.bench
-//	adifo grade  -server http://hostA:8417 -server http://hostB:8417 -circuit irs1238
+//	adifo grade  -server http://hostA:8417 -server http://hostB:8417 -circuit irs953
 //	adifo repro  -suite small              # Tables 1 and 4-7, Figure 1
 //	adifo repro  -table 5 -ablation
 //	adifo benchgen -out ./bench -suite small
